@@ -4,13 +4,7 @@ Rabi dynamics, state-preparation ramps and ensemble dephasing."""
 
 __version__ = "0.1.0"
 
-from .constants import (
-    SpeciesConstants,
-    UnitContext,
-    cesium_f4,
-    recoil_energy_hz,
-    zeeman_energy_er,
-)
+from .constants import SpeciesConstants, UnitContext, cesium_f4
 from .spin import SpinOperators, make_spin_operators
 from .lattice import (
     LatticeConfig,
@@ -40,14 +34,13 @@ from .dynamics import (
     Segment,
     TimeSeries,
     adiabaticity_report,
-    dominant_frequency_hz,
     prepare_ground_l,
     preparation_schedule,
     propagate_ramp,
     propagate_static,
 )
 from .ensemble import EnsembleResult, EnsembleSpec, ensemble_magnetization
-from .fitting import DampedSinusoidFit, fit_damped_sinusoid
+from .fitting import DampedSinusoidFit, dominant_frequency_hz, fit_damped_sinusoid
 from .errors import ConfigError, ContinuityError, ConvergenceError
 
 __all__ = [
@@ -55,8 +48,6 @@ __all__ = [
     "SpeciesConstants",
     "UnitContext",
     "cesium_f4",
-    "recoil_energy_hz",
-    "zeeman_energy_er",
     "SpinOperators",
     "make_spin_operators",
     "LatticeConfig",

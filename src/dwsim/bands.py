@@ -14,7 +14,7 @@ import numpy as np
 
 from .constants import UnitContext
 from .errors import ConvergenceError
-from .lattice import LatticeConfig, double_well_geometry
+from .lattice import LatticeConfig, double_well_geometry, potential_coefficients
 
 log = logging.getLogger("dwsim")
 
@@ -120,10 +120,10 @@ def hamiltonian_pieces(cfg: LatticeConfig, q_over_kl: float = 0.0):
     if d_total > MAX_DIMENSION:
         raise ValueError(f"basis dimension {d_total} exceeds limit {MAX_DIMENSION}")
     n_idx = np.arange(-cfg.n_planewaves, cfg.n_planewaves + 1)
-    theta = np.radians(cfg.theta_deg)
+    offset, scalar, fict_amp = potential_coefficients(cfg)
 
     h0 = np.zeros((d_total, d_total), dtype=complex)
-    kinetic = (q_over_kl + 2.0 * n_idx) ** 2 + 4.0 * cfg.u1_er / 3.0
+    kinetic = (q_over_kl + 2.0 * n_idx) ** 2 + offset
     for p in range(n_pw):
         sl = slice(p * dim, (p + 1) * dim)
         h0[sl, sl] = kinetic[p] * np.eye(dim)
@@ -131,8 +131,6 @@ def hamiltonian_pieces(cfg: LatticeConfig, q_over_kl: float = 0.0):
     # cos(2 k_L z) couples n -> n+1 with weight 1/2 on both the scalar
     # and (paper_cos) fictitious terms; the quadrature phase replaces the
     # fictitious weight by -i/2 * e^{+2 i k_L z} + h.c.
-    scalar = (2.0 * cfg.u1_er / 3.0) * np.cos(theta)
-    fict_amp = -cfg.species.g_f * (2.0 * cfg.u1_er / 3.0) * np.sin(theta)
     if cfg.fictitious_phase == "paper_cos":
         raising = scalar * np.eye(dim) + 0.5 * fict_amp * ops.fz
     else:

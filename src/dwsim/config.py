@@ -7,12 +7,13 @@ manifest, so a run is fully reproducible from its manifest alone.
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
-from .constants import ATOMIC_MASS, SpeciesConstants, cesium_f4
+from .constants import ATOMIC_MASS, CS133_MASS_U, CS133_WAVELENGTH_NM, SpeciesConstants, cesium_f4
 from .errors import ConfigError
-from .lattice import FICTITIOUS_PHASES, LatticeConfig
+from .lattice import LatticeConfig
 
 SWEEP_PARAMETERS = ("u1", "bx", "bz", "theta")
 SWEEP_BOUNDS = {
@@ -24,103 +25,87 @@ SWEEP_BOUNDS = {
 
 _REQUIRED_LATTICE = ("u1_er", "theta_deg", "bx_mg")
 
-# section -> key -> (default, parser); None default means required.
-_SCHEMA = {
-    "lattice": {
-        "u1_er": (None, float),
-        "theta_deg": (None, float),
-        "bx_mg": (None, float),
-        "bz_mg": (0.0, float),
-        "fictitious_phase": ("quadrature_sin", str),
-        "n_planewaves": (24, int),
-        "n_q": (33, int),
-        "z_points": (512, int),
-        "species": ("cs133_f4", str),
-        "g_f": (0.25, float),
-        "mass_u": (132.905451961, float),
-        "wavelength_nm": (852.35, float),
-    },
-    "sweep": {
-        "parameter": ("bx", str),
-        "start": (40.0, float),
-        "stop": (150.0, float),
-        "steps": (12, int),
-        "u1_scale": (1.0, float),
-    },
-    "rabi": {
-        "t_max_us": (2000.0, float),
-        "dt_out_us": (2.0, float),
-    },
-    "prepare": {
-        "bx_ramp_us": (250.0, float),
-        "bz_ramp_us": (70.0, float),
-        "bz_start_mg": (-100.0, float),
-        "dt_us": (0.5, float),
-    },
-    "ensemble": {
-        "spread": (0.05, float),
-        "n_samples": (200, int),
-        "seed": (20260808, int),
-        "distribution": ("gaussian", str),
-        "t_max_us": (1500.0, float),
-        "dt_out_us": (5.0, float),
-    },
-    "output": {
-        "directory": ("out", str),
-        "precision": (12, int),
-    },
-    "fit": {
-        "input": ("", str),
-        "t_column": ("t_us", str),
-        "y_column": ("mean_fz", str),
-    },
-}
 
-
+# The fields of each block are the keys of its INI section; their types
+# parse the values and their defaults fill the keys a file leaves out.
 @dataclass(frozen=True)
 class SweepBlock:
-    parameter: str
-    start: float
-    stop: float
-    steps: int
-    u1_scale: float
+    parameter: str = "bx"
+    start: float = 40.0
+    stop: float = 150.0
+    steps: int = 12
+    u1_scale: float = 1.0
 
 
 @dataclass(frozen=True)
 class RabiBlock:
-    t_max_us: float
-    dt_out_us: float
+    t_max_us: float = 2000.0
+    dt_out_us: float = 2.0
 
 
 @dataclass(frozen=True)
 class PrepareBlock:
-    bx_ramp_us: float
-    bz_ramp_us: float
-    bz_start_mg: float
-    dt_us: float
+    bx_ramp_us: float = 250.0
+    bz_ramp_us: float = 70.0
+    bz_start_mg: float = -100.0
+    dt_us: float = 0.5
 
 
 @dataclass(frozen=True)
 class EnsembleBlock:
-    spread: float
-    n_samples: int
-    seed: int
-    distribution: str
-    t_max_us: float
-    dt_out_us: float
+    spread: float = 0.05
+    n_samples: int = 200
+    seed: int = 20260808
+    distribution: str = "gaussian"
+    t_max_us: float = 1500.0
+    dt_out_us: float = 5.0
 
 
 @dataclass(frozen=True)
 class OutputBlock:
-    directory: str
-    precision: int
+    directory: str = "out"
+    precision: int = 12
 
 
 @dataclass(frozen=True)
 class FitBlock:
-    input: str
-    t_column: str
-    y_column: str
+    input: str = ""
+    t_column: str = "t_us"
+    y_column: str = "mean_fz"
+
+
+_BLOCKS = {
+    "sweep": SweepBlock,
+    "rabi": RabiBlock,
+    "prepare": PrepareBlock,
+    "ensemble": EnsembleBlock,
+    "output": OutputBlock,
+    "fit": FitBlock,
+}
+
+
+_LATTICE_KEYS = tuple(f.name for f in fields(LatticeConfig) if f.name != "species")
+
+
+def _section_defaults() -> dict[str, dict]:
+    """section -> key -> default; the type of a default parses its key.
+
+    [lattice] holds LatticeConfig's fields with the species replaced by
+    the keys _species_from reads.
+    """
+    species = cesium_f4()
+    lattice = {f.name: f.default for f in fields(LatticeConfig) if f.name in _LATTICE_KEYS}
+    lattice.update(
+        species=species.name,
+        g_f=species.g_f,
+        mass_u=CS133_MASS_U,
+        wavelength_nm=CS133_WAVELENGTH_NM,
+    )
+    blocks = {name: {f.name: f.default for f in fields(cls)} for name, cls in _BLOCKS.items()}
+    return {"lattice": lattice, **blocks}
+
+
+_DEFAULTS = _section_defaults()
 
 
 @dataclass(frozen=True)
@@ -144,14 +129,18 @@ def _species_from(values: dict) -> SpeciesConstants:
     mass_kg = values["mass_u"] * ATOMIC_MASS
     wavelength_m = values["wavelength_nm"] * 1e-9
     if mass_kg != base.mass_kg or wavelength_m != base.wavelength_m:
-        base = SpeciesConstants(
-            mass_kg=mass_kg,
-            wavelength_m=wavelength_m,
-            g_f=values["g_f"],
-            f=base.f,
-            name="cs133_f4_custom",
-        )
+        base = replace(base, mass_kg=mass_kg, wavelength_m=wavelength_m, name="cs133_f4_custom")
     return base
+
+
+def _parse_value(section: str, key: str, raw: str, default):
+    try:
+        value = type(default)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(path: str) -> RunConfig:
@@ -160,8 +149,8 @@ def parse_config(path: str) -> RunConfig:
     Raises
     ------
     ConfigError
-        For a missing file, unknown section or key, unparsable or
-        out-of-range value, or missing required keys.
+        For a missing file, unknown section or key, unparsable,
+        non-finite or out-of-range value, or missing required keys.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
@@ -173,51 +162,33 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]; known: {', '.join(_SCHEMA)}")
+        if section not in _DEFAULTS:
+            raise ConfigError(f"unknown section [{section}]; known: {', '.join(_DEFAULTS)}")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key not in _DEFAULTS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    missing = [k for k in _REQUIRED_LATTICE if not parser.has_option("lattice", k)]
+    if missing:
+        raise ConfigError("missing required keys in [lattice]: " + ", ".join(missing))
 
-    resolved: dict[str, dict] = {}
-    for section, keys in _SCHEMA.items():
-        resolved[section] = {}
-        for key, (default, cast) in keys.items():
-            if parser.has_option(section, key):
-                raw = parser.get(section, key)
-                try:
-                    resolved[section][key] = cast(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-            else:
-                if default is None:
-                    missing = [
-                        k for k in _REQUIRED_LATTICE if not parser.has_option("lattice", k)
-                    ]
-                    raise ConfigError(
-                        "missing required keys in [lattice]: " + ", ".join(missing)
-                    )
-                resolved[section][key] = default
+    resolved = {
+        section: {
+            key: _parse_value(section, key, parser.get(section, key), default)
+            if parser.has_option(section, key)
+            else default
+            for key, default in defaults.items()
+        }
+        for section, defaults in _DEFAULTS.items()
+    }
 
     lat = resolved["lattice"]
     try:
-        lattice = LatticeConfig(
-            u1_er=lat["u1_er"],
-            theta_deg=lat["theta_deg"],
-            bx_mg=lat["bx_mg"],
-            bz_mg=lat["bz_mg"],
-            species=_species_from(lat),
-            fictitious_phase=lat["fictitious_phase"],
-            n_planewaves=lat["n_planewaves"],
-            n_q=lat["n_q"],
-            z_points=lat["z_points"],
-        )
+        lattice = LatticeConfig(species=_species_from(lat), **{k: lat[k] for k in _LATTICE_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if lattice.fictitious_phase not in FICTITIOUS_PHASES:  # unreachable; guards refactors
-        raise ConfigError(f"bad fictitious_phase {lattice.fictitious_phase!r}")
+    blocks = {name: cls(**resolved[name]) for name, cls in _BLOCKS.items()}
 
-    sweep = SweepBlock(**resolved["sweep"])
+    sweep = blocks["sweep"]
     if sweep.parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {sweep.parameter!r}")
     if sweep.steps < 2:
@@ -233,33 +204,16 @@ def parse_config(path: str) -> RunConfig:
                 f"sweep {sweep.parameter} value {v} outside validated range [{lo}, {hi}]"
             )
 
-    ens = EnsembleBlock(**resolved["ensemble"])
-    if not 0.0 <= ens.spread < 0.5:
-        raise ConfigError(f"ensemble spread must be in [0, 0.5), got {ens.spread}")
-    if ens.n_samples < 1:
-        raise ConfigError(f"ensemble n_samples must be >= 1, got {ens.n_samples}")
-    if ens.distribution not in ("gaussian", "uniform"):
-        raise ConfigError(f"ensemble distribution must be gaussian or uniform, got {ens.distribution!r}")
-
-    out = OutputBlock(**resolved["output"])
+    out = blocks["output"]
     if not 1 <= out.precision <= 17:
         raise ConfigError(f"output precision must be in [1, 17], got {out.precision}")
 
-    rabi = RabiBlock(**resolved["rabi"])
+    rabi = blocks["rabi"]
     if rabi.t_max_us <= 0 or rabi.dt_out_us <= 0:
         raise ConfigError("rabi t_max_us and dt_out_us must be positive")
 
-    prep = PrepareBlock(**resolved["prepare"])
+    prep = blocks["prepare"]
     if prep.bx_ramp_us <= 0 or prep.bz_ramp_us <= 0 or prep.dt_us <= 0:
         raise ConfigError("prepare ramp durations and dt_us must be positive")
 
-    return RunConfig(
-        lattice=lattice,
-        sweep=sweep,
-        rabi=rabi,
-        prepare=prep,
-        ensemble=ens,
-        output=out,
-        fit=FitBlock(**resolved["fit"]),
-        resolved=resolved,
-    )
+    return RunConfig(lattice=lattice, resolved=resolved, **blocks)

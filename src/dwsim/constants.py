@@ -12,7 +12,7 @@ The spin basis is always ordered m_F = -F .. +F ascending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # CODATA values (12 significant digits where known to that precision).
 PLANCK_H = 6.62607015e-34  # J s (exact)
@@ -20,8 +20,13 @@ HBAR = 1.05457181765e-34  # J s
 BOHR_MAGNETON = 9.27401007830e-24  # J/T
 ATOMIC_MASS = 1.66053906660e-27  # kg
 
-GAUSS_TO_TESLA = 1e-4
 MILLIGAUSS_TO_TESLA = 1e-7
+
+# Cs-133 mass and lattice wavelength in the units of the INI keys mass_u
+# and wavelength_nm; cesium_f4 converts them the way parse_config does, so
+# a config that leaves both keys unset resolves to cesium_f4() exactly.
+CS133_MASS_U = 132.905451961
+CS133_WAVELENGTH_NM = 852.35
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,6 @@ class SpeciesConstants:
         """Recoil energy divided by h, in Hz."""
         return self.recoil_j / PLANCK_H
 
-    def with_g_f(self, g_f: float) -> "SpeciesConstants":
-        return replace(self, g_f=g_f)
-
 
 def cesium_f4(g_f: float = 0.25) -> SpeciesConstants:
     """Cs in the 6S_1/2 F=4 manifold, lattice light near the D2 line.
@@ -91,8 +93,8 @@ def cesium_f4(g_f: float = 0.25) -> SpeciesConstants:
     configurable because its sign fixes which well hosts m_F > 0.
     """
     return SpeciesConstants(
-        mass_kg=132.905451961 * ATOMIC_MASS,
-        wavelength_m=852.35e-9,
+        mass_kg=CS133_MASS_U * ATOMIC_MASS,
+        wavelength_m=CS133_WAVELENGTH_NM * 1e-9,
         g_f=g_f,
         f=4.0,
         name="cs133_f4",
@@ -103,23 +105,13 @@ def cesium_f4(g_f: float = 0.25) -> SpeciesConstants:
 class UnitContext:
     """Conversion helpers bound to one species.
 
-    All conversions are exact arithmetic on the stored constants, so
-    round trips are bijective to machine precision.
+    All conversions are exact arithmetic on the stored constants.
     """
 
     species: SpeciesConstants
 
     def er_to_hz(self, e_er: float) -> float:
         return e_er * self.species.recoil_hz
-
-    def hz_to_er(self, e_hz: float) -> float:
-        return e_hz / self.species.recoil_hz
-
-    def er_to_joule(self, e_er: float) -> float:
-        return e_er * self.species.recoil_j
-
-    def joule_to_er(self, e_j: float) -> float:
-        return e_j / self.species.recoil_j
 
     def zeeman_er_per_mg(self) -> float:
         """g_F mu_B * (1 mG) expressed in E_R, per unit m_F."""
@@ -129,31 +121,7 @@ class UnitContext:
         """Zeeman energy g_F mu_B B in E_R (per unit m_F) for B in mG."""
         return b_mg * self.zeeman_er_per_mg()
 
-    def er_to_mg(self, e_er: float) -> float:
-        return e_er / self.zeeman_er_per_mg()
-
-    def natural_time_us(self) -> float:
-        """Natural time unit hbar/E_R in microseconds."""
-        return HBAR / self.species.recoil_j * 1e6
-
-    def us_to_natural(self, t_us: float) -> float:
-        return t_us / self.natural_time_us()
-
-    def natural_to_us(self, t_nat: float) -> float:
-        return t_nat * self.natural_time_us()
-
     def rad_per_us_per_er(self) -> float:
         """Angular frequency of one E_R, in rad/us (phase accumulation rate)."""
         return self.species.recoil_j / HBAR * 1e-6
 
-
-def recoil_energy_hz(species: SpeciesConstants) -> float:
-    """Recoil energy E_R/h in Hz."""
-    return species.recoil_hz
-
-
-def zeeman_energy_er(b_mg: float, species: SpeciesConstants) -> float:
-    """Zeeman energy g_F mu_B B in E_R per unit m_F, for B in mG."""
-    if not math.isfinite(b_mg):
-        raise ValueError(f"field must be finite, got {b_mg}")
-    return UnitContext(species).mg_to_er(b_mg)

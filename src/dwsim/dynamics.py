@@ -23,6 +23,7 @@ from .bands import (
     wannier_doublet,
     zgrid_to_bloch,
 )
+from .config import PrepareBlock
 from .errors import ConvergenceError
 from .lattice import LatticeConfig
 
@@ -84,15 +85,11 @@ class RampSchedule:
         return first.bx_start_mg, first.bz_start_mg
 
 
-def hold_segment(duration_us: float, bx_mg: float, bz_mg: float) -> Segment:
-    return Segment(duration_us, bx_mg, bx_mg, bz_mg, bz_mg)
-
-
 def preparation_schedule(
     cfg: LatticeConfig,
-    bx_ramp_us: float = 250.0,
-    bz_ramp_us: float = 70.0,
-    bz_start_mg: float = -100.0,
+    bx_ramp_us: float = PrepareBlock.bx_ramp_us,
+    bz_ramp_us: float = PrepareBlock.bz_ramp_us,
+    bz_start_mg: float = PrepareBlock.bz_start_mg,
 ) -> RampSchedule:
     """Two-stage protocol: ramp B_x on while a large holding B_z pins the
     stretched spin state, then ramp B_z to the config value.
@@ -259,7 +256,7 @@ def propagate_ramp(
     cfg: LatticeConfig,
     schedule: RampSchedule,
     psi0: np.ndarray,
-    dt_us: float = 0.5,
+    dt_us: float = PrepareBlock.dt_us,
     doublet: WannierDoublet | None = None,
     certify: bool = True,
     direction: int = 1,
@@ -413,34 +410,24 @@ class PreparationResult:
 
 def stretched_ground_state(cfg: LatticeConfig, bx_mg: float, bz_mg: float) -> np.ndarray:
     """q=0 ground state of the m_F = +F diabatic potential at the given
-    fields, embedded in the full coefficient basis."""
-    ops = cfg.spin
-    units = cfg.units
-    n_pw = 2 * cfg.n_planewaves + 1
-    n_idx = np.arange(-cfg.n_planewaves, cfg.n_planewaves + 1)
-    theta = np.radians(cfg.theta_deg)
-    m_top = ops.f
-    diag = (2.0 * n_idx) ** 2 + 4.0 * cfg.u1_er / 3.0 + m_top * units.mg_to_er(bz_mg)
-    scalar = (2.0 * cfg.u1_er / 3.0) * np.cos(theta)
-    fict_amp = -cfg.species.g_f * (2.0 * cfg.u1_er / 3.0) * np.sin(theta)
-    if cfg.fictitious_phase == "paper_cos":
-        coupling = scalar + 0.5 * fict_amp * m_top
-    else:
-        coupling = scalar + (-0.5j) * fict_amp * m_top
-    ham = np.diag(diag).astype(complex)
-    for p in range(n_pw - 1):
-        ham[p + 1, p] = coupling
-        ham[p, p + 1] = np.conj(coupling)
-    _, vecs = np.linalg.eigh(ham)
-    psi = np.zeros(n_pw * ops.dim, dtype=complex)
-    psi[np.arange(n_pw) * ops.dim + (ops.dim - 1)] = vecs[:, 0]
+    fields, embedded in the full coefficient basis.
+
+    It is the lowest eigenvector of the m_F = +F sub-block of
+    H0 + bz_mg * Z; B_x has no diagonal and does not enter.
+    """
+    h0, _, z_block = hamiltonian_pieces(cfg, 0.0)
+    dim = cfg.spin.dim
+    top = np.arange(dim - 1, h0.shape[0], dim)
+    _, vecs = np.linalg.eigh((h0 + bz_mg * z_block)[np.ix_(top, top)])
+    psi = np.zeros(h0.shape[0], dtype=complex)
+    psi[top] = vecs[:, 0]
     return psi
 
 
 def prepare_ground_l(
     cfg: LatticeConfig,
     schedule: RampSchedule | None = None,
-    dt_us: float = 0.5,
+    dt_us: float = PrepareBlock.dt_us,
     doublet: WannierDoublet | None = None,
 ) -> PreparationResult:
     """Run the state-preparation protocol and report fidelities.
@@ -478,29 +465,3 @@ def prepare_ground_l(
         report=report,
         series=series,
     )
-
-
-def dominant_frequency_hz(t_us: np.ndarray, y: np.ndarray) -> float:
-    """Frequency of the strongest spectral peak of a sampled series.
-
-    Hann-windowed, zero-padded discrete spectrum with parabolic
-    refinement of the peak bin; the mean is removed first.
-    """
-    t_us = np.asarray(t_us, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(t_us) < 8:
-        raise ValueError("need at least 8 samples")
-    dt = t_us[1] - t_us[0]
-    if not np.allclose(np.diff(t_us), dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("time grid must be uniform")
-    yy = (y - y.mean()) * np.hanning(len(y))
-    n_fft = 16 * len(y)
-    spec = np.abs(np.fft.rfft(yy, n_fft))
-    k = int(np.argmax(spec))
-    if k == 0 or k >= len(spec) - 1:
-        raise ValueError("no interior spectral peak found")
-    # parabolic interpolation on log magnitude
-    a, b, c = np.log(spec[k - 1 : k + 2] + 1e-300)
-    shift = 0.5 * (a - c) / (a - 2 * b + c) if (a - 2 * b + c) != 0 else 0.0
-    freq_per_us = (k + shift) / (n_fft * dt)
-    return float(freq_per_us * 1e6)

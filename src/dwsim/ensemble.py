@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import wannier_doublet
+from .config import EnsembleBlock
 from .dynamics import propagate_static
+from .errors import ContinuityError, ConvergenceError
 from .lattice import LatticeConfig
 
 log = logging.getLogger("dwsim")
@@ -30,10 +32,10 @@ class EnsembleSpec:
     """Inhomogeneous-ensemble description over one base configuration."""
 
     cfg: LatticeConfig
-    u1_relative_spread: float = 0.05
-    n_samples: int = 200
-    seed: int = 0
-    distribution: str = "gaussian"
+    u1_relative_spread: float = EnsembleBlock.spread
+    n_samples: int = EnsembleBlock.n_samples
+    seed: int = EnsembleBlock.seed
+    distribution: str = EnsembleBlock.distribution
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.u1_relative_spread < 0.5:
@@ -72,10 +74,6 @@ def sample_intensity_factor(spec: EnsembleSpec, index: int) -> float:
     return 1.0 + spec.u1_relative_spread * x
 
 
-def sample_intensity_factors(spec: EnsembleSpec) -> np.ndarray:
-    return np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)])
-
-
 def _single_run(spec: EnsembleSpec, index: int, t_us: np.ndarray):
     factor = sample_intensity_factor(spec, index)
     cfg_i = spec.cfg.replace(u1_er=spec.cfg.u1_er * factor)
@@ -88,8 +86,10 @@ def ensemble_magnetization(spec: EnsembleSpec, t_us: np.ndarray, jobs: int = 1) 
     """Mean <F_z>(t) over localized-state Rabi runs of the ensemble.
 
     Every sample runs its own band solve and propagation from its own
-    left-localized state.  Failed samples are skipped with a logged
-    diagnostic; more than 10 % skipped raises RuntimeError.  The
+    left-localized state.  Samples that fail numerically (ConvergenceError,
+    ContinuityError, ValueError, LinAlgError) are skipped with a logged
+    diagnostic; more than 10 % skipped raises RuntimeError.  Any other
+    exception propagates.  The
     reduction sums in fixed index order after all samples complete, so
     the result does not depend on ``jobs``.
     """
@@ -129,6 +129,6 @@ def ensemble_magnetization(spec: EnsembleSpec, t_us: np.ndarray, jobs: int = 1) 
 def _guarded_run(spec: EnsembleSpec, index: int, t_us: np.ndarray):
     try:
         return _single_run(spec, index, t_us)
-    except Exception:
+    except (ConvergenceError, ContinuityError, ValueError, np.linalg.LinAlgError):
         log.exception("ensemble sample %d failed; skipping", index)
         return None

@@ -74,17 +74,41 @@ def _jacobian(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _fft_frequency_per_us(t: np.ndarray, y: np.ndarray) -> float:
+def _spectral_peak(t: np.ndarray, y: np.ndarray) -> tuple[bool, float]:
+    """(interior, frequency in 1/us) of the strongest bin of the Hann-windowed,
+    16x zero-padded spectrum of y minus its mean, refined by a parabola through
+    the log magnitudes around it.  A peak at bin 0 is read as bin 1; a peak at
+    bin 0 or at the last bin is not interior."""
     yy = (y - y.mean()) * np.hanning(len(y))
     n_fft = 16 * len(y)
     spec = np.abs(np.fft.rfft(yy, n_fft))
     k = int(np.argmax(spec))
+    interior = 0 < k < len(spec) - 1
     k = max(k, 1)
-    if 0 < k < len(spec) - 1:
+    if k < len(spec) - 1:
         a, b, c = np.log(spec[k - 1 : k + 2] + 1e-300)
         denom = a - 2 * b + c
         k = k + (0.5 * (a - c) / denom if denom != 0 else 0.0)
-    return k / (n_fft * (t[1] - t[0]))
+    return interior, k / (n_fft * (t[1] - t[0]))
+
+
+def dominant_frequency_hz(t_us: np.ndarray, y: np.ndarray) -> float:
+    """Frequency of the strongest spectral peak of a sampled series.
+
+    Hann-windowed, zero-padded discrete spectrum with parabolic
+    refinement of the peak bin; the mean is removed first.
+    """
+    t_us = np.asarray(t_us, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(t_us) < 8:
+        raise ValueError("need at least 8 samples")
+    dt = t_us[1] - t_us[0]
+    if not np.allclose(np.diff(t_us), dt, rtol=1e-9, atol=1e-12):
+        raise ValueError("time grid must be uniform")
+    interior, freq_per_us = _spectral_peak(t_us, y)
+    if not interior:
+        raise ValueError("no interior spectral peak found")
+    return float(freq_per_us * 1e6)
 
 
 def _envelope_rate(t: np.ndarray, y: np.ndarray, c0: float) -> float:
@@ -107,7 +131,7 @@ def _envelope_rate(t: np.ndarray, y: np.ndarray, c0: float) -> float:
 
 def _initial_guess(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     c0 = float(y.mean())
-    nu0 = _fft_frequency_per_us(t, y)
+    _, nu0 = _spectral_peak(t, y)
     lam0 = _envelope_rate(t, y, c0)
     env = np.exp(-lam0 * t)
     basis = np.column_stack(

@@ -88,19 +88,30 @@ class PotentialCurves:
     adiabatic: np.ndarray
 
 
+def potential_coefficients(cfg: LatticeConfig) -> tuple[float, float, float]:
+    """Coefficients of U(z) in E_R: the offset 4 U_1/3, the scalar
+    amplitude (2 U_1/3) cos(theta) of cos(2 k_L z), and the fictitious
+    amplitude -g_F (2 U_1/3) sin(theta) of the F_z term."""
+    theta = np.radians(cfg.theta_deg)
+    offset = 4.0 * cfg.u1_er / 3.0
+    scalar = (2.0 * cfg.u1_er / 3.0) * np.cos(theta)
+    fictitious = -cfg.species.g_f * (2.0 * cfg.u1_er / 3.0) * np.sin(theta)
+    return offset, scalar, fictitious
+
+
 def scalar_potential_er(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndarray | float:
     """Scalar light shift U_J(z) in E_R."""
     phase = _reduced_phase(cfg, z_m)
-    theta = np.radians(cfg.theta_deg)
-    return (4.0 * cfg.u1_er / 3.0) * (1.0 + np.cos(theta) * np.cos(phase))
+    offset, _, _ = potential_coefficients(cfg)
+    return offset * (1.0 + np.cos(np.radians(cfg.theta_deg)) * np.cos(phase))
 
 
 def fictitious_zeeman_er(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndarray | float:
     """Coefficient of F_z from the light-induced field, in E_R per unit m_F."""
     phase = _reduced_phase(cfg, z_m)
-    theta = np.radians(cfg.theta_deg)
+    _, _, fictitious = potential_coefficients(cfg)
     spatial = np.cos(phase) if cfg.fictitious_phase == "paper_cos" else np.sin(phase)
-    return -cfg.species.g_f * (2.0 * cfg.u1_er / 3.0) * np.sin(theta) * spatial
+    return fictitious * spatial
 
 
 def _reduced_phase(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndarray | float:
@@ -109,12 +120,13 @@ def _reduced_phase(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndarray | 
     return 2.0 * np.pi * np.mod(np.asarray(z_m) / cfg.period_m, 1.0)
 
 
-def potential_matrix(cfg: LatticeConfig, z_m: float) -> np.ndarray:
-    """Hermitian (2F+1)x(2F+1) potential matrix at position z, in E_R."""
+def potential_matrix(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndarray:
+    """Hermitian potential matrix U(z) in E_R: (2F+1)x(2F+1) for a scalar
+    z, stacked to shape (len(z), 2F+1, 2F+1) for an array of positions."""
     ops = cfg.spin
     units = cfg.units
-    u_j = scalar_potential_er(cfg, z_m)
-    c_f = fictitious_zeeman_er(cfg, z_m)
+    u_j = np.asarray(scalar_potential_er(cfg, z_m))[..., None, None]
+    c_f = np.asarray(fictitious_zeeman_er(cfg, z_m))[..., None, None]
     beta_x = units.mg_to_er(cfg.bx_mg)
     beta_z = units.mg_to_er(cfg.bz_mg)
     mat = u_j * np.eye(ops.dim) + (c_f + beta_z) * ops.fz + beta_x * ops.fx
@@ -126,13 +138,8 @@ def diabatic_curves(cfg: LatticeConfig, z_m: np.ndarray) -> np.ndarray:
 
     B_x does not contribute (F_x has zero diagonal).
     """
-    ops = cfg.spin
-    units = cfg.units
-    u_j = np.asarray(scalar_potential_er(cfg, z_m))
-    c_f = np.asarray(fictitious_zeeman_er(cfg, z_m))
-    beta_z = units.mg_to_er(cfg.bz_mg)
-    m = ops.m_values
-    return u_j[None, :] + m[:, None] * (c_f[None, :] + beta_z)
+    diag = np.arange(cfg.spin.dim)
+    return potential_matrix(cfg, np.asarray(z_m, dtype=float))[:, diag, diag].real.T
 
 
 def adiabatic_curves(cfg: LatticeConfig, z_m: np.ndarray) -> np.ndarray:
@@ -168,18 +175,12 @@ def _refined_grid(z_m: np.ndarray, factor: int) -> np.ndarray:
         return z_m
     # Insert factor-1 evenly spaced points into each interval, assuming a
     # near-uniform input grid; tracked values at original points are kept.
-    out = []
-    for i, z in enumerate(z_m):
-        out.append(z)
-        step = (z_m[i + 1] - z) if i + 1 < len(z_m) else (z_m[-1] - z_m[-2] if len(z_m) > 1 else 0.0)
-        for k in range(1, factor):
-            out.append(z + step * k / factor)
-    return np.asarray(out[: len(z_m) * factor])
+    steps = np.append(np.diff(z_m), z_m[-1] - z_m[-2] if len(z_m) > 1 else 0.0)
+    return (z_m[:, None] + steps[:, None] * np.arange(factor) / factor).ravel()
 
 
 def _track_curves(cfg: LatticeConfig, z_m: np.ndarray):
-    mats = np.stack([potential_matrix(cfg, z) for z in z_m])
-    vals, vecs = np.linalg.eigh(mats)
+    vals, vecs = np.linalg.eigh(potential_matrix(cfg, z_m))
     dim = vals.shape[1]
     curves = np.empty((dim, len(z_m)))
     order = np.arange(dim)  # first point: ascending, lowest curve first
@@ -221,18 +222,18 @@ def potential_curves(cfg: LatticeConfig, z_m: np.ndarray | None = None) -> Poten
     )
 
 
+def _strict_local_minima(curve: np.ndarray, periodic: bool = True) -> np.ndarray:
+    """Indices of the strict local minima of a sampled curve (cyclic by default)."""
+    curve = np.asarray(curve)
+    is_min = (curve < np.roll(curve, 1)) & (curve <= np.roll(curve, -1))
+    if not periodic:  # the end points have only one neighbour
+        is_min[:1] = is_min[-1:] = False
+    return np.flatnonzero(is_min)
+
+
 def count_local_minima(curve: np.ndarray, periodic: bool = True) -> int:
     """Number of strict local minima of a sampled curve (cyclic by default)."""
-    n = len(curve)
-    count = 0
-    for j in range(n):
-        prev_v = curve[j - 1] if (j > 0 or periodic) else None
-        next_v = curve[(j + 1) % n] if (j < n - 1 or periodic) else None
-        if prev_v is None or next_v is None:
-            continue
-        if curve[j] < prev_v and curve[j] <= next_v:
-            count += 1
-    return count
+    return len(_strict_local_minima(curve, periodic))
 
 
 def double_well_geometry(cfg: LatticeConfig, z_m: np.ndarray | None = None) -> dict:
@@ -244,7 +245,7 @@ def double_well_geometry(cfg: LatticeConfig, z_m: np.ndarray | None = None) -> d
     z_m = cfg.z_grid_m() if z_m is None else np.asarray(z_m, dtype=float)
     lowest = adiabatic_curves(cfg, z_m)[0]
     n = len(z_m)
-    minima = [j for j in range(n) if lowest[j] < lowest[j - 1] and lowest[j] <= lowest[(j + 1) % n]]
+    minima = _strict_local_minima(lowest)
     if len(minima) != 2:
         raise ValueError(f"expected a double well, found {len(minima)} minima per period")
     j1, j2 = minima

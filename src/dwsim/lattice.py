@@ -9,6 +9,10 @@ longitudinal field whose spatial phase is selectable: ``paper_cos`` puts
 it proportional to cos(2 k_L z) (in phase with the scalar part),
 ``quadrature_sin`` to sin(2 k_L z).  The quadrature phase is the one that
 produces the symmetric double well and is the default; see README.
+
+U(z) is a scalar plus a spin F in the field b(z) = (beta_x, 0, b_z(z)),
+b_z = c_f + beta_z, so its adiabatic curves are U_J(z) + m |b(z)|,
+m = -F..F, in closed form.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import SpeciesConstants, UnitContext, cesium_f4
-from .errors import ContinuityError
 from .spin import SpinOperators, make_spin_operators
 
 FICTITIOUS_PHASES = ("quadrature_sin", "paper_cos")
@@ -78,8 +81,8 @@ class PotentialCurves:
     """Diabatic and adiabatic potential curves over one period.
 
     ``diabatic[k]`` is the diagonal element for m_F = k - F;
-    ``adiabatic[k]`` is the k-th continuity-tracked eigenvalue curve,
-    ordered so that curve 0 starts lowest at the first grid point.
+    ``adiabatic[k]`` is the eigenvalue curve U_J + (k - F)|b| of
+    ``adiabatic_curves``, so curve 0 is the lowest.
     Units: z in nm, energies in E_R.
     """
 
@@ -124,13 +127,17 @@ def potential_matrix(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndarray:
     """Hermitian potential matrix U(z) in E_R: (2F+1)x(2F+1) for a scalar
     z, stacked to shape (len(z), 2F+1, 2F+1) for an array of positions."""
     ops = cfg.spin
-    units = cfg.units
     u_j = np.asarray(scalar_potential_er(cfg, z_m))[..., None, None]
-    c_f = np.asarray(fictitious_zeeman_er(cfg, z_m))[..., None, None]
-    beta_x = units.mg_to_er(cfg.bx_mg)
-    beta_z = units.mg_to_er(cfg.bz_mg)
-    mat = u_j * np.eye(ops.dim) + (c_f + beta_z) * ops.fz + beta_x * ops.fx
+    beta_x, b_z = _effective_field(cfg, z_m)
+    mat = u_j * np.eye(ops.dim) + np.asarray(b_z)[..., None, None] * ops.fz + beta_x * ops.fx
     return mat.astype(complex)
+
+
+def _effective_field(cfg: LatticeConfig, z_m: np.ndarray | float) -> tuple[float, np.ndarray | float]:
+    """Field (beta_x, b_z(z)) coupling to (F_x, F_z), in E_R per unit m_F,
+    with b_z = c_f(z) + beta_z."""
+    units = cfg.units
+    return units.mg_to_er(cfg.bx_mg), fictitious_zeeman_er(cfg, z_m) + units.mg_to_er(cfg.bz_mg)
 
 
 def diabatic_curves(cfg: LatticeConfig, z_m: np.ndarray) -> np.ndarray:
@@ -143,73 +150,21 @@ def diabatic_curves(cfg: LatticeConfig, z_m: np.ndarray) -> np.ndarray:
 
 
 def adiabatic_curves(cfg: LatticeConfig, z_m: np.ndarray) -> np.ndarray:
-    """Pointwise eigenvalues of U(z), continuity-sorted, shape (2F+1, len(z)).
+    """Eigenvalue curves of U(z) in closed form, shape (2F+1, len(z)).
 
-    Eigenvalue branches between adjacent grid points are matched by
-    maximum eigenvector overlap; the grid is refined internally (up to
-    8x) until every matched overlap exceeds 0.9.
-
-    Raises
-    ------
-    ContinuityError
-        If the assignment stays ambiguous (overlap < 0.5) at the finest
-        refinement, naming the offending z interval.
+    U(z) is the scalar U_J(z) plus a spin F in the field
+    b(z) = (beta_x, 0, c_f(z) + beta_z), so curve k is U_J(z) + m_k |b(z)|
+    with m_k = k - F: curve 0 is lowest everywhere.  At beta_x = 0, m_F
+    is conserved and each curve keeps its m_F where b_z changes sign, so
+    the curves are the diabatic ones ordered by their value at z[0].
     """
     z_m = np.asarray(z_m, dtype=float)
-    for refine in (1, 2, 4, 8):
-        z_fine = _refined_grid(z_m, refine)
-        curves, min_overlap, bad_at = _track_curves(cfg, z_fine)
-        if min_overlap >= 0.9:
-            return curves[:, ::refine]
-        if min_overlap < 0.5 and refine == 8:
-            raise ContinuityError(
-                f"adiabatic curve tracking ambiguous near z = {bad_at * 1e9:.2f} nm "
-                f"(overlap {min_overlap:.3f} after 8x refinement)"
-            )
-    # Overlaps stayed in [0.5, 0.9): accept the finest tracking.
-    return curves[:, ::refine]
-
-
-def _refined_grid(z_m: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return z_m
-    # Insert factor-1 evenly spaced points into each interval, assuming a
-    # near-uniform input grid; tracked values at original points are kept.
-    steps = np.append(np.diff(z_m), z_m[-1] - z_m[-2] if len(z_m) > 1 else 0.0)
-    return (z_m[:, None] + steps[:, None] * np.arange(factor) / factor).ravel()
-
-
-def _track_curves(cfg: LatticeConfig, z_m: np.ndarray):
-    vals, vecs = np.linalg.eigh(potential_matrix(cfg, z_m))
-    dim = vals.shape[1]
-    curves = np.empty((dim, len(z_m)))
-    order = np.arange(dim)  # first point: ascending, lowest curve first
-    curves[:, 0] = vals[0]
-    prev_vecs = vecs[0]
-    min_overlap = 1.0
-    bad_at = z_m[0]
-    for j in range(1, len(z_m)):
-        overlaps = np.abs(prev_vecs.conj().T @ vecs[j])  # (prev_branch, new_state)
-        assignment = np.full(dim, -1, dtype=int)
-        taken = np.zeros(dim, dtype=bool)
-        # Greedy max-overlap assignment; overlaps are near-permutation
-        # matrices on a sufficiently fine grid.
-        flat = np.argsort(overlaps, axis=None)[::-1]
-        assigned = 0
-        for idx in flat:
-            p, q = divmod(idx, dim)
-            if assignment[p] < 0 and not taken[q]:
-                assignment[p] = q
-                taken[q] = True
-                if overlaps[p, q] < min_overlap:
-                    min_overlap = overlaps[p, q]
-                    bad_at = z_m[j]
-                assigned += 1
-                if assigned == dim:
-                    break
-        curves[order, j] = vals[j][assignment]
-        prev_vecs = vecs[j][:, assignment]
-    return curves, min_overlap, bad_at
+    beta_x, b_z = _effective_field(cfg, z_m)
+    if beta_x != 0:
+        r = np.hypot(beta_x, b_z)
+    else:
+        r = b_z if b_z[0] >= 0 else -b_z
+    return scalar_potential_er(cfg, z_m)[None, :] + cfg.spin.m_values[:, None] * r[None, :]
 
 
 def potential_curves(cfg: LatticeConfig, z_m: np.ndarray | None = None) -> PotentialCurves:
@@ -255,18 +210,18 @@ def double_well_geometry(cfg: LatticeConfig, z_m: np.ndarray | None = None) -> d
     arc2 = list(range(j2, n)) + list(range(0, j1 + 1))
     b1 = max(arc1, key=lambda j: lowest[j])
     b2 = max(arc2, key=lambda j: lowest[j])
-    barrier_j = b1 if lowest[b1] <= lowest[b2] else b2
+    # Barriers within rounding of each other (mirror images, as at
+    # paper_cos) are equal: keep the forward arc's.
+    barrier_j = b2 if lowest[b2] < lowest[b1] - 1e-12 * abs(lowest[b1]) else b1
     out = {
         "z_min_m": (z_m[j1], z_m[j2]),
         "barrier_z_m": z_m[barrier_j],
         "barrier_er": lowest[barrier_j],
         "min_er": (lowest[j1], lowest[j2]),
     }
-    # Which well hosts m_F > 0: sign of <F_z> of the local ground spinor.
-    ops = cfg.spin
-    fz_signs = []
-    for j in (j1, j2):
-        _, v = np.linalg.eigh(potential_matrix(cfg, z_m[j]))
-        fz_signs.append(float(np.real(v[:, 0].conj() @ ops.fz @ v[:, 0])))
-    out["sigma_plus_z_m"] = z_m[j1] if fz_signs[0] > fz_signs[1] else z_m[j2]
+    # Which well hosts m_F > 0: the local ground spinor points against b,
+    # so its <F_z> is -F b_z / |b|.
+    beta_x, b_z = _effective_field(cfg, z_m[[j1, j2]])
+    fz = -cfg.species.f * b_z / np.hypot(beta_x, b_z)
+    out["sigma_plus_z_m"] = z_m[j1] if fz[0] > fz[1] else z_m[j2]
     return out

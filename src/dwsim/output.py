@@ -130,10 +130,8 @@ def sweep_frequency(
         except ConvergenceError:
             return (value, float("nan"), float("nan"), "unconverged")
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(point, values))
-    return [point(v) for v in values]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(point, values))
 
 
 def _cmd_potentials(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:

@@ -1,6 +1,7 @@
 """Angular-momentum operator matrices for arbitrary total spin F."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +25,13 @@ class SpinOperators:
         return np.arange(self.dim) - self.f
 
 
+@functools.cache
 def make_spin_operators(f: float) -> SpinOperators:
     """Build F_x, F_y, F_z from ladder operators.
 
     Uses <m+1|F+|m> = sqrt(F(F+1) - m(m+1)); F_z is diagonal with
-    entries m_F in ascending order.
+    entries m_F in ascending order.  Built once per F: the result is
+    read-only and shared by every caller.
 
     Raises
     ------

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dwsim import LatticeConfig, adiabatic_curves, diabatic_curves, potential_matrix
+from dwsim import LatticeConfig, adiabatic_curves, cesium_f4, diabatic_curves, potential_matrix
 from dwsim.constants import UnitContext
 from dwsim.lattice import (
+    FICTITIOUS_PHASES,
     count_local_minima,
     double_well_geometry,
     fictitious_zeeman_er,
@@ -93,17 +95,58 @@ def test_diabatic_theta90_pure_cosines():
 
 
 def test_adiabatic_against_analytic_oracle():
-    # closed form: eigenvalues are U_J + m * |B_eff| with
-    # |B_eff| = sqrt((c_f + beta_z)^2 + beta_x^2)
+    # the closed-form curves against the numerical spectrum of U(z)
     cfg = canonical(bz_mg=7.0)
-    units = UnitContext(cfg.species)
     z = cfg.z_grid_m(128)
+    numerical = np.linalg.eigvalsh(potential_matrix(cfg, z)).T
+    np.testing.assert_allclose(adiabatic_curves(cfg, z), numerical, atol=1e-9)
+
+
+def _sigma_plus_by_eigenvectors(cfg, geom):
+    # the well whose lowest eigenvector of U(z) has the larger <F_z>
+    fz = []
+    for z in geom["z_min_m"]:
+        _, vecs = np.linalg.eigh(potential_matrix(cfg, z))
+        fz.append(float(np.real(vecs[:, 0].conj() @ cfg.spin.fz @ vecs[:, 0])))
+    z1, z2 = geom["z_min_m"]
+    return z1 if fz[0] > fz[1] else z2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    u1=st.floats(10.0, 300.0),
+    theta=st.floats(45.0, 90.0),
+    bx=st.floats(5.0, 300.0),
+    bz=st.floats(-100.0, 100.0),
+    phase=st.sampled_from(FICTITIOUS_PHASES),
+    g_f=st.sampled_from((0.25, -0.25)),
+)
+def test_adiabatic_curves_are_the_numerical_spectrum(u1, theta, bx, bz, phase, g_f):
+    cfg = LatticeConfig(
+        u1_er=u1, theta_deg=theta, bx_mg=bx, bz_mg=bz, fictitious_phase=phase,
+        species=cesium_f4(g_f=g_f), z_points=256,
+    )
+    z = cfg.z_grid_m()
     curves = adiabatic_curves(cfg, z)
-    c_f = np.asarray(fictitious_zeeman_er(cfg, z))
-    beff = np.sqrt((c_f + units.mg_to_er(7.0)) ** 2 + units.mg_to_er(85.0) ** 2)
-    u_j = np.asarray(scalar_potential_er(cfg, z))
-    analytic = np.sort(u_j[None, :] + np.arange(-4.0, 5.0)[:, None] * beff[None, :], axis=0)
-    np.testing.assert_allclose(np.sort(curves, axis=0), analytic, atol=1e-9)
+    numerical = np.linalg.eigvalsh(potential_matrix(cfg, z)).T
+    np.testing.assert_allclose(curves, numerical, atol=1e-9)
+    np.testing.assert_array_equal(curves[0], curves.min(axis=0))
+    if count_local_minima(curves[0]) == 2:
+        geom = double_well_geometry(cfg)
+        assert geom["sigma_plus_z_m"] == _sigma_plus_by_eigenvectors(cfg, geom)
+
+
+@pytest.mark.parametrize(
+    "phase, bz", [("quadrature_sin", 0.0), ("quadrature_sin", -7.0), ("quadrature_sin", 7.0), ("paper_cos", 0.0)]
+)
+def test_adiabatic_curves_keep_m_f_at_zero_bx(phase, bz):
+    # without B_x, m_F is conserved: the curves are the diabatic ones,
+    # ordered by their value at the first grid point, through every crossing
+    cfg = canonical(bx_mg=0.0, bz_mg=bz, fictitious_phase=phase)
+    z = cfg.z_grid_m(128)
+    dia = diabatic_curves(cfg, z)
+    expected = dia[np.argsort(dia[:, 0], kind="stable")]
+    np.testing.assert_allclose(adiabatic_curves(cfg, z), expected, atol=1e-9)
 
 
 def test_adiabatic_degenerate_point():
@@ -132,7 +175,7 @@ def test_double_well_minima_count(phase):
 
 
 def test_adiabatic_tracking_grid_independent():
-    # a coarse request is refined internally until overlaps are clean
+    # the curves at a grid point do not depend on the rest of the grid
     cfg = canonical()
     coarse = adiabatic_curves(cfg, cfg.z_grid_m(32))
     fine = adiabatic_curves(cfg, cfg.z_grid_m(256))
@@ -164,6 +207,24 @@ def test_double_well_geometry_sigma_plus_side():
     assert abs(z2 - z1) * 1e9 == pytest.approx(145.0, abs=5.0)
     # sigma+ well (m_F > 0 ground spinor) is the left one for g_F > 0
     assert geom["sigma_plus_z_m"] == min(z1, z2)
+    # and the right one for g_F < 0, with the wells in place
+    flipped = double_well_geometry(cfg.replace(species=cesium_f4(g_f=-0.25)))
+    assert flipped["z_min_m"] == geom["z_min_m"]
+    assert flipped["sigma_plus_z_m"] == max(z1, z2)
+
+
+@pytest.mark.parametrize("z_points", [256, 512])
+def test_paper_cos_barrier_on_forward_arc(z_points):
+    # the lowest curve depends only on cos(2 k_L z), so its two barriers are
+    # mirror images of equal height; the one between the minima is reported
+    geom = double_well_geometry(canonical(fictitious_phase="paper_cos", z_points=z_points))
+    z1, z2 = geom["z_min_m"]
+    assert z1 < geom["barrier_z_m"] < z2
+
+
+def test_spin_operators_shared_across_configs():
+    cfg = canonical()
+    assert cfg.spin is cfg.replace(u1_er=100.0).spin
 
 
 def test_config_validation():

@@ -9,7 +9,10 @@ point (U_1 = 84 E_R, theta = 80 deg, B_x = 85 mG) with the light basis
 (n_planewaves = 12, n_q = 9, z_points = 256) and short rabi, prepare,
 sweep and ensemble sections, then prints one ``command/file sha256`` line
 per output file, ``manifest.json`` included.  ``fit`` reads the CSV the
-``ensemble`` command wrote.
+``ensemble`` command wrote.  A second pass runs ``potentials``,
+``wannier`` and ``rabi`` again with ``fictitious_phase = paper_cos``
+under OUT_DIR/paper_cos and prints its lines prefixed ``paper_cos/``, so
+phase-dependent geometry is covered too.
 
 Every path handed to the CLI is relative to OUT_DIR, so the bundles
 (whose manifests record the resolved config, the fit input path
@@ -29,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 COMMANDS = ("potentials", "bands", "wannier", "rabi", "prepare", "sweep", "ensemble", "fit")
+PAPER_COS_COMMANDS = ("potentials", "wannier", "rabi")
 
 CONFIG = """\
 [lattice]
@@ -67,23 +71,33 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_pass(out: Path, config: str, commands: tuple[str, ...], prefix: str, env: dict) -> bool:
+    """Run ``commands`` in ``out`` and print their digests; False on failure."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "run.ini").write_text(config, encoding="utf-8")
+    for command in commands:
+        argv_cmd = [sys.executable, "-m", "dwsim.cli", command, "--config", "run.ini", "--out", command]
+        done = subprocess.run(argv_cmd, cwd=out, env=env, stdout=subprocess.DEVNULL)
+        if done.returncode != 0:
+            print(f"dwsim {command} exited {done.returncode}", file=sys.stderr)
+            return False
+        for path in sorted((out / command).iterdir()):
+            print(f"{prefix}{command}/{path.name} {sha256(path)}")
+    return True
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/bundle_digests.py OUT_DIR", file=sys.stderr)
         return 2
     out = Path(argv[0])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run.ini").write_text(CONFIG, encoding="utf-8")
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", str(ROOT / "src"))
-    for command in COMMANDS:
-        argv_cmd = [sys.executable, "-m", "dwsim.cli", command, "--config", "run.ini", "--out", command]
-        done = subprocess.run(argv_cmd, cwd=out, env=env, stdout=subprocess.DEVNULL)
-        if done.returncode != 0:
-            print(f"dwsim {command} exited {done.returncode}", file=sys.stderr)
-            return 1
-        for path in sorted((out / command).iterdir()):
-            print(f"{command}/{path.name} {sha256(path)}")
+    paper_cos = CONFIG.replace("[lattice]\n", "[lattice]\nfictitious_phase = paper_cos\n")
+    if not run_pass(out, CONFIG, COMMANDS, "", env):
+        return 1
+    if not run_pass(out / "paper_cos", paper_cos, PAPER_COS_COMMANDS, "paper_cos/", env):
+        return 1
     return 0
 
 

@@ -219,37 +219,29 @@ def propagate_static(
 
 
 def _schedule_steps(schedule: RampSchedule, dt_us: float):
-    """Yield (h, bx_mid, bz_mid, bx_rate, bz_rate) over all segments."""
+    """Return (h, bx_mid, bz_mid) for every step over all segments."""
     steps = []
     for seg in schedule.segments:
         n = max(1, math.ceil(seg.duration_us / dt_us))
         h = seg.duration_us / n
-        rx, rz = seg.rates_per_us
         for k in range(n):
             bx, bz = seg.fields_at((k + 0.5) * h)
-            steps.append((h, bx, bz, rx, rz))
+            steps.append((h, bx, bz))
     return steps
 
 
-def _run_steps(cfg, steps, psi0, direction=1, record=False):
+def _run_steps(cfg, steps, psi, direction=1):
+    """Step psi through ``steps``; return the final state, the step times
+    and the states at those times stacked as columns (D, n + 1)."""
     h0, x_block, z_block = hamiltonian_pieces(cfg, 0.0)
     w = cfg.units.rad_per_us_per_er()
-    psi = psi0.copy()
-    recorded = [psi.copy()] if record else None
-    times = [0.0] if record else None
-    t = 0.0
-    ordered = steps if direction == 1 else list(reversed(steps))
-    for h, bx, bz, _rx, _rz in ordered:
-        ham = h0 + bx * x_block + bz * z_block
-        vals, vecs = np.linalg.eigh(ham)
+    times, states = [0.0], [psi]
+    for h, bx, bz in steps if direction == 1 else reversed(steps):
+        vals, vecs = np.linalg.eigh(h0 + bx * x_block + bz * z_block)
         psi = vecs @ (np.exp(-1j * direction * vals * w * h) * (vecs.conj().T @ psi))
-        if record:
-            t += h
-            times.append(t)
-            recorded.append(psi.copy())
-    if record:
-        return psi, np.asarray(times), np.stack(recorded, axis=1)
-    return psi
+        times.append(times[-1] + h)
+        states.append(psi)
+    return psi, np.asarray(times), np.stack(states, axis=1)
 
 
 def propagate_ramp(
@@ -265,9 +257,11 @@ def propagate_ramp(
 
     Certification reruns the schedule at dt/2 and requires the final
     states to agree to 1e-6 in fidelity, halving dt (up to 8 times)
-    until they do.  ``direction=-1`` applies the exact inverse steps in
-    reverse order, so a forward run followed by a direction=-1 run
-    returns the initial state to solver precision.
+    until they do.  Each step size runs once, and the series returned is
+    the one recorded during the accepted dt pass.  ``direction=-1``
+    applies the exact inverse steps in reverse order, so a forward run
+    followed by a direction=-1 run returns the initial state to solver
+    precision.
 
     Raises
     ------
@@ -284,22 +278,20 @@ def propagate_ramp(
 
     dt = float(dt_us)
     cert_infid = None
+    psi, times, states = _run_steps(cfg, _schedule_steps(schedule, dt), psi0, direction)
     if certify:
-        psi_coarse = _run_steps(cfg, _schedule_steps(schedule, dt), psi0, direction)
         for _ in range(MAX_HALVINGS):
-            psi_fine = _run_steps(cfg, _schedule_steps(schedule, dt / 2), psi0, direction)
-            cert_infid = float(1.0 - np.abs(psi_coarse.conj() @ psi_fine) ** 2)
+            fine = _run_steps(cfg, _schedule_steps(schedule, dt / 2), psi0, direction)
+            cert_infid = float(1.0 - np.abs(psi.conj() @ fine[0]) ** 2)
             if cert_infid < STEP_DOUBLING_TOL:
                 break
             dt /= 2
-            psi_coarse = psi_fine
+            psi, times, states = fine
         else:
             raise ConvergenceError(
                 f"ramp step-doubling certification failed: dt={dt} us and dt/2 "
                 f"final states disagree (infidelity {cert_infid:.3e} >= {STEP_DOUBLING_TOL})"
             )
-    steps = _schedule_steps(schedule, dt)
-    _, times, states = _run_steps(cfg, steps, psi0, direction, record=True)
     return _observables(cfg, times, states, doublet, dt_us=dt, cert=cert_infid)
 
 

@@ -124,6 +124,29 @@ def test_constant_schedule_matches_static(cfg, doublet):
     np.testing.assert_allclose(ramp.norm, 1.0, atol=1e-8)
 
 
+def test_certified_ramp_keeps_the_accepted_pass(cfg, doublet, monkeypatch):
+    # certification runs dt and dt/2 once each (n + 2n step eigensolves)
+    # and returns the series recorded during the accepted dt pass
+    schedule = RampSchedule((Segment(40.0, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
+    n_steps = 20
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    certified = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=2.0, doublet=doublet)
+    assert len(calls) == n_steps + 2 * n_steps
+    monkeypatch.undo()
+    assert certified.dt_us == 2.0
+    assert certified.step_doubling_infidelity < 1e-6
+    plain = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=certified.dt_us, doublet=doublet, certify=False)
+    for name in ("t_us", "p_l", "p_r", "leakage", "fz", "p_m", "norm", "psi_final"):
+        np.testing.assert_array_equal(getattr(certified, name), getattr(plain, name))
+
+
 def test_time_reversal(cfg, doublet):
     schedule = RampSchedule(
         (

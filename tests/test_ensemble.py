@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwsim import LatticeConfig, fit_damped_sinusoid, propagate_static, wannier_doublet
+from dwsim import LatticeConfig, cesium_f4, fit_damped_sinusoid, propagate_static, wannier_doublet
 from dwsim import ensemble
 from dwsim.ensemble import EnsembleSpec, ensemble_magnetization, sample_intensity_factor
 
@@ -36,7 +36,13 @@ def test_sampling_deterministic_and_truncated(cfg):
     assert not np.array_equal(a, u)
 
 
-def test_zero_spread_equals_single_run(cfg, doublet, tgrid):
+@pytest.mark.parametrize("g_f", [0.25, -0.25])
+@pytest.mark.parametrize("bz_mg", [0.0, 10.0])
+def test_zero_spread_equals_single_run(cfg, tgrid, bz_mg, g_f):
+    # the closed-form samples must follow the full propagation's sign
+    # conventions with and without a bias field, for either sign of g_F
+    cfg = cfg.replace(bz_mg=bz_mg, species=cesium_f4(g_f=g_f))
+    doublet = wannier_doublet(cfg)
     spec = EnsembleSpec(cfg=cfg, u1_relative_spread=0.0, n_samples=3, seed=1)
     result = ensemble_magnetization(spec, tgrid)
     single = propagate_static(cfg, doublet.coef_l, tgrid, doublet=doublet)

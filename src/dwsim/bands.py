@@ -21,23 +21,23 @@ log = logging.getLogger("dwsim")
 MAX_DIMENSION = 10_000
 CERTIFY_EXTRA_PLANEWAVES = 8
 CERTIFY_RTOL = 1e-3
+# Doublet-gap drift below this is eigensolver rounding (~eps * ||H||), not truncation.
+GAP_ROUNDING_ER = 1e-10
 FLATNESS_WARN = 0.2
 
 
 @dataclass(frozen=True)
 class BandSolution:
-    """Band energies and Bloch spinors over a quasimomentum grid.
+    """Band energies over a quasimomentum grid; no Bloch spinors are kept.
 
-    energies[k, b] is the b-th ascending band energy (E_R) at q_grid[k];
-    spinors[k, :, b] the matching coefficient vector. ``flatness`` is the
-    per-band (max-min over q) width divided by the mean ground-doublet
-    gap.
+    energies[k, b] is the b-th ascending band energy (E_R) at q_grid[k].
+    ``flatness`` is the per-band (max-min over q) width divided by the
+    mean ground-doublet gap.
     """
 
     cfg: LatticeConfig
     q_over_kl: np.ndarray
     energies: np.ndarray
-    spinors: np.ndarray
     flatness: np.ndarray
 
 
@@ -106,6 +106,32 @@ class TwoLevelModel:
     clamped: bool
 
 
+def _raising_block(cfg: LatticeConfig) -> np.ndarray:
+    """Spin block coupling plane wave n to n+1, in E_R: cos(2 k_L z) gives
+    weight 1/2 to the scalar and (paper_cos) fictitious terms; the
+    quadrature phase replaces the fictitious weight by -i/2 (sin's e^{+2ikz})."""
+    _, scalar, fict_amp = potential_coefficients(cfg)
+    weight = 0.5 if cfg.fictitious_phase == "paper_cos" else -0.5j
+    return (scalar * np.eye(cfg.spin.dim) + weight * fict_amp * cfg.spin.fz).astype(complex)
+
+
+def _bloch_matrix(cfg: LatticeConfig, onsite: np.ndarray, raising: np.ndarray, q: float, n_side: int) -> np.ndarray:
+    """Block-tridiagonal Bloch matrix over plane waves n = -n_side..n_side: ``onsite``
+    plus the kinetic (q + 2n)^2 + offset on diagonal blocks, ``raising`` from n to n+1."""
+    n_pw, dim = 2 * n_side + 1, len(onsite)
+    if n_pw * dim > MAX_DIMENSION:
+        raise ValueError(f"basis dimension {n_pw * dim} exceeds limit {MAX_DIMENSION}")
+    kinetic = (q + 2.0 * np.arange(-n_side, n_side + 1)) ** 2 + potential_coefficients(cfg)[0]
+    h = np.zeros((n_pw, dim, n_pw, dim), dtype=np.result_type(onsite, raising))
+    p = np.arange(n_pw)
+    h[p, :, p, :] = onsite
+    h[p[1:], :, p[:-1], :] = raising
+    h[p[:-1], :, p[1:], :] = raising.conj().T
+    h = h.reshape(n_pw * dim, n_pw * dim)
+    h[np.diag_indices(n_pw * dim)] += np.repeat(kinetic, dim)
+    return h
+
+
 def hamiltonian_pieces(cfg: LatticeConfig, q_over_kl: float = 0.0):
     """Field-independent Hamiltonian H0 plus per-mG F_x and F_z blocks.
 
@@ -113,36 +139,9 @@ def hamiltonian_pieces(cfg: LatticeConfig, q_over_kl: float = 0.0):
     code reuses the pieces to rebuild H along a field ramp cheaply.
     """
     ops = cfg.spin
-    units = cfg.units
-    dim = ops.dim
     n_pw = 2 * cfg.n_planewaves + 1
-    d_total = n_pw * dim
-    if d_total > MAX_DIMENSION:
-        raise ValueError(f"basis dimension {d_total} exceeds limit {MAX_DIMENSION}")
-    n_idx = np.arange(-cfg.n_planewaves, cfg.n_planewaves + 1)
-    offset, scalar, fict_amp = potential_coefficients(cfg)
-
-    h0 = np.zeros((d_total, d_total), dtype=complex)
-    kinetic = (q_over_kl + 2.0 * n_idx) ** 2 + offset
-    for p in range(n_pw):
-        sl = slice(p * dim, (p + 1) * dim)
-        h0[sl, sl] = kinetic[p] * np.eye(dim)
-
-    # cos(2 k_L z) couples n -> n+1 with weight 1/2 on both the scalar
-    # and (paper_cos) fictitious terms; the quadrature phase replaces the
-    # fictitious weight by -i/2 * e^{+2 i k_L z} + h.c.
-    if cfg.fictitious_phase == "paper_cos":
-        raising = scalar * np.eye(dim) + 0.5 * fict_amp * ops.fz
-    else:
-        raising = scalar * np.eye(dim) + (-0.5j) * fict_amp * ops.fz
-    raising = raising.astype(complex)
-    for p in range(n_pw - 1):
-        lo = slice(p * dim, (p + 1) * dim)
-        hi = slice((p + 1) * dim, (p + 2) * dim)
-        h0[hi, lo] = raising
-        h0[lo, hi] = raising.conj().T
-
-    per_mg = units.zeeman_er_per_mg()
+    h0 = _bloch_matrix(cfg, np.zeros((ops.dim, ops.dim)), _raising_block(cfg), q_over_kl, cfg.n_planewaves)
+    per_mg = cfg.units.zeeman_er_per_mg()
     x_block = np.kron(np.eye(n_pw), per_mg * ops.fx).astype(complex)
     z_block = np.kron(np.eye(n_pw), per_mg * ops.fz).astype(complex)
     return h0, x_block, z_block
@@ -161,46 +160,87 @@ def q_grid(cfg: LatticeConfig) -> np.ndarray:
     return -1.0 + 2.0 * np.arange(cfg.n_q) / cfg.n_q
 
 
-def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> BandSolution:
-    """Diagonalize the Bloch Hamiltonian over the quasimomentum grid.
+def _spin_blocks(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """On-site and raising spin blocks; real under paper_cos, and under
+    quadrature_sin at B_z = 0, where m_F -> -m_F composed with conjugation
+    is a symmetry squaring to +1 (Dyson 1962), in the basis
+    (|m>+|-m>)/sqrt(2), i(|m>-|-m>)/sqrt(2) for m > 0, and |0> for integer F."""
+    ops = cfg.spin
+    onsite = cfg.units.zeeman_er_per_mg() * (cfg.bx_mg * ops.fx + cfg.bz_mg * ops.fz)
+    raising = _raising_block(cfg)
+    if cfg.fictitious_phase == "paper_cos" or cfg.bz_mg == 0.0:
+        if cfg.fictitious_phase == "quadrature_sin":
+            flip = np.where(ops.m_values < 0, 1j, 1.0)
+            u = np.diag(flip.conj()) + np.flipud(np.diag(flip))
+            u /= np.linalg.norm(u, axis=0)
+            onsite, raising = (u.conj().T @ b @ u for b in (onsite, raising))
+        for b in (onsite, raising):
+            if np.abs(b.imag).max() > 1e-12 * np.linalg.norm(b):
+                raise RuntimeError(f"spin block not real in the real form: residue {np.abs(b.imag).max():.2e}")
+        onsite, raising = onsite.real, raising.real
+    return onsite, raising
 
-    With ``certify=True`` the lowest ``n_bands`` energies are re-solved
-    with N+8 plane waves per side and required to agree to 0.1 %
-    relative.
+
+def _band_energies(cfg: LatticeConfig, qs, n_bands: int, certify: bool):
+    """Lowest ``n_bands`` energies at each q, without eigenvectors; with
+    ``certify`` also those of the N+8 basis, from the same matrix, whose
+    central principal submatrix is the N-basis one."""
+    extra = CERTIFY_EXTRA_PLANEWAVES if certify else 0
+    onsite, raising = _spin_blocks(cfg)
+    inner = slice(extra * len(onsite), (2 * cfg.n_planewaves + extra + 1) * len(onsite))
+    small, big = np.empty((len(qs), n_bands)), np.full((len(qs), n_bands), np.nan)
+    for j, q in enumerate(qs):
+        h = _bloch_matrix(cfg, onsite, raising, q, cfg.n_planewaves + extra)
+        small[j] = np.linalg.eigvalsh(h[inner, inner])[:n_bands]
+        if certify:
+            big[j] = np.linalg.eigvalsh(h)[:n_bands]
+    return small, big
+
+
+def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> BandSolution:
+    """Lowest band energies over the quasimomentum grid (energies only).
+
+    Each +-q pair of the grid is solved once, in real arithmetic under
+    ``paper_cos`` or at B_z = 0.  With ``certify=True`` the energies are
+    re-solved with N+8 plane waves per side and must agree to 0.1 %
+    relative, and so must the q-averaged doublet gap if ``n_bands >= 2``.
 
     Raises
     ------
     ConvergenceError
-        If the certification drift exceeds the tolerance; the message
+        If a certification drift exceeds the tolerance; the message
         carries both values.
     """
     qs = q_grid(cfg)
     dim_total = (2 * cfg.n_planewaves + 1) * cfg.spin.dim
     if n_bands > dim_total:
         raise ValueError(f"n_bands={n_bands} exceeds basis dimension {dim_total}")
-    energies = np.empty((len(qs), n_bands))
-    spinors = np.empty((len(qs), dim_total, n_bands), dtype=complex)
-    for k, q in enumerate(qs):
-        vals, vecs = np.linalg.eigh(assemble_bloch_hamiltonian(cfg, q))
-        energies[k] = vals[:n_bands]
-        spinors[k] = vecs[:, :n_bands]
-    if certify:
-        big = cfg.replace(n_planewaves=cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES)
-        for k, q in enumerate(qs):
-            ref = np.linalg.eigvalsh(assemble_bloch_hamiltonian(big, q))[:n_bands]
-            drift = np.abs(energies[k] - ref) / np.maximum(np.abs(ref), 1e-9)
-            if np.any(drift > CERTIFY_RTOL):
-                b = int(np.argmax(drift))
-                raise ConvergenceError(
-                    f"band energies not converged at q={q:.4f} k_L, band {b + 1}: "
-                    f"N={cfg.n_planewaves} gives {energies[k, b]:.9g} E_R, "
-                    f"N={big.n_planewaves} gives {ref[b]:.9g} E_R "
-                    f"(drift {drift[b]:.2e} > {CERTIFY_RTOL})"
-                )
+    # E(q) = E(-q): conjugation maps H(q) to H(-q), as H has no F_y.  Grid
+    # index k pairs with (n_q - k) mod n_q; solve the first of each pair.
+    idx = np.arange(cfg.n_q)
+    pair = np.minimum(idx, -idx % cfg.n_q)
+    energies, ref = (e[pair] for e in _band_energies(cfg, qs[: pair.max() + 1], n_bands, certify))
     mean_gap = float(np.mean(energies[:, 1] - energies[:, 0])) if n_bands >= 2 else np.nan
+    if certify:
+        big_n = cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
+        drift = np.abs(energies - ref) / np.maximum(np.abs(ref), 1e-9)
+        if np.any(drift > CERTIFY_RTOL):
+            k = int(np.argmax(np.any(drift > CERTIFY_RTOL, axis=1)))
+            b = int(np.argmax(drift[k]))
+            raise ConvergenceError(
+                f"band energies not converged at q={qs[k]:.4f} k_L, band {b + 1}: "
+                f"N={cfg.n_planewaves} gives {energies[k, b]:.9g} E_R, N={big_n} gives {ref[k, b]:.9g} E_R "
+                f"(drift {drift[k, b]:.2e} > {CERTIFY_RTOL})"
+            )
+        ref_gap = float(np.mean(ref[:, 1] - ref[:, 0])) if n_bands >= 2 else np.nan
+        if abs(mean_gap - ref_gap) > CERTIFY_RTOL * abs(ref_gap) + GAP_ROUNDING_ER:  # False for nan
+            raise ConvergenceError(
+                f"doublet gap not converged: N={cfg.n_planewaves} gives {mean_gap:.9g} E_R, "
+                f"N={big_n} gives {ref_gap:.9g} E_R (drift {abs(mean_gap / ref_gap - 1.0):.2e} > {CERTIFY_RTOL})"
+            )
     widths = energies.max(axis=0) - energies.min(axis=0)
     flatness = widths / mean_gap if n_bands >= 2 and mean_gap > 0 else np.full(n_bands, np.nan)
-    return BandSolution(cfg=cfg, q_over_kl=qs, energies=energies, spinors=spinors, flatness=flatness)
+    return BandSolution(cfg=cfg, q_over_kl=qs, energies=energies, flatness=flatness)
 
 
 def doublet_splitting(sol: BandSolution) -> DoubletSplitting:
@@ -268,8 +308,8 @@ def fz_coefficient_diag(cfg: LatticeConfig) -> np.ndarray:
 
 def _flatness_guard(cfg: LatticeConfig) -> float:
     """Cheap doublet-flatness estimate from 5 quasimomentum samples."""
-    qs = (-1.0, -0.5, 0.0, 0.5, 0.999)
-    e = np.array([np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, q))[:2] for q in qs])
+    # q = -1, -0.5, 0, 0.5, 0.999; E(0.5) = E(-0.5).
+    e = _band_energies(cfg, (-1.0, -0.5, 0.0, 0.999), 2, certify=False)[0][[0, 1, 2, 1, 3]]
     gap = float(np.mean(e[:, 1] - e[:, 0]))
     widths = e.max(axis=0) - e.min(axis=0)
     return float(widths.max() / gap) if gap > 0 else np.inf

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dwsim import (
     LatticeConfig,
     assemble_bloch_hamiltonian,
+    cesium_f4,
     doublet_splitting,
     localized_observables,
     potential_matrix,
@@ -14,7 +16,7 @@ from dwsim import (
     two_level_model,
     wannier_doublet,
 )
-from dwsim.bands import hamiltonian_pieces, zgrid_to_bloch
+from dwsim.bands import _band_energies, _spin_blocks, hamiltonian_pieces, q_grid, solve_q0, zgrid_to_bloch
 from dwsim.errors import ConvergenceError
 from dwsim.lattice import FICTITIOUS_PHASES
 
@@ -75,6 +77,16 @@ def test_certification_spots_truncation():
         solve_bands(cfg, n_bands=6)
 
 
+def test_certification_spots_unconverged_doublet_gap():
+    # At U_1 = 800 E_R, theta = 60 deg, B_x = 300 mG with N = 8 the energies
+    # drift by 1.1e-4 relative, inside the tolerance, while the doublet gap
+    # (2.7 E_R) drifts by 3.7e-3: only the gap check sees the truncation.
+    cfg = LatticeConfig(u1_er=800.0, theta_deg=60.0, bx_mg=300.0, n_planewaves=8, n_q=1)
+    solve_bands(cfg, n_bands=1)
+    with pytest.raises(ConvergenceError, match=r"doublet gap not converged: N=8 gives .* E_R, N=16 gives .* E_R"):
+        solve_bands(cfg, n_bands=2)
+
+
 def test_variational_monotonicity(cfg):
     energies = []
     for n_pw in (10, 14, 18):
@@ -86,15 +98,14 @@ def test_variational_monotonicity(cfg):
 
 
 def test_eigenresidual_and_orthonormality(cfg):
-    sol = solve_bands(cfg, n_bands=4, certify=False)
-    k = len(sol.q_over_kl) // 2
-    ham = assemble_bloch_hamiltonian(cfg, sol.q_over_kl[k])
+    vals, vecs = solve_q0(cfg)
+    ham = assemble_bloch_hamiltonian(cfg, 0.0)
     scale = np.linalg.norm(ham)
     for b in range(4):
-        vec = sol.spinors[k][:, b]
-        resid = np.linalg.norm(ham @ vec - sol.energies[k, b] * vec)
+        vec = vecs[:, b]
+        resid = np.linalg.norm(ham @ vec - vals[b] * vec)
         assert resid <= 1e-10 * scale
-    gram = sol.spinors[k].conj().T @ sol.spinors[k]
+    gram = vecs[:, :4].conj().T @ vecs[:, :4]
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
 
@@ -248,3 +259,64 @@ def test_bloch_blocks_are_fourier_coefficients_of_potential(u1, theta, bx, bz, p
         for pp in range(n):
             expected = coeffs[p - pp] if abs(p - pp) <= 1 else 0.0
             assert np.abs(blocks[p, :, pp, :] - expected).max() <= tol, (p, pp)
+
+
+BOX = dict(
+    u1=st.floats(10.0, 300.0),
+    theta=st.floats(45.0, 90.0),
+    bx=st.floats(5.0, 300.0),
+    bz=st.one_of(st.just(0.0), st.floats(-100.0, 100.0)),
+    phase=st.sampled_from(FICTITIOUS_PHASES),
+    n_pw=st.integers(8, 11),
+    f=st.sampled_from((0.5, 1.5, 3.0, 4.0)),
+)
+
+
+def _box_cfg(u1, theta, bx, bz, phase, n_pw, f, n_q=1):
+    return LatticeConfig(
+        u1_er=u1,
+        theta_deg=theta,
+        bx_mg=bx,
+        bz_mg=bz,
+        fictitious_phase=phase,
+        n_planewaves=n_pw,
+        n_q=n_q,
+        species=dataclasses.replace(cesium_f4(), f=f),
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(-1.0, 1.0), **BOX)
+def test_real_form_energies_equal_complex_solve(q, u1, theta, bx, bz, phase, n_pw, f):
+    # quadrature_sin at B_z = 0 and paper_cos at any B_z are solved as real
+    # symmetric matrices, for integer and half-integer F; every eigenvalue
+    # equals the complex one.
+    cfg = _box_cfg(u1, theta, bx, bz if phase == "paper_cos" else 0.0, phase, n_pw, f)
+    onsite, raising = _spin_blocks(cfg)
+    assert onsite.dtype == raising.dtype == np.float64
+    dim = (2 * n_pw + 1) * cfg.spin.dim
+    real = _band_energies(cfg, [q], dim, certify=False)[0][0]
+    np.testing.assert_allclose(real, np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, q)), rtol=0, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(-1.0, 1.0), **BOX)
+def test_spectrum_even_in_q(q, u1, theta, bx, bz, phase, n_pw, f):
+    cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f)
+    plus = np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, q))
+    minus = np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, -q))
+    np.testing.assert_allclose(plus, minus, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n_q=st.integers(1, 7), **BOX)
+def test_solve_bands_matches_unpaired_complex_solve(n_q, u1, theta, bx, bz, phase, n_pw, f):
+    # The path is chosen from the config: complex exactly under
+    # quadrature_sin at B_z != 0.  Either way, the q-paired energies equal
+    # a complex solve at every grid point.
+    cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f, n_q)
+    complex_path = phase == "quadrature_sin" and bz != 0.0
+    assert np.iscomplexobj(_spin_blocks(cfg)[1]) == complex_path
+    sol = solve_bands(cfg, n_bands=6, certify=False)
+    direct = [np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, q))[:6] for q in q_grid(cfg)]
+    np.testing.assert_allclose(sol.energies, direct, rtol=0, atol=1e-9)

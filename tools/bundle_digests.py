@@ -14,6 +14,12 @@ per output file, ``manifest.json`` included.  ``fit`` reads the CSV the
 under OUT_DIR/paper_cos and prints its lines prefixed ``paper_cos/``, so
 phase-dependent geometry is covered too.
 
+Bundle bytes depend on the BLAS thread count, so every command runs with
+one BLAS thread (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` set to 1 in its environment), and the first line of
+the listing says so; two listings then compare whatever the caller's
+environment.
+
 Every path handed to the CLI is relative to OUT_DIR, so the bundles
 (whose manifests record the resolved config, the fit input path
 included) do not depend on where OUT_DIR is.  The ``dwsim`` under test is
@@ -33,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 COMMANDS = ("potentials", "bands", "wannier", "rabi", "prepare", "sweep", "ensemble", "fit")
 PAPER_COS_COMMANDS = ("potentials", "wannier", "rabi")
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 CONFIG = """\
 [lattice]
@@ -93,6 +100,8 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", str(ROOT / "src"))
+    env.update({var: "1" for var in BLAS_THREAD_VARS})
+    print(f"# BLAS threads pinned to 1: {' '.join(f'{var}=1' for var in BLAS_THREAD_VARS)}")
     paper_cos = CONFIG.replace("[lattice]\n", "[lattice]\nfictitious_phase = paper_cos\n")
     if not run_pass(out, CONFIG, COMMANDS, "", env):
         return 1

@@ -17,12 +17,10 @@ from .lattice import (
 from .bands import (
     BandSolution,
     DoubletSplitting,
-    LocalizedObservables,
     TwoLevelModel,
     WannierDoublet,
     assemble_bloch_hamiltonian,
     doublet_splitting,
-    localized_observables,
     solve_bands,
     two_level_model,
     wannier_doublet,
@@ -60,12 +58,10 @@ __all__ = [
     "DoubletSplitting",
     "WannierDoublet",
     "TwoLevelModel",
-    "LocalizedObservables",
     "assemble_bloch_hamiltonian",
     "solve_bands",
     "doublet_splitting",
     "wannier_doublet",
-    "localized_observables",
     "two_level_model",
     "Segment",
     "RampSchedule",

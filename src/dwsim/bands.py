@@ -3,7 +3,8 @@ localized ground-doublet states.
 
 Basis convention: index i = p * (2F+1) + s encodes plane wave
 exp(i (q + 2 n k_L) z) with n = p - N, and spin m_F = s - F.  All
-Hamiltonians are in recoil units E_R.
+Hamiltonians are in recoil units E_R, and every one is built by
+``_bloch_matrix`` from the on-site ``_zeeman_block`` and ``_raising_block``.
 """
 from __future__ import annotations
 
@@ -83,14 +84,6 @@ class WannierDoublet:
 
 
 @dataclass(frozen=True)
-class LocalizedObservables:
-    density: np.ndarray
-    populations: np.ndarray
-    fz_mean: float
-    centroid_nm: float
-
-
-@dataclass(frozen=True)
 class TwoLevelModel:
     """Effective (epsilon, delta) description of the ground doublet.
 
@@ -132,27 +125,19 @@ def _bloch_matrix(cfg: LatticeConfig, onsite: np.ndarray, raising: np.ndarray, q
     return h
 
 
-def hamiltonian_pieces(cfg: LatticeConfig, q_over_kl: float = 0.0):
-    """Field-independent Hamiltonian H0 plus per-mG F_x and F_z blocks.
-
-    The full Bloch Hamiltonian is H0 + bx_mg * X + bz_mg * Z; dynamics
-    code reuses the pieces to rebuild H along a field ramp cheaply.
-    """
-    ops = cfg.spin
-    n_pw = 2 * cfg.n_planewaves + 1
-    h0 = _bloch_matrix(cfg, np.zeros((ops.dim, ops.dim)), _raising_block(cfg), q_over_kl, cfg.n_planewaves)
+def _zeeman_block(cfg: LatticeConfig, bx_mg: float, bz_mg: float) -> np.ndarray:
+    """On-site spin block of the uniform fields (B_x, B_z) in mG, in E_R; with
+    rates in mG/us instead of fields it is the block of dH/dt."""
     per_mg = cfg.units.zeeman_er_per_mg()
-    x_block = np.kron(np.eye(n_pw), per_mg * ops.fx).astype(complex)
-    z_block = np.kron(np.eye(n_pw), per_mg * ops.fz).astype(complex)
-    return h0, x_block, z_block
+    return bx_mg * (per_mg * cfg.spin.fx) + bz_mg * (per_mg * cfg.spin.fz)
 
 
 def assemble_bloch_hamiltonian(cfg: LatticeConfig, q_over_kl: float) -> np.ndarray:
-    """Full Bloch Hamiltonian at quasimomentum q (units of k_L), in E_R."""
+    """Full complex Bloch Hamiltonian at quasimomentum q (units of k_L), in E_R."""
     if abs(q_over_kl) > 1.0 + 1e-12:
         raise ValueError(f"|q| must be <= k_L, got q/k_L = {q_over_kl}")
-    h0, x_block, z_block = hamiltonian_pieces(cfg, q_over_kl)
-    return h0 + cfg.bx_mg * x_block + cfg.bz_mg * z_block
+    onsite = _zeeman_block(cfg, cfg.bx_mg, cfg.bz_mg)
+    return _bloch_matrix(cfg, onsite, _raising_block(cfg), q_over_kl, cfg.n_planewaves)
 
 
 def q_grid(cfg: LatticeConfig) -> np.ndarray:
@@ -166,7 +151,7 @@ def _spin_blocks(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     is a symmetry squaring to +1 (Dyson 1962), in the basis
     (|m>+|-m>)/sqrt(2), i(|m>-|-m>)/sqrt(2) for m > 0, and |0> for integer F."""
     ops = cfg.spin
-    onsite = cfg.units.zeeman_er_per_mg() * (cfg.bx_mg * ops.fx + cfg.bz_mg * ops.fz)
+    onsite = _zeeman_block(cfg, cfg.bx_mg, cfg.bz_mg)
     raising = _raising_block(cfg)
     if cfg.fictitious_phase == "paper_cos" or cfg.bz_mg == 0.0:
         if cfg.fictitious_phase == "quadrature_sin":
@@ -269,35 +254,14 @@ def solve_q0(cfg: LatticeConfig):
     return np.linalg.eigh(assemble_bloch_hamiltonian(cfg, 0.0))
 
 
-def bloch_to_zgrid(cfg: LatticeConfig, coeffs: np.ndarray, z_points: int | None = None) -> np.ndarray:
-    """Transform q=0 coefficient vector(s) to spinor wavefunctions on the
+def bloch_to_zgrid(cfg: LatticeConfig, coeffs: np.ndarray) -> np.ndarray:
+    """Transform a q=0 coefficient vector to a spinor wavefunction on the
     spatial grid of one period, unit-normalized over the period."""
-    n_pts = cfg.z_points if z_points is None else z_points
-    dim = cfg.spin.dim
+    n_pts = cfg.z_points
     n_idx = np.arange(-cfg.n_planewaves, cfg.n_planewaves + 1)
-    period = cfg.period_m
     # z_j = j * period / n_pts, so 2 n k_L z_j = 2 pi n j / n_pts.
-    phases = np.exp(2j * np.pi * np.outer(np.arange(n_pts) / n_pts, n_idx)) / np.sqrt(period)
-    c = np.asarray(coeffs)
-    single = c.ndim == 1
-    if single:
-        c = c[:, None]
-    out = np.einsum("jn,nmk->jmk", phases, c.reshape(len(n_idx), dim, -1))
-    return out[..., 0] if single else out
-
-
-def zgrid_to_bloch(cfg: LatticeConfig, psi_z: np.ndarray) -> np.ndarray:
-    """Project a spinor wavefunction on the period grid back onto the
-    q=0 plane-wave coefficients."""
-    n_pts, dim = psi_z.shape
-    if dim != cfg.spin.dim:
-        raise ValueError(f"spin dimension mismatch: {dim} != {cfg.spin.dim}")
-    n_idx = np.arange(-cfg.n_planewaves, cfg.n_planewaves + 1)
-    period = cfg.period_m
-    dz = period / n_pts
-    phases = np.exp(-2j * np.pi * np.outer(n_idx, np.arange(n_pts) / n_pts))
-    coeffs = (phases @ psi_z) * dz / np.sqrt(period)
-    return coeffs.reshape(-1)
+    phases = np.exp(2j * np.pi * np.outer(np.arange(n_pts) / n_pts, n_idx)) / np.sqrt(cfg.period_m)
+    return np.einsum("jn,nm->jm", phases, np.asarray(coeffs).reshape(len(n_idx), cfg.spin.dim))
 
 
 def fz_coefficient_diag(cfg: LatticeConfig) -> np.ndarray:
@@ -403,36 +367,6 @@ def wannier_doublet(cfg: LatticeConfig, flatness_guard: bool = True) -> WannierD
         centroid_l_nm=centroid(psi_l) * 1e9,
         centroid_r_nm=centroid(psi_r) * 1e9,
         overlap_lr=overlap,
-    )
-
-
-def localized_observables(z_m: np.ndarray, psi_z: np.ndarray, f: float | None = None) -> LocalizedObservables:
-    """Density, magnetic populations, magnetization and centroid of a
-    normalized spinor wavefunction sampled on a uniform period grid.
-
-    Raises
-    ------
-    ValueError
-        If the state norm deviates from 1 by more than 1e-6.
-    """
-    z_m = np.asarray(z_m)
-    psi_z = np.asarray(psi_z)
-    n_pts, dim = psi_z.shape
-    dz = (z_m[1] - z_m[0]) if n_pts > 1 else 1.0
-    density = np.sum(np.abs(psi_z) ** 2, axis=1)
-    norm = float(np.sum(density) * dz)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"state not normalized: |psi|^2 integrates to {norm:.8f}")
-    populations = np.sum(np.abs(psi_z) ** 2, axis=0) * dz
-    f_val = (dim - 1) / 2.0 if f is None else f
-    m = np.arange(dim) - f_val
-    fz_mean = float(np.sum(m * populations))
-    centroid = float(np.sum(z_m * density) * dz)
-    return LocalizedObservables(
-        density=density,
-        populations=populations,
-        fz_mean=fz_mean,
-        centroid_nm=centroid * 1e9,
     )
 
 

@@ -8,7 +8,6 @@ doubling and the step is auto-halved until the certification passes.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -16,12 +15,11 @@ import numpy as np
 
 from .bands import (
     WannierDoublet,
-    bloch_to_zgrid,
+    _zeeman_block,
+    assemble_bloch_hamiltonian,
     fz_coefficient_diag,
-    hamiltonian_pieces,
     solve_q0,
     wannier_doublet,
-    zgrid_to_bloch,
 )
 from .config import PrepareBlock
 from .errors import ConvergenceError
@@ -127,20 +125,13 @@ class TimeSeries:
     psi_final: np.ndarray
     dt_us: float | None = None
     step_doubling_infidelity: float | None = None
-    snapshot_t_us: np.ndarray | None = None
-    density_snapshots: np.ndarray | None = None
 
 
 def _as_coefficients(cfg: LatticeConfig, psi0: np.ndarray) -> np.ndarray:
     psi0 = np.asarray(psi0)
     d_total = (2 * cfg.n_planewaves + 1) * cfg.spin.dim
-    if psi0.ndim == 2 and psi0.shape[1] == cfg.spin.dim:
-        psi0 = zgrid_to_bloch(cfg, psi0)
-    elif psi0.ndim != 1 or psi0.shape[0] != d_total:
-        raise ValueError(
-            f"psi0 must be a length-{d_total} coefficient vector or a "
-            f"(z_points, {cfg.spin.dim}) wavefunction, got shape {psi0.shape}"
-        )
+    if psi0.shape != (d_total,):
+        raise ValueError(f"psi0 must be a length-{d_total} coefficient vector, got shape {psi0.shape}")
     psi0 = psi0.astype(complex)
     norm = np.linalg.norm(psi0)
     if abs(norm - 1.0) > 1e-6:
@@ -185,15 +176,12 @@ def propagate_static(
     psi0: np.ndarray,
     t_us: np.ndarray,
     doublet: WannierDoublet | None = None,
-    snapshot_t_us: np.ndarray | None = None,
 ) -> TimeSeries:
-    """Evolve psi0 under the static Bloch Hamiltonian of ``cfg``.
+    """Evolve the q=0 coefficient vector psi0 under the static Bloch
+    Hamiltonian of ``cfg``.
 
-    psi0 may be a coefficient vector or a spinor wavefunction on the
-    period grid.  Projections use ``doublet`` if given, otherwise the
-    symmetric-well doublet of the same config with B_z = 0.  Passing
-    ``snapshot_t_us`` additionally records spatial densities P(z, t) at
-    those times.
+    Projections use ``doublet`` if given, otherwise the symmetric-well
+    doublet of the same config with B_z = 0.
     """
     psi0 = _as_coefficients(cfg, psi0)
     doublet = _reference_doublet(cfg, doublet)
@@ -204,18 +192,7 @@ def propagate_static(
     phases = np.exp(-1j * np.outer(vals * w, t_us))  # (D, nt)
     psi_t = vecs @ (phases * a[:, None])
     energy = np.real(np.einsum("kt,k,kt->t", phases.conj() * a.conj()[:, None], vals, phases * a[:, None]))
-    series = _observables(cfg, t_us, psi_t, doublet, energy_er=energy)
-    if snapshot_t_us is None:
-        return series
-    snapshot_t_us = np.asarray(snapshot_t_us, dtype=float)
-    snaps = []
-    for t in snapshot_t_us:
-        state = vecs @ (np.exp(-1j * vals * w * t) * a)
-        psi_z = bloch_to_zgrid(cfg, state)
-        snaps.append(np.sum(np.abs(psi_z) ** 2, axis=1))
-    return dataclasses.replace(
-        series, snapshot_t_us=snapshot_t_us, density_snapshots=np.stack(snaps)
-    )
+    return _observables(cfg, t_us, psi_t, doublet, energy_er=energy)
 
 
 def _schedule_steps(schedule: RampSchedule, dt_us: float):
@@ -233,11 +210,10 @@ def _schedule_steps(schedule: RampSchedule, dt_us: float):
 def _run_steps(cfg, steps, psi, direction=1):
     """Step psi through ``steps``; return the final state, the step times
     and the states at those times stacked as columns (D, n + 1)."""
-    h0, x_block, z_block = hamiltonian_pieces(cfg, 0.0)
     w = cfg.units.rad_per_us_per_er()
     times, states = [0.0], [psi]
     for h, bx, bz in steps if direction == 1 else reversed(steps):
-        vals, vecs = np.linalg.eigh(h0 + bx * x_block + bz * z_block)
+        vals, vecs = np.linalg.eigh(assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx, bz_mg=bz), 0.0))
         psi = vecs @ (np.exp(-1j * direction * vals * w * h) * (vecs.conj().T @ psi))
         times.append(times[-1] + h)
         states.append(psi)
@@ -338,11 +314,11 @@ def adiabaticity_report(
     """Instantaneous spectra and rate figures along a schedule."""
     if points_per_segment < 2:
         raise ValueError("need at least 2 sample points per segment")
-    h0, x_block, z_block = hamiltonian_pieces(cfg, 0.0)
     w = cfg.units.rad_per_us_per_er()
+    dim = cfg.spin.dim
     if epsilon_hz is None:
         bx_end, _ = schedule.end_fields_mg
-        vals = np.linalg.eigvalsh(h0 + bx_end * x_block)  # B_z forced to 0
+        vals = np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx_end, bz_mg=0.0), 0.0))
         epsilon_hz = cfg.units.er_to_hz(float(vals[1] - vals[0]))
 
     seg_reports = []
@@ -350,22 +326,22 @@ def adiabaticity_report(
     gap_at_end = np.nan
     for seg in schedule.segments:
         rx, rz = seg.rates_per_us
-        h_dot = (rx * x_block + rz * z_block) * w  # rad/us^2
+        # dH/dt is the same on-site block in every plane wave (rad/us^2)
+        h_dot = _zeeman_block(cfg, rx, rz) * w
         fom12 = fom13 = fom23 = 0.0
         min_gap = np.inf
         for t in np.linspace(0.0, seg.duration_us, points_per_segment):
             bx, bz = seg.fields_at(t)
-            vals, vecs = np.linalg.eigh(h0 + bx * x_block + bz * z_block)
+            vals, vecs = np.linalg.eigh(assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx, bz_mg=bz), 0.0))
             e_w = vals * w
             min_gap = min(min_gap, float(vals[2] - vals[1]))
             if rx == 0.0 and rz == 0.0:
                 continue
-            m12 = abs(vecs[:, 0].conj() @ h_dot @ vecs[:, 1])
-            m13 = abs(vecs[:, 0].conj() @ h_dot @ vecs[:, 2])
-            m23 = abs(vecs[:, 1].conj() @ h_dot @ vecs[:, 2])
-            fom12 = max(fom12, m12 / (e_w[1] - e_w[0]) ** 2)
-            fom13 = max(fom13, m13 / (e_w[2] - e_w[0]) ** 2)
-            fom23 = max(fom23, m23 / (e_w[2] - e_w[1]) ** 2)
+            low = vecs[:, :3]
+            m = np.abs(low.conj().T @ np.einsum("st,ptk->psk", h_dot, low.reshape(-1, dim, 3)).reshape(-1, 3))
+            fom12 = max(fom12, m[0, 1] / (e_w[1] - e_w[0]) ** 2)
+            fom13 = max(fom13, m[0, 2] / (e_w[2] - e_w[0]) ** 2)
+            fom23 = max(fom23, m[1, 2] / (e_w[2] - e_w[1]) ** 2)
         gap_at_end = float(vals[2] - vals[1])
         overall_min_gap = min(overall_min_gap, min_gap)
         eps_dur = epsilon_hz * seg.duration_us * 1e-6
@@ -400,18 +376,15 @@ class PreparationResult:
     series: TimeSeries = field(repr=False)
 
 
-def stretched_ground_state(cfg: LatticeConfig, bx_mg: float, bz_mg: float) -> np.ndarray:
-    """q=0 ground state of the m_F = +F diabatic potential at the given
-    fields, embedded in the full coefficient basis.
-
-    It is the lowest eigenvector of the m_F = +F sub-block of
-    H0 + bz_mg * Z; B_x has no diagonal and does not enter.
+def stretched_ground_state(h: np.ndarray, dim: int) -> np.ndarray:
+    """Ground state of the m_F = +F diabatic potential, embedded in the
+    full coefficient basis: the lowest eigenvector of the m_F = +F
+    sub-block of the q=0 Hamiltonian ``h`` with ``dim`` spin states.
+    F_x has a zero diagonal, so B_x adds exactly 0 to that sub-block.
     """
-    h0, _, z_block = hamiltonian_pieces(cfg, 0.0)
-    dim = cfg.spin.dim
-    top = np.arange(dim - 1, h0.shape[0], dim)
-    _, vecs = np.linalg.eigh((h0 + bz_mg * z_block)[np.ix_(top, top)])
-    psi = np.zeros(h0.shape[0], dtype=complex)
+    top = np.arange(dim - 1, len(h), dim)
+    _, vecs = np.linalg.eigh(h[np.ix_(top, top)])
+    psi = np.zeros(len(h), dtype=complex)
     psi[top] = vecs[:, 0]
     return psi
 
@@ -432,11 +405,10 @@ def prepare_ground_l(
     """
     schedule = preparation_schedule(cfg) if schedule is None else schedule
     bx0, bz0 = schedule.start_fields_mg
-    psi0 = stretched_ground_state(cfg, bx0, bz0)
-
-    h0, x_block, z_block = hamiltonian_pieces(cfg, 0.0)
-    _, vecs = np.linalg.eigh(h0 + bx0 * x_block + bz0 * z_block)
+    h_start = assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx0, bz_mg=bz0), 0.0)
     dim = cfg.spin.dim
+    psi0 = stretched_ground_state(h_start, dim)
+    _, vecs = np.linalg.eigh(h_start)
     band0_top = float(np.sum(np.abs(vecs[:, 0].reshape(-1, dim)[:, dim - 1]) ** 2))
     if band0_top < 0.9:
         raise ValueError(

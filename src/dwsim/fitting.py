@@ -41,18 +41,8 @@ class DampedSinusoidFit:
     offset: float
     residual_rms: float
     n_iterations: int
-    converged: bool
     stderr: dict
     covariance: np.ndarray
-
-    def as_params(self) -> tuple[float, float, float, float, float]:
-        return (
-            self.amplitude,
-            self.frequency_hz / 1e6,
-            self.decay_rate_per_us,
-            self.phase_rad,
-            self.offset,
-        )
 
 
 def _model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -259,7 +249,6 @@ def fit_damped_sinusoid(
         offset=float(c),
         residual_rms=float(math.sqrt(cost / len(t))),
         n_iterations=n_iter,
-        converged=True,
         stderr={
             "amplitude": float(err[0]),
             "frequency_hz": float(err[1] * 1e6),

@@ -10,13 +10,12 @@ from dwsim import (
     assemble_bloch_hamiltonian,
     cesium_f4,
     doublet_splitting,
-    localized_observables,
     potential_matrix,
     solve_bands,
     two_level_model,
     wannier_doublet,
 )
-from dwsim.bands import _band_energies, _spin_blocks, hamiltonian_pieces, q_grid, solve_q0, zgrid_to_bloch
+from dwsim.bands import _band_energies, _spin_blocks, q_grid, solve_q0
 from dwsim.errors import ConvergenceError
 from dwsim.lattice import FICTITIOUS_PHASES
 
@@ -117,8 +116,10 @@ def test_parseval(cfg, doublet):
 
 
 def test_zgrid_round_trip(cfg, doublet):
-    back = zgrid_to_bloch(cfg, doublet.psi_l)
-    np.testing.assert_allclose(back, doublet.coef_l, atol=1e-10)
+    # the FFT of the grid wavefunction recovers the plane-wave coefficients
+    n_idx = np.arange(-cfg.n_planewaves, cfg.n_planewaves + 1)
+    back = np.fft.fft(doublet.psi_l, axis=0)[n_idx] * np.sqrt(cfg.period_m) / len(doublet.z_m)
+    np.testing.assert_allclose(back.reshape(-1), doublet.coef_l, atol=1e-10)
 
 
 def test_doublet_splitting_basics(cfg):
@@ -166,34 +167,14 @@ def test_wannier_flatness_guard():
         wannier_doublet(shallow)
 
 
-def test_localized_observables_stretched_state(cfg):
-    z = cfg.z_grid_m()
-    dz = cfg.period_m / len(z)
-    psi = np.zeros((len(z), 9), dtype=complex)
-    psi[:, 8] = 1.0 / math.sqrt(cfg.period_m)  # flat, pure m_F = +4
-    obs = localized_observables(z, psi)
-    assert obs.populations[8] == pytest.approx(1.0, abs=1e-10)
-    assert obs.fz_mean == pytest.approx(4.0, abs=1e-10)
-    assert abs(np.sum(obs.populations) - 1.0) < 1e-10
-    with pytest.raises(ValueError):
-        localized_observables(z, 1.5 * psi)
-
-
 def test_localized_observables_left_state(cfg, doublet):
-    obs_l = localized_observables(doublet.z_m, doublet.psi_l)
-    obs_r = localized_observables(doublet.z_m, doublet.psi_r)
-    assert obs_l.fz_mean > 0.0
+    dz = cfg.period_m / len(doublet.z_m)
+    pop_l, pop_r = (np.sum(np.abs(psi) ** 2, axis=0) * dz for psi in (doublet.psi_l, doublet.psi_r))
+    assert abs(np.sum(pop_l) - 1.0) < 1e-10
+    assert abs(np.sum(pop_r) - 1.0) < 1e-10
+    assert np.sum(cfg.spin.m_values * pop_l) > 0.0  # <F_z>_L
     # mirror symmetry of magnetic populations at B_z = 0
-    np.testing.assert_allclose(obs_l.populations, obs_r.populations[::-1], atol=0.01)
-    assert abs(np.sum(obs_l.populations) - 1.0) < 1e-10
-
-
-def test_observables_phase_invariant(cfg, doublet):
-    phased = doublet.psi_l * np.exp(1j * 1.234)
-    a = localized_observables(doublet.z_m, doublet.psi_l)
-    b = localized_observables(doublet.z_m, phased)
-    np.testing.assert_allclose(a.populations, b.populations, atol=1e-12)
-    np.testing.assert_allclose(a.density, b.density, atol=1e-12)
+    np.testing.assert_allclose(pop_l, pop_r[::-1], atol=0.01)
 
 
 def test_two_level_model(cfg):
@@ -225,10 +206,13 @@ def test_delta_locally_linear(cfg, doublet):
     assert abs(coeffs[0]) == pytest.approx(slope_oracle, rel=0.05)
 
 
-def test_hamiltonian_pieces_reassemble(cfg):
-    h0, x_blk, z_blk = hamiltonian_pieces(cfg, 0.0)
-    direct = assemble_bloch_hamiltonian(cfg.replace(bx_mg=37.0, bz_mg=-11.0), 0.0)
-    np.testing.assert_allclose(h0 + 37.0 * x_blk - 11.0 * z_blk, direct, atol=1e-12)
+def test_bloch_hamiltonian_linear_in_fields(cfg):
+    # the fields enter only through the on-site Zeeman block of every plane wave
+    fields = assemble_bloch_hamiltonian(cfg.replace(bx_mg=37.0, bz_mg=-11.0), 0.0)
+    bare = assemble_bloch_hamiltonian(cfg.replace(bx_mg=0.0, bz_mg=0.0), 0.0)
+    zeeman = cfg.units.zeeman_er_per_mg() * (37.0 * cfg.spin.fx - 11.0 * cfg.spin.fz)
+    expected = np.kron(np.eye(2 * cfg.n_planewaves + 1), zeeman)
+    np.testing.assert_allclose(fields - bare, expected, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

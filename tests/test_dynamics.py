@@ -13,7 +13,8 @@ from dwsim import (
     propagate_static,
     wannier_doublet,
 )
-from dwsim.bands import solve_q0
+from dwsim.bands import assemble_bloch_hamiltonian, bloch_to_zgrid, solve_q0
+from dwsim.dynamics import stretched_ground_state
 
 
 def test_stationary_symmetric_state(cfg, doublet):
@@ -70,32 +71,15 @@ def test_spectrum_vs_dynamics_frequency(cfg, doublet):
 
 
 def test_density_snapshots(cfg, doublet):
-    eps_hz = doublet.epsilon_hz
-    period_us = 1e6 / eps_hz
-    series = propagate_static(
-        cfg,
-        doublet.coef_l,
-        np.linspace(0.0, period_us, 20),
-        doublet=doublet,
-        snapshot_t_us=np.array([0.0, period_us / 2]),
-    )
+    # the propagated density stays normalized over the period; at t=0 it is
+    # the left state's, at T/2 the right state's
+    period_us = 1e6 / doublet.epsilon_hz
     dz = cfg.period_m / len(doublet.z_m)
-    assert series.density_snapshots.shape == (2, len(doublet.z_m))
-    np.testing.assert_allclose(series.density_snapshots.sum(axis=1) * dz, 1.0, atol=1e-8)
-    # at t=0 the density is the left state's, at T/2 the right state's
-    np.testing.assert_allclose(
-        series.density_snapshots[0], np.sum(np.abs(doublet.psi_l) ** 2, axis=1), atol=1e-8
-    )
-    np.testing.assert_allclose(
-        series.density_snapshots[1], np.sum(np.abs(doublet.psi_r) ** 2, axis=1), atol=1e-3
-    )
-
-
-def test_zgrid_input_equivalent(cfg, doublet):
-    t = np.linspace(0.0, 100.0, 11)
-    a = propagate_static(cfg, doublet.coef_l, t, doublet=doublet)
-    b = propagate_static(cfg, doublet.psi_l, t, doublet=doublet)
-    np.testing.assert_allclose(a.p_r, b.p_r, atol=1e-8)
+    for t_us, psi_ref, atol in ((0.0, doublet.psi_l, 1e-8), (period_us / 2, doublet.psi_r, 1e-3)):
+        series = propagate_static(cfg, doublet.coef_l, np.array([t_us]), doublet=doublet)
+        density = np.sum(np.abs(bloch_to_zgrid(cfg, series.psi_final)) ** 2, axis=1)
+        assert density.sum() * dz == pytest.approx(1.0, abs=1e-8)
+        np.testing.assert_allclose(density, np.sum(np.abs(psi_ref) ** 2, axis=1), atol=atol)
 
 
 def test_input_validation(cfg, doublet):
@@ -103,6 +87,8 @@ def test_input_validation(cfg, doublet):
         propagate_static(cfg, doublet.coef_l[:10], np.linspace(0, 1, 5))
     with pytest.raises(ValueError):
         propagate_static(cfg, 2.0 * doublet.coef_l, np.linspace(0, 1, 5))
+    with pytest.raises(ValueError):  # a grid wavefunction is not a coefficient vector
+        propagate_static(cfg, doublet.psi_l, np.linspace(0, 1, 5))
     with pytest.raises(ValueError):
         Segment(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -206,8 +192,6 @@ def strong_cfg():
 
 
 def _turnoff_run(cfg, bz_hold, duration_us, dt_us):
-    from dwsim.bands import assemble_bloch_hamiltonian
-
     _, v0 = np.linalg.eigh(assemble_bloch_hamiltonian(cfg.replace(bz_mg=bz_hold), 0.0))
     psi0 = v0[:, 0]
     schedule = RampSchedule((Segment(duration_us, cfg.bx_mg, cfg.bx_mg, bz_hold, 0.0),))
@@ -250,6 +234,40 @@ def test_adiabaticity_report_constant_schedule(cfg):
     assert seg.fom_internal == 0.0
     assert seg.fom_ground_to_excited == 0.0
     assert seg.fom_upper_to_excited == 0.0
+
+
+def test_adiabaticity_figures_match_dense_rate_operator():
+    # reference: the rate operator dH/dt as a dense kron(I, F) matrix
+    cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=8, n_q=1)
+    schedule = preparation_schedule(cfg)
+    report = adiabaticity_report(cfg, schedule, points_per_segment=3)
+    w = cfg.units.rad_per_us_per_er()
+    eye = np.eye(2 * cfg.n_planewaves + 1)
+    for seg, seg_report in zip(schedule.segments, report.segments):
+        rx, rz = seg.rates_per_us
+        h_dot = w * cfg.units.zeeman_er_per_mg() * (rx * np.kron(eye, cfg.spin.fx) + rz * np.kron(eye, cfg.spin.fz))
+        foms = np.zeros(3)
+        for t in np.linspace(0.0, seg.duration_us, 3):
+            bx, bz = seg.fields_at(t)
+            vals, vecs = np.linalg.eigh(assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx, bz_mg=bz), 0.0))
+            e = vals * w
+            for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+                foms[k] = max(foms[k], abs(vecs[:, i].conj() @ h_dot @ vecs[:, j]) / (e[j] - e[i]) ** 2)
+        assert np.all(foms > 0.0)
+        got = (seg_report.fom_internal, seg_report.fom_ground_to_excited, seg_report.fom_upper_to_excited)
+        np.testing.assert_allclose(got, foms, rtol=1e-10)
+
+
+def test_stretched_state_ignores_bx(cfg):
+    # F_x has a zero diagonal, so B_x adds exactly 0 to the m_F = +F sub-block
+    dim = cfg.spin.dim
+    states = [
+        stretched_ground_state(assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx, bz_mg=-100.0), 0.0), dim)
+        for bx in (0.0, 37.0)
+    ]
+    np.testing.assert_array_equal(states[0], states[1])
+    assert not np.any(states[0].reshape(-1, dim)[:, :-1])
+    assert np.linalg.norm(states[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_adiabaticity_gap_at_end_matches_bandstructure(cfg):

@@ -25,7 +25,8 @@ def test_noiseless_recovery(grid):
 def test_refit_idempotent(grid):
     y = synthetic(grid) + np.random.default_rng(3).normal(0.0, 0.2, len(grid))
     first = fit_damped_sinusoid(grid, y)
-    second = fit_damped_sinusoid(grid, y, initial=first.as_params())
+    initial = (first.amplitude, first.frequency_hz / 1e6, first.decay_rate_per_us, first.phase_rad, first.offset)
+    second = fit_damped_sinusoid(grid, y, initial=initial)
     assert second.n_iterations <= 2
     assert second.residual_rms == pytest.approx(first.residual_rms, rel=1e-8)
 

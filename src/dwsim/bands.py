@@ -62,6 +62,8 @@ class WannierDoublet:
     overlap integral of |L> and |R> over one period,
     integral sqrt(rho_L(z) rho_R(z)) dz, where rho is the density summed
     over spin components; 0 for disjoint wells, 1 for identical densities.
+    ``barrier_margin_er`` is the barrier height minus the q=0 energy of |A>,
+    positive when the doublet is tunnel-split (both levels below it).
     """
 
     cfg: LatticeConfig
@@ -81,6 +83,7 @@ class WannierDoublet:
     centroid_l_nm: float
     centroid_r_nm: float
     overlap_lr: float
+    barrier_margin_er: float
 
 
 @dataclass(frozen=True)
@@ -145,20 +148,26 @@ def q_grid(cfg: LatticeConfig) -> np.ndarray:
     return -1.0 + 2.0 * np.arange(cfg.n_q) / cfg.n_q
 
 
+def _spin_basis(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Real-form spin basis (columns of u) and m_F -> -m_F parities s: u = 1, s = 1 under
+    paper_cos, else (|m>+|-m>)/sqrt(2), s = +1, and i(|m>-|-m>)/sqrt(2), s = -1, for m > 0."""
+    m = cfg.spin.m_values
+    if cfg.fictitious_phase == "paper_cos":
+        return np.eye(len(m), dtype=complex), np.ones(len(m))
+    flip = np.where(m < 0, 1j, 1.0)
+    u = np.diag(flip.conj()) + np.flipud(np.diag(flip))
+    return u / np.linalg.norm(u, axis=0), np.where(m < 0, -1.0, 1.0)
+
+
 def _spin_blocks(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """On-site and raising spin blocks; real under paper_cos, and under
     quadrature_sin at B_z = 0, where m_F -> -m_F composed with conjugation
-    is a symmetry squaring to +1 (Dyson 1962), in the basis
-    (|m>+|-m>)/sqrt(2), i(|m>-|-m>)/sqrt(2) for m > 0, and |0> for integer F."""
-    ops = cfg.spin
+    is a symmetry squaring to +1 (Dyson 1962), in the basis ``_spin_basis``."""
     onsite = _zeeman_block(cfg, cfg.bx_mg, cfg.bz_mg)
     raising = _raising_block(cfg)
     if cfg.fictitious_phase == "paper_cos" or cfg.bz_mg == 0.0:
-        if cfg.fictitious_phase == "quadrature_sin":
-            flip = np.where(ops.m_values < 0, 1j, 1.0)
-            u = np.diag(flip.conj()) + np.flipud(np.diag(flip))
-            u /= np.linalg.norm(u, axis=0)
-            onsite, raising = (u.conj().T @ b @ u for b in (onsite, raising))
+        u = _spin_basis(cfg)[0]
+        onsite, raising = (u.conj().T @ b @ u for b in (onsite, raising))
         for b in (onsite, raising):
             if np.abs(b.imag).max() > 1e-12 * np.linalg.norm(b):
                 raise RuntimeError(f"spin block not real in the real form: residue {np.abs(b.imag).max():.2e}")
@@ -249,19 +258,52 @@ def doublet_splitting(sol: BandSolution) -> DoubletSplitting:
     )
 
 
-def solve_q0(cfg: LatticeConfig):
-    """Eigendecomposition of the q=0 Bloch Hamiltonian."""
-    return np.linalg.eigh(assemble_bloch_hamiltonian(cfg, 0.0))
+def solve_q0(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors (columns, m_F plane-wave basis)
+    of H(q=0).  Where ``_spin_blocks`` is real, H(0) commutes with the parity
+    (n, k) -> (-n, s_k k), s of ``_spin_basis``: each parity sigma is a real
+    block over n = 0..N, keeping the n = 0 states with s_k = sigma, with
+    sqrt(2) * raising from n = 0 to 1.  Elsewhere H(0) is solved complex.
+    Raises RuntimeError if the real spin blocks break the parity."""
+    onsite, raising = _spin_blocks(cfg)
+    n, d = cfg.n_planewaves, len(onsite)
+    h = _bloch_matrix(cfg, onsite, raising, 0.0, n)
+    if np.iscomplexobj(h):
+        return np.linalg.eigh(h)
+    u, s = _spin_basis(cfg)
+    for b, image in ((onsite, s[:, None] * onsite * s), (raising, s[:, None] * raising.T * s)):
+        if np.abs(b - image).max() > 1e-12 * np.linalg.norm(b):
+            raise RuntimeError(f"spin block does not commute with parity: residue {np.abs(b - image).max():.2e}")
+    half = h[n * d :, n * d :]  # plane waves n = 0..N
+    half[d : 2 * d, :d] *= np.sqrt(2.0)
+    half[:d, d : 2 * d] *= np.sqrt(2.0)
+    parts = []
+    for sigma in (1.0, -1.0):
+        keep = np.concatenate([np.flatnonzero(s == sigma), np.arange(d, len(half))])
+        w, v = np.linalg.eigh(half[np.ix_(keep, keep)])
+        # Scatter to plane waves -N..N: x[j, N + p, k] is component (p, k) of eigenvector j.
+        x = np.zeros((len(w), 2 * n + 1, d))
+        tail = v[len(keep) - n * d :].T.reshape(len(w), n, d) / np.sqrt(2.0)
+        x[:, n + 1 :] = tail
+        x[:, :n] = (sigma * s * tail)[:, ::-1]
+        x[:, n, s == sigma] = v[: len(keep) - n * d].T
+        parts.append((w, x))
+    vals = np.concatenate([w for w, _ in parts])
+    order = np.argsort(vals, kind="stable")
+    x = np.concatenate([x for _, x in parts])[order].reshape(-1, d)
+    u_re_im = np.stack([u.real.T, u.imag.T], axis=-1).reshape(d, 2 * d)  # x @ u_re_im: (Re, Im) of x @ u.T
+    return vals[order], (x @ u_re_im).view(complex).reshape(len(vals), -1).T
 
 
 def bloch_to_zgrid(cfg: LatticeConfig, coeffs: np.ndarray) -> np.ndarray:
     """Transform a q=0 coefficient vector to a spinor wavefunction on the
     spatial grid of one period, unit-normalized over the period."""
-    n_pts = cfg.z_points
-    n_idx = np.arange(-cfg.n_planewaves, cfg.n_planewaves + 1)
-    # z_j = j * period / n_pts, so 2 n k_L z_j = 2 pi n j / n_pts.
-    phases = np.exp(2j * np.pi * np.outer(np.arange(n_pts) / n_pts, n_idx)) / np.sqrt(cfg.period_m)
-    return np.einsum("jn,nm->jm", phases, np.asarray(coeffs).reshape(len(n_idx), cfg.spin.dim))
+    n_pts, n = cfg.z_points, cfg.n_planewaves
+    # z_j = j * period / n_pts, so 2 n k_L z_j = 2 pi n j / n_pts: an inverse
+    # DFT of the coefficients placed at n mod n_pts (summed where they fold).
+    spectrum = np.zeros((n_pts, cfg.spin.dim), dtype=complex)
+    np.add.at(spectrum, np.arange(-n, n + 1) % n_pts, np.asarray(coeffs).reshape(2 * n + 1, cfg.spin.dim))
+    return np.fft.ifft(spectrum, axis=0) * (n_pts / np.sqrt(cfg.period_m))
 
 
 def fz_coefficient_diag(cfg: LatticeConfig) -> np.ndarray:
@@ -270,10 +312,10 @@ def fz_coefficient_diag(cfg: LatticeConfig) -> np.ndarray:
     return np.tile(m, 2 * cfg.n_planewaves + 1)
 
 
-def _flatness_guard(cfg: LatticeConfig) -> float:
-    """Cheap doublet-flatness estimate from 5 quasimomentum samples."""
+def _flatness_guard(cfg: LatticeConfig, e_q0: np.ndarray) -> float:
+    """Cheap doublet-flatness estimate from 5 quasimomentum samples, q=0 given."""
     # q = -1, -0.5, 0, 0.5, 0.999; E(0.5) = E(-0.5).
-    e = _band_energies(cfg, (-1.0, -0.5, 0.0, 0.999), 2, certify=False)[0][[0, 1, 2, 1, 3]]
+    e = np.insert(_band_energies(cfg, (-1.0, -0.5, 0.999), 2, certify=False)[0], 2, e_q0, axis=0)[[0, 1, 2, 1, 3]]
     gap = float(np.mean(e[:, 1] - e[:, 0]))
     widths = e.max(axis=0) - e.min(axis=0)
     return float(widths.max() / gap) if gap > 0 else np.inf
@@ -304,43 +346,39 @@ def wannier_doublet(cfg: LatticeConfig, flatness_guard: bool = True) -> WannierD
     Global phases: the largest spin component of each state at the
     sigma+ well center is made real positive, then the sign of |A> is
     chosen so that (|S>+|A>)/sqrt(2) sits left of the barrier.  This
-    makes |L> the left, predominantly m_F > 0, localized state.
+    makes |L> the left, predominantly m_F > 0, localized state.  With
+    ``flatness_guard`` the premise is checked: bands that are not flat
+    raise ValueError, and a negative ``barrier_margin_er`` logs a warning.
     """
+    vals, vecs = solve_q0(cfg)
     if flatness_guard:
-        flat = _flatness_guard(cfg)
+        flat = _flatness_guard(cfg, vals[:2])
         if flat > FLATNESS_WARN:
             raise ValueError(
                 f"lowest bands not flat (flatness {flat:.3f} > {FLATNESS_WARN}); "
                 "the doublet does not define localized states"
             )
-    vals, vecs = solve_q0(cfg)
     eps_er = float(vals[1] - vals[0])
     units = cfg.units
 
     geom = double_well_geometry(cfg)
+    margin = float(geom["barrier_er"] - vals[1])
+    if flatness_guard and margin < 0.0:
+        log.warning("|A> lies %.3g E_R above the intra-well barrier; the doublet is not tunnel-split", -margin)
     z_m = cfg.z_grid_m()
     dz = cfg.period_m / len(z_m)
     j_anchor = int(round(geom["sigma_plus_z_m"] / dz)) % len(z_m)
 
-    coef_s = vecs[:, 0].copy()
-    coef_a = vecs[:, 1].copy()
-    psi_s = bloch_to_zgrid(cfg, coef_s)
-    psi_a = bloch_to_zgrid(cfg, coef_a)
-    ph_s = _fix_phase(psi_s, j_anchor)
-    ph_a = _fix_phase(psi_a, j_anchor)
-    coef_s *= ph_s
-    coef_a *= ph_a
-    psi_s *= ph_s
-    psi_a *= ph_a
+    psi_s, psi_a = bloch_to_zgrid(cfg, vecs[:, 0]), bloch_to_zgrid(cfg, vecs[:, 1])
+    ph_s, ph_a = _fix_phase(psi_s, j_anchor), _fix_phase(psi_a, j_anchor)
+    coef_s, coef_a, psi_s, psi_a = vecs[:, 0] * ph_s, vecs[:, 1] * ph_a, psi_s * ph_s, psi_a * ph_a
 
     def centroid(psi: np.ndarray) -> float:
         return float(np.sum(z_m * np.sum(np.abs(psi) ** 2, axis=1)) * dz)
 
+    if centroid((psi_s + psi_a) / np.sqrt(2.0)) > geom["barrier_z_m"]:
+        coef_a, psi_a = -coef_a, -psi_a
     psi_l = (psi_s + psi_a) / np.sqrt(2.0)
-    if centroid(psi_l) > geom["barrier_z_m"]:
-        coef_a = -coef_a
-        psi_a = -psi_a
-        psi_l = (psi_s + psi_a) / np.sqrt(2.0)
     psi_r = (psi_s - psi_a) / np.sqrt(2.0)
     coef_l = (coef_s + coef_a) / np.sqrt(2.0)
     coef_r = (coef_s - coef_a) / np.sqrt(2.0)
@@ -367,6 +405,7 @@ def wannier_doublet(cfg: LatticeConfig, flatness_guard: bool = True) -> WannierD
         centroid_l_nm=centroid(psi_l) * 1e9,
         centroid_r_nm=centroid(psi_r) * 1e9,
         overlap_lr=overlap,
+        barrier_margin_er=margin,
     )
 
 

@@ -190,6 +190,7 @@ def _cmd_wannier(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
             "overlap_lr": wd.overlap_lr,
             "well_center_nm": wd.well_center_nm,
             "barrier_nm": wd.barrier_nm,
+            "barrier_margin_er": wd.barrier_margin_er,
             "flatness": list(split.flatness),
             "basis_order": "m_F = -F..+F ascending",
         },

@@ -47,7 +47,7 @@ from dwsim import (
 )
 from dwsim.cli import main as cli_main
 from dwsim.ensemble import EnsembleSpec, ensemble_magnetization
-from dwsim.lattice import count_local_minima, double_well_geometry
+from dwsim.lattice import count_local_minima
 
 from fd_oracle import reference_energies, reference_states
 
@@ -62,15 +62,6 @@ def canonical_cfg(**kw):
     base = dict(CANONICAL, n_planewaves=12, n_q=9, z_points=512)
     base.update(kw)
     return LatticeConfig(**base)
-
-
-def barrier_margin_er(cfg):
-    """Intra-well barrier height minus the q=0 energy of |A> (E_R).
-
-    Positive when both ground-doublet levels lie below the barrier,
-    the premise of a tunnel-split doublet."""
-    e_a = float(np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, 0.0))[1])
-    return float(double_well_geometry(cfg)["barrier_er"]) - e_a
 
 
 def oracle_overlap_lr(cfg):
@@ -129,8 +120,8 @@ def test_criterion_02_localized_state_geometry():
     canonical_ok = 105.0 <= separation <= 195.0 and oracle_gap < 1e-3
 
     cfg_t = canonical_cfg(**TUNNELLING)
-    margin_t = barrier_margin_er(cfg_t)
     wd_t = wannier_doublet(cfg_t)
+    margin_t = wd_t.barrier_margin_er
     separation_t = wd_t.centroid_r_nm - wd_t.centroid_l_nm
     tunnelling_ok = margin_t > 0.0 and 105.0 <= separation_t <= 195.0 and wd_t.overlap_lr < 0.25
 
@@ -208,8 +199,8 @@ def test_criterion_05_two_level_behavior():
     canonical_ok = even_ok and min_ok and canonical_dev[0.0] < 0.01
 
     cfg_t = canonical_cfg(**TUNNELLING)
-    margin_t = barrier_margin_er(cfg_t)
     wd_t = wannier_doublet(cfg_t)
+    margin_t = wd_t.barrier_margin_er
     dev_t = {b: two_level_deviation(cfg_t.replace(bz_mg=b), wd_t) for b in (0.0, 10.0, 20.0)}
     tunnelling_ok = margin_t > 0.0 and max(dev_t.values()) < 0.01
 

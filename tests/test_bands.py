@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from dwsim import (
     two_level_model,
     wannier_doublet,
 )
-from dwsim.bands import _band_energies, _spin_blocks, q_grid, solve_q0
+from dwsim.bands import _band_energies, _bloch_matrix, _spin_basis, _spin_blocks, bloch_to_zgrid, q_grid, solve_q0
 from dwsim.errors import ConvergenceError
 from dwsim.lattice import FICTITIOUS_PHASES
 
@@ -97,15 +98,38 @@ def test_variational_monotonicity(cfg):
 
 
 def test_eigenresidual_and_orthonormality(cfg):
+    # every eigenpair, since propagate_static expands in the whole basis
     vals, vecs = solve_q0(cfg)
     ham = assemble_bloch_hamiltonian(cfg, 0.0)
     scale = np.linalg.norm(ham)
-    for b in range(4):
+    for b in range(len(vals)):
         vec = vecs[:, b]
         resid = np.linalg.norm(ham @ vec - vals[b] * vec)
         assert resid <= 1e-10 * scale
-    gram = vecs[:, :4].conj().T @ vecs[:, :4]
-    np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
+    gram = vecs.conj().T @ vecs
+    np.testing.assert_allclose(gram, np.eye(len(vals)), atol=1e-10)
+
+
+@pytest.mark.parametrize("u1", [84.0, 120.0, 300.0])
+def test_doublet_states_in_opposite_parity_sectors(u1):
+    # (n, m_F) -> (-n, -m_F) commutes with H(0) under quadrature_sin at
+    # B_z = 0; |S> and |A> are each the ground state of one sector.
+    cfg = LatticeConfig(u1_er=u1, theta_deg=80.0, bx_mg=85.0, n_planewaves=12)
+    _, vecs = solve_q0(cfg)
+    mirror = vecs[:, :2].reshape(2 * cfg.n_planewaves + 1, cfg.spin.dim, 2)[::-1, ::-1].reshape(-1, 2)
+    parity = np.einsum("ij,ij->j", vecs[:, :2].conj(), mirror).real
+    np.testing.assert_allclose(np.abs(parity), 1.0, rtol=0, atol=1e-10)
+    assert parity[0] == pytest.approx(-parity[1], abs=1e-10)
+
+
+def test_zgrid_folds_planewaves_beyond_the_grid():
+    # with 2N+1 > z_points the grid values are still the sampled Fourier sum
+    cfg = LatticeConfig(n_planewaves=32, z_points=64)
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal((65, cfg.spin.dim)) + 1j * rng.standard_normal((65, cfg.spin.dim))
+    j, n = np.arange(64), np.arange(-32, 33)
+    direct = np.exp(2j * np.pi * np.outer(j, n) / 64) @ coeffs / np.sqrt(cfg.period_m)
+    np.testing.assert_allclose(bloch_to_zgrid(cfg, coeffs.reshape(-1)), direct, rtol=1e-12, atol=0)
 
 
 def test_parseval(cfg, doublet):
@@ -165,6 +189,19 @@ def test_wannier_flatness_guard():
     shallow = LatticeConfig(u1_er=11.0, theta_deg=80.0, bx_mg=10.0, n_planewaves=10)
     with pytest.raises(ValueError):
         wannier_doublet(shallow)
+
+
+def test_barrier_margin(caplog):
+    # barrier - E_A from the q=0 solve: |A> straddles the barrier at the
+    # canonical point and lies well below it at U_1 = 120 E_R
+    cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=12, n_q=9, z_points=512)
+    with caplog.at_level(logging.WARNING, logger="dwsim"):
+        assert wannier_doublet(cfg).barrier_margin_er == pytest.approx(-1.33, abs=0.005)
+    assert "above the intra-well barrier" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="dwsim"):
+        assert wannier_doublet(cfg.replace(u1_er=120.0)).barrier_margin_er == pytest.approx(7.03, abs=0.005)
+    assert not caplog.records
 
 
 def test_localized_observables_left_state(cfg, doublet):
@@ -304,3 +341,28 @@ def test_solve_bands_matches_unpaired_complex_solve(n_q, u1, theta, bx, bz, phas
     sol = solve_bands(cfg, n_bands=6, certify=False)
     direct = [np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, q))[:6] for q in q_grid(cfg)]
     np.testing.assert_allclose(sol.energies, direct, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**BOX)
+def test_solve_q0_is_an_eigendecomposition_of_h0(u1, theta, bx, bz, phase, n_pw, f):
+    # Two real parity blocks where the spin blocks are real, one complex
+    # solve elsewhere: either way every eigenpair is one of H(0).
+    cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f)
+    ham = assemble_bloch_hamiltonian(cfg, 0.0)
+    vals, vecs = solve_q0(cfg)
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(ham), rtol=0, atol=1e-9)
+    assert np.linalg.norm(ham @ vecs - vecs * vals) <= 1e-10 * np.linalg.norm(ham)
+    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(len(vals)), rtol=0, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**BOX)
+def test_parity_commutes_with_real_h0(u1, theta, bx, bz, phase, n_pw, f):
+    # The parity (n, k) -> (-n, s_k k) that splits the q=0 solve commutes
+    # with H(0) wherever the spin blocks are real.
+    cfg = _box_cfg(u1, theta, bx, bz if phase == "paper_cos" else 0.0, phase, n_pw, f)
+    ham = _bloch_matrix(cfg, *_spin_blocks(cfg), 0.0, n_pw)
+    assert ham.dtype == np.float64
+    parity = np.kron(np.flipud(np.eye(2 * n_pw + 1)), np.diag(_spin_basis(cfg)[1]))
+    assert np.linalg.norm(parity @ ham @ parity - ham) <= 1e-12 * np.linalg.norm(ham)

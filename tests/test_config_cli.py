@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from dwsim import ConfigError, LatticeConfig, cesium_f4, doublet_splitting, solve_bands
+from dwsim import ConfigError, LatticeConfig, cesium_f4, doublet_splitting, solve_bands, wannier_doublet
 from dwsim.cli import main
 from dwsim.config import parse_config
 from dwsim.output import run_command, sweep_frequency
@@ -180,6 +180,16 @@ def test_rabi_command_magnetization_swing(tmp_path, capsys):
     assert t_cross == pytest.approx(0.25e6 / eps_hz, rel=0.2)
     header = open(os.path.join(out, "rabi.csv")).readline().strip().split(",")
     assert header[:5] == ["t_us", "pL", "pR", "leakage", "fz"]
+
+
+def test_wannier_command_reports_barrier_margin(tmp_path, capsys):
+    ini = write(tmp_path, FAST_LATTICE)
+    out = str(tmp_path / "wannier")
+    assert main(["wannier", "--config", ini, "--out", out]) == 0
+    capsys.readouterr()
+    doublet = json.loads(open(os.path.join(out, "doublet.json")).read())
+    expected = wannier_doublet(parse_config(ini).lattice).barrier_margin_er
+    assert doublet["barrier_margin_er"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_ensemble_and_fit_commands(tmp_path, capsys):

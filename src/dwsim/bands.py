@@ -409,7 +409,7 @@ def wannier_doublet(cfg: LatticeConfig, flatness_guard: bool = True) -> WannierD
     )
 
 
-def two_level_model(cfg: LatticeConfig, certify: bool = False) -> TwoLevelModel:
+def two_level_model(cfg: LatticeConfig) -> TwoLevelModel:
     """Extract (epsilon, delta, Omega) from spectral data only.
 
     epsilon is the q-averaged splitting with B_z forced to zero, nu the
@@ -425,12 +425,12 @@ def two_level_model(cfg: LatticeConfig, certify: bool = False) -> TwoLevelModel:
     B_z = 0, 0.0431 at 10 mG and 0.0312 at 20 mG; at U_1 = 120 E_R it is
     at most 0.0028 over the same fields.
     """
-    sym = doublet_splitting(solve_bands(cfg.replace(bz_mg=0.0), n_bands=2, certify=certify))
+    sym = doublet_splitting(solve_bands(cfg.replace(bz_mg=0.0), n_bands=2, certify=False))
     eps_hz = sym.epsilon_hz
     if cfg.bz_mg == 0.0:
         nu_hz = eps_hz
     else:
-        act = doublet_splitting(solve_bands(cfg, n_bands=2, certify=certify))
+        act = doublet_splitting(solve_bands(cfg, n_bands=2, certify=False))
         nu_hz = act.epsilon_hz
     clamped = False
     if nu_hz < eps_hz:

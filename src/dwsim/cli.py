@@ -39,6 +39,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             run_cfg = dataclasses.replace(
                 run_cfg,
                 ensemble=dataclasses.replace(run_cfg.ensemble, seed=args.seed),

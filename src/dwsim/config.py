@@ -11,7 +11,9 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from .constants import ATOMIC_MASS, CS133_MASS_U, CS133_WAVELENGTH_NM, SpeciesConstants, cesium_f4
+from .constants import ATOMIC_MASS, CS133_MASS_U, CS133_WAVELENGTH_NM, cesium_f4
+from .dynamics import PrepareBlock
+from .ensemble import EnsembleSpec
 from .errors import ConfigError
 from .lattice import LatticeConfig
 
@@ -24,10 +26,13 @@ SWEEP_BOUNDS = {
 }
 
 _REQUIRED_LATTICE = ("u1_er", "theta_deg", "bx_mg")
+_SPECIES_KEYS = ("species", "g_f", "mass_u", "wavelength_nm")
 
 
-# The fields of each block are the keys of its INI section; their types
-# parse the values and their defaults fill the keys a file leaves out.
+# Each INI section is one frozen dataclass: its fields are the section's
+# keys, their types parse the values, their defaults fill the keys a file
+# leaves out, and __post_init__ rejects out-of-range values with ValueError.
+# The library owns the sections it reads; the CLI-only ones live here.
 @dataclass(frozen=True)
 class SweepBlock:
     parameter: str = "bx"
@@ -36,35 +41,39 @@ class SweepBlock:
     steps: int = 12
     u1_scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.parameter not in SWEEP_PARAMETERS:
+            raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}, got {self.parameter!r}")
+        if self.steps < 2:
+            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if self.start == self.stop:
+            raise ValueError("start and stop must differ")
+        if self.u1_scale <= 0:
+            raise ValueError(f"u1_scale must be positive, got {self.u1_scale}")
+        lo, hi = SWEEP_BOUNDS[self.parameter]
+        for v in (self.start, self.stop):
+            if not lo <= v <= hi:
+                raise ValueError(f"{self.parameter} value {v} outside validated range [{lo}, {hi}]")
+
 
 @dataclass(frozen=True)
 class RabiBlock:
     t_max_us: float = 2000.0
     dt_out_us: float = 2.0
 
-
-@dataclass(frozen=True)
-class PrepareBlock:
-    bx_ramp_us: float = 250.0
-    bz_ramp_us: float = 70.0
-    bz_start_mg: float = -100.0
-    dt_us: float = 0.5
-
-
-@dataclass(frozen=True)
-class EnsembleBlock:
-    spread: float = 0.05
-    n_samples: int = 200
-    seed: int = 20260808
-    distribution: str = "gaussian"
-    t_max_us: float = 1500.0
-    dt_out_us: float = 5.0
+    def __post_init__(self) -> None:
+        if self.t_max_us <= 0 or self.dt_out_us <= 0:
+            raise ValueError("t_max_us and dt_out_us must be positive")
 
 
 @dataclass(frozen=True)
 class OutputBlock:
     directory: str = "out"
     precision: int = 12
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.precision <= 17:
+            raise ValueError(f"precision must be in [1, 17], got {self.precision}")
 
 
 @dataclass(frozen=True)
@@ -74,35 +83,35 @@ class FitBlock:
     y_column: str = "mean_fz"
 
 
-_BLOCKS = {
+_SECTIONS = {
+    "lattice": LatticeConfig,
     "sweep": SweepBlock,
     "rabi": RabiBlock,
     "prepare": PrepareBlock,
-    "ensemble": EnsembleBlock,
+    "ensemble": EnsembleSpec,
     "output": OutputBlock,
     "fit": FitBlock,
 }
-
-
-_LATTICE_KEYS = tuple(f.name for f in fields(LatticeConfig) if f.name != "species")
 
 
 def _section_defaults() -> dict[str, dict]:
     """section -> key -> default; the type of a default parses its key.
 
     [lattice] holds LatticeConfig's fields with the species replaced by
-    the keys _species_from reads.
+    the keys _lattice_arguments reads.
     """
+    defaults = {
+        name: {f.name: f.default for f in fields(cls) if f.name != "species"}
+        for name, cls in _SECTIONS.items()
+    }
     species = cesium_f4()
-    lattice = {f.name: f.default for f in fields(LatticeConfig) if f.name in _LATTICE_KEYS}
-    lattice.update(
+    defaults["lattice"].update(
         species=species.name,
         g_f=species.g_f,
         mass_u=CS133_MASS_U,
         wavelength_nm=CS133_WAVELENGTH_NM,
     )
-    blocks = {name: {f.name: f.default for f in fields(cls)} for name, cls in _BLOCKS.items()}
-    return {"lattice": lattice, **blocks}
+    return defaults
 
 
 _DEFAULTS = _section_defaults()
@@ -116,30 +125,33 @@ class RunConfig:
     sweep: SweepBlock
     rabi: RabiBlock
     prepare: PrepareBlock
-    ensemble: EnsembleBlock
+    ensemble: EnsembleSpec
     output: OutputBlock
     fit: FitBlock
     resolved: dict = field(repr=False)
 
 
-def _species_from(values: dict) -> SpeciesConstants:
-    if values["species"] != "cs133_f4":
-        raise ConfigError(f"unknown species {values['species']!r}; supported: cs133_f4")
-    base = cesium_f4(g_f=values["g_f"])
-    mass_kg = values["mass_u"] * ATOMIC_MASS
-    wavelength_m = values["wavelength_nm"] * 1e-9
-    if mass_kg != base.mass_kg or wavelength_m != base.wavelength_m:
-        base = replace(base, mass_kg=mass_kg, wavelength_m=wavelength_m, name="cs133_f4_custom")
-    return base
+def _lattice_arguments(values: dict) -> dict:
+    """LatticeConfig's keyword arguments from the [lattice] values, with
+    the species keys made into one SpeciesConstants."""
+    name, g_f, mass_u, wavelength_nm = (values[k] for k in _SPECIES_KEYS)
+    if name != "cs133_f4":
+        raise ValueError(f"unknown species {name!r}; supported: cs133_f4")
+    species = cesium_f4(g_f=g_f)
+    mass_kg = mass_u * ATOMIC_MASS
+    wavelength_m = wavelength_nm * 1e-9
+    if mass_kg != species.mass_kg or wavelength_m != species.wavelength_m:
+        species = replace(species, mass_kg=mass_kg, wavelength_m=wavelength_m, name="cs133_f4_custom")
+    return {k: v for k, v in values.items() if k not in _SPECIES_KEYS} | {"species": species}
 
 
-def _parse_value(section: str, key: str, raw: str, default):
+def _parse_value(key: str, raw: str, default):
     try:
         value = type(default)(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+        raise ValueError(f"bad value for {key}: {raw!r}") from exc
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+        raise ValueError(f"{key} must be finite, got {raw!r}")
     return value
 
 
@@ -171,49 +183,18 @@ def parse_config(path: str) -> RunConfig:
     if missing:
         raise ConfigError("missing required keys in [lattice]: " + ", ".join(missing))
 
-    resolved = {
-        section: {
-            key: _parse_value(section, key, parser.get(section, key), default)
-            if parser.has_option(section, key)
-            else default
-            for key, default in defaults.items()
-        }
-        for section, defaults in _DEFAULTS.items()
-    }
-
-    lat = resolved["lattice"]
-    try:
-        lattice = LatticeConfig(species=_species_from(lat), **{k: lat[k] for k in _LATTICE_KEYS})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    blocks = {name: cls(**resolved[name]) for name, cls in _BLOCKS.items()}
-
-    sweep = blocks["sweep"]
-    if sweep.parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {sweep.parameter!r}")
-    if sweep.steps < 2:
-        raise ConfigError(f"sweep steps must be >= 2, got {sweep.steps}")
-    if sweep.start == sweep.stop:
-        raise ConfigError("sweep start and stop must differ")
-    if sweep.u1_scale <= 0:
-        raise ConfigError(f"u1_scale must be positive, got {sweep.u1_scale}")
-    lo, hi = SWEEP_BOUNDS[sweep.parameter]
-    for v in (sweep.start, sweep.stop):
-        if not lo <= v <= hi:
-            raise ConfigError(
-                f"sweep {sweep.parameter} value {v} outside validated range [{lo}, {hi}]"
-            )
-
-    out = blocks["output"]
-    if not 1 <= out.precision <= 17:
-        raise ConfigError(f"output precision must be in [1, 17], got {out.precision}")
-
-    rabi = blocks["rabi"]
-    if rabi.t_max_us <= 0 or rabi.dt_out_us <= 0:
-        raise ConfigError("rabi t_max_us and dt_out_us must be positive")
-
-    prep = blocks["prepare"]
-    if prep.bx_ramp_us <= 0 or prep.bz_ramp_us <= 0 or prep.dt_us <= 0:
-        raise ConfigError("prepare ramp durations and dt_us must be positive")
-
-    return RunConfig(lattice=lattice, resolved=resolved, **blocks)
+    resolved, sections = {}, {}
+    for name, cls in _SECTIONS.items():
+        try:
+            values = resolved[name] = {
+                key: _parse_value(key, parser.get(name, key), default)
+                if parser.has_option(name, key)
+                else default
+                for key, default in _DEFAULTS[name].items()
+            }
+            if cls is LatticeConfig:
+                values = _lattice_arguments(values)
+            sections[name] = cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {exc}") from exc
+    return RunConfig(resolved=resolved, **sections)

@@ -21,7 +21,6 @@ from .bands import (
     solve_q0,
     wannier_doublet,
 )
-from .config import PrepareBlock
 from .errors import ConvergenceError
 from .lattice import LatticeConfig
 
@@ -29,6 +28,27 @@ STEP_DOUBLING_TOL = 1e-6
 MAX_HALVINGS = 8
 SUDDEN_THRESHOLD = 0.5  # duration * epsilon below this counts as sudden
 ADIABATIC_THRESHOLD = 0.1  # ground-to-excited rate figure below this counts as adiabatic
+
+
+@dataclass(frozen=True)
+class PrepareBlock:
+    """The [prepare] section: the two ramp durations, the holding B_z and
+    the requested ramp step."""
+
+    bx_ramp_us: float = 250.0
+    bz_ramp_us: float = 70.0
+    bz_start_mg: float = -100.0
+    dt_us: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.bx_ramp_us <= 0 or self.bz_ramp_us <= 0 or self.dt_us <= 0:
+            raise ValueError("ramp durations and dt_us must be positive")
+
+
+def output_times(t_max_us: float, dt_out_us: float) -> np.ndarray:
+    """Output instants k * dt_out_us from 0 to t_max_us, the end included
+    when it lies within half a step of the grid."""
+    return np.arange(0.0, t_max_us + 0.5 * dt_out_us, dt_out_us)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import fz_coefficient_diag, wannier_doublet
-from .config import EnsembleBlock
+from .dynamics import output_times
 from .errors import ConvergenceError
 from .lattice import LatticeConfig
 
@@ -29,21 +29,27 @@ MAX_SKIP_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Inhomogeneous-ensemble description over one base configuration."""
+    """The [ensemble] section: the relative U_1 spread of the samples, how
+    many there are and how they are drawn, and the output time grid."""
 
-    cfg: LatticeConfig
-    u1_relative_spread: float = EnsembleBlock.spread
-    n_samples: int = EnsembleBlock.n_samples
-    seed: int = EnsembleBlock.seed
-    distribution: str = EnsembleBlock.distribution
+    spread: float = 0.05
+    n_samples: int = 200
+    seed: int = 20260808
+    distribution: str = "gaussian"
+    t_max_us: float = 1500.0
+    dt_out_us: float = 5.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.u1_relative_spread < 0.5:
-            raise ValueError(f"spread must be in [0, 0.5), got {self.u1_relative_spread}")
+        if not 0.0 <= self.spread < 0.5:
+            raise ValueError(f"spread must be in [0, 0.5), got {self.spread}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}")
+        if self.t_max_us <= 0 or self.dt_out_us <= 0:
+            raise ValueError("t_max_us and dt_out_us must be positive")
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,6 @@ class EnsembleResult:
     t_us: np.ndarray
     mean_fz: np.ndarray
     sample_u1_er: np.ndarray
-    sample_epsilon_hz: np.ndarray
     n_skipped: int
 
 
@@ -71,25 +76,25 @@ def sample_intensity_factor(spec: EnsembleSpec, index: int) -> float:
             x = rng.standard_normal()
     else:
         x = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0))  # unit variance
-    return 1.0 + spec.u1_relative_spread * x
+    return 1.0 + spec.spread * x
 
 
-def _single_run(spec: EnsembleSpec, index: int, t_us: np.ndarray):
+def _single_run(cfg: LatticeConfig, spec: EnsembleSpec, index: int, t_us: np.ndarray):
     """<F_z>(t) of |L> = (|S> + |A>)/sqrt(2) in the sample's own doublet:
     (F_SS + F_AA)/2 + Re(F_SA exp(-i omega t)), hbar omega = E_A - E_S."""
-    factor = sample_intensity_factor(spec, index)
-    cfg_i = spec.cfg.replace(u1_er=spec.cfg.u1_er * factor)
+    cfg_i = cfg.replace(u1_er=cfg.u1_er * sample_intensity_factor(spec, index))
     doublet = wannier_doublet(cfg_i, flatness_guard=False)
     fz_diag = fz_coefficient_diag(cfg_i)
     s, a = doublet.coef_s, doublet.coef_a
     f_ss, f_aa, f_sa = (np.vdot(x, fz_diag * y) for x, y in ((s, s), (a, a), (s, a)))
     omega = doublet.epsilon_er * cfg_i.units.rad_per_us_per_er()
     fz = 0.5 * (f_ss + f_aa).real + np.real(f_sa * np.exp(-1j * omega * t_us))
-    return cfg_i.u1_er, doublet.epsilon_hz, fz
+    return cfg_i.u1_er, fz
 
 
-def ensemble_magnetization(spec: EnsembleSpec, t_us: np.ndarray, jobs: int = 1) -> EnsembleResult:
-    """Mean <F_z>(t) over localized-state Rabi runs of the ensemble.
+def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec, jobs: int = 1) -> EnsembleResult:
+    """Mean <F_z>(t) over localized-state Rabi runs of the ensemble ``spec``
+    drawn around ``cfg``, on the spec's output time grid.
 
     Every sample solves its own q=0 doublet once and gives its
     left-localized magnetization in closed form.  Samples that fail
@@ -98,18 +103,17 @@ def ensemble_magnetization(spec: EnsembleSpec, t_us: np.ndarray, jobs: int = 1) 
     other exception propagates.  The reduction sums in fixed index order
     after all samples complete, so the result does not depend on ``jobs``.
     """
-    t_us = np.asarray(t_us, dtype=float)
+    t_us = output_times(spec.t_max_us, spec.dt_out_us)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        raw = list(pool.map(lambda i: _guarded_run(spec, i, t_us), range(spec.n_samples)))
+        raw = list(pool.map(lambda i: _guarded_run(cfg, spec, i, t_us), range(spec.n_samples)))
 
     u1 = np.full(spec.n_samples, np.nan)
-    eps = np.full(spec.n_samples, np.nan)
     total = np.zeros(len(t_us))
     n_ok = 0
     for i, item in enumerate(raw):
         if item is None:
             continue
-        u1[i], eps[i], fz = item
+        u1[i], fz = item
         total += fz
         n_ok += 1
     n_skipped = spec.n_samples - n_ok
@@ -122,14 +126,13 @@ def ensemble_magnetization(spec: EnsembleSpec, t_us: np.ndarray, jobs: int = 1) 
         t_us=t_us,
         mean_fz=total / n_ok,
         sample_u1_er=u1,
-        sample_epsilon_hz=eps,
         n_skipped=n_skipped,
     )
 
 
-def _guarded_run(spec: EnsembleSpec, index: int, t_us: np.ndarray):
+def _guarded_run(cfg: LatticeConfig, spec: EnsembleSpec, index: int, t_us: np.ndarray):
     try:
-        return _single_run(spec, index, t_us)
+        return _single_run(cfg, spec, index, t_us)
     except (ConvergenceError, ValueError, np.linalg.LinAlgError):
         log.exception("ensemble sample %d failed; skipping", index)
         return None

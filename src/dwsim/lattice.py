@@ -186,11 +186,6 @@ def _strict_local_minima(curve: np.ndarray, periodic: bool = True) -> np.ndarray
     return np.flatnonzero(is_min)
 
 
-def count_local_minima(curve: np.ndarray, periodic: bool = True) -> int:
-    """Number of strict local minima of a sampled curve (cyclic by default)."""
-    return len(_strict_local_minima(curve, periodic))
-
-
 def double_well_geometry(cfg: LatticeConfig, z_m: np.ndarray | None = None) -> dict:
     """Locate the wells of the lowest adiabatic curve within one period.
 

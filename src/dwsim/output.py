@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ import numpy as np
 from . import __version__
 from .bands import doublet_splitting, solve_bands, wannier_doublet
 from .config import RunConfig
-from .dynamics import prepare_ground_l, preparation_schedule, propagate_static
-from .ensemble import EnsembleSpec, ensemble_magnetization
+from .dynamics import output_times, prepare_ground_l, preparation_schedule, propagate_static
+from .ensemble import ensemble_magnetization
 from .errors import ConfigError, ConvergenceError
 from .fitting import fit_damped_sinusoid
 from .lattice import LatticeConfig, potential_curves
@@ -201,7 +202,7 @@ def _cmd_wannier(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
 def _cmd_rabi(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     cfg = run_cfg.lattice
     doublet = wannier_doublet(cfg.replace(bz_mg=0.0))
-    t = np.arange(0.0, run_cfg.rabi.t_max_us + 0.5 * run_cfg.rabi.dt_out_us, run_cfg.rabi.dt_out_us)
+    t = output_times(run_cfg.rabi.t_max_us, run_cfg.rabi.dt_out_us)
     series = propagate_static(cfg, doublet.coef_l, t, doublet=doublet)
     dim = cfg.spin.dim
     f_int = cfg.species.f
@@ -225,7 +226,6 @@ def _cmd_prepare(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
         bz_start_mg=block.bz_start_mg,
     )
     result = prepare_ground_l(cfg, schedule, dt_us=block.dt_us)
-    report = result.report
     write_json(
         os.path.join(directory, "prep.json"),
         {
@@ -235,14 +235,7 @@ def _cmd_prepare(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
             "initial_stretched_population": result.initial_stretched_population,
             "dt_us": result.series.dt_us,
             "step_doubling_infidelity": result.series.step_doubling_infidelity,
-            "adiabaticity": {
-                "epsilon_hz": report.epsilon_hz,
-                "min_gap_doublet_excited_er": report.min_gap_doublet_excited_er,
-                "gap_at_end_er": report.gap_at_end_er,
-                "sudden_threshold": report.sudden_threshold,
-                "adiabatic_threshold": report.adiabatic_threshold,
-                "segments": [dataclasses.asdict(s) for s in report.segments],
-            },
+            "adiabaticity": dataclasses.asdict(result.report),
         },
     )
     return ["prep.json"]
@@ -258,19 +251,8 @@ def _cmd_sweep(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
 
 
 def _cmd_ensemble(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
-    block = run_cfg.ensemble
-    try:
-        spec = EnsembleSpec(
-            cfg=run_cfg.lattice,
-            u1_relative_spread=block.spread,
-            n_samples=block.n_samples,
-            seed=block.seed,
-            distribution=block.distribution,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[ensemble] {exc}") from exc
-    t = np.arange(0.0, block.t_max_us + 0.5 * block.dt_out_us, block.dt_out_us)
-    result = ensemble_magnetization(spec, t, jobs=jobs)
+    spec = run_cfg.ensemble
+    result = ensemble_magnetization(run_cfg.lattice, spec, jobs=jobs)
     write_csv(
         os.path.join(directory, "ensemble.csv"),
         ["t_us", "mean_fz"],
@@ -279,26 +261,21 @@ def _cmd_ensemble(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     )
     fit = fit_damped_sinusoid(result.t_us, result.mean_fz)
     write_json(os.path.join(directory, "fit.json"), _fit_payload(fit) | {
-        "n_samples": block.n_samples,
+        "n_samples": spec.n_samples,
         "n_skipped": result.n_skipped,
-        "seed": block.seed,
-        "spread": block.spread,
+        "seed": spec.seed,
+        "spread": spec.spread,
     })
     return ["ensemble.csv", "fit.json"]
 
 
 def _fit_payload(fit) -> dict:
-    return {
-        "amplitude": fit.amplitude,
-        "frequency_hz": fit.frequency_hz,
-        "decay_rate_per_us": fit.decay_rate_per_us,
-        "tau_us": fit.tau_us if np.isfinite(fit.tau_us) else None,
-        "phase_rad": fit.phase_rad,
-        "offset": fit.offset,
-        "residual_rms": fit.residual_rms,
-        "n_iterations": fit.n_iterations,
-        "stderr": fit.stderr,
-    }
+    """The fit's fields without the covariance matrix; an infinite tau is null."""
+    payload = dataclasses.asdict(fit)
+    del payload["covariance"]
+    if not np.isfinite(fit.tau_us):
+        payload["tau_us"] = None
+    return payload
 
 
 def _cmd_fit(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
@@ -315,11 +292,23 @@ def _cmd_fit(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
             raise ConfigError(f"column {block.y_column!r} not in {block.input}")
         t, y = [], []
         for record in reader:
-            t.append(float(record[block.t_column]))
-            y.append(float(record[block.y_column]))
+            t.append(_csv_number(block.input, reader.line_num, record, block.t_column))
+            y.append(_csv_number(block.input, reader.line_num, record, block.y_column))
     fit = fit_damped_sinusoid(np.asarray(t), np.asarray(y))
     write_json(os.path.join(directory, "fit.json"), _fit_payload(fit) | {"input": block.input})
     return ["fit.json"]
+
+
+def _csv_number(path: str, line: int, record: dict, column: str) -> float:
+    """One finite number from a fit input cell; anything else is a ConfigError."""
+    cell = record[column]
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):  # TypeError: the row has no such cell
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{path} line {line}: column {column!r} holds {cell!r}, not a finite number")
+    return value
 
 
 _DISPATCH = {

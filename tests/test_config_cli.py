@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     spread = write(tmp_path, FAST_LATTICE + "[ensemble]\nspread = 0.7\n", "spread.ini")
     assert main(["ensemble", "--config", spread, "--out", str(tmp_path / "sp")]) == 2
     capsys.readouterr()
+
+
+def test_bad_ensemble_input_exits_2(tmp_path, capsys):
+    # rejected when the run is configured, before any sample runs
+    out = str(tmp_path / "x")
+    ok = write(tmp_path, FAST_LATTICE, "ok.ini")
+    assert main(["ensemble", "--config", ok, "--out", out, "--seed", "-3"]) == 2
+    for line in ("seed = -1", "dt_out_us = 0", "t_max_us = -5"):
+        ini = write(tmp_path, FAST_LATTICE + f"[ensemble]\n{line}\n", "ens.ini")
+        assert main(["ensemble", "--config", ini, "--out", out]) == 2
+    assert "numerical failure" not in capsys.readouterr().err
 
 
 def test_byte_determinism_and_manifest(tmp_path, capsys):
@@ -242,6 +254,14 @@ def test_fit_command_requires_input(tmp_path):
     run_cfg = parse_config(write(tmp_path, FAST_LATTICE, "nofit.ini"))
     with pytest.raises(ConfigError, match="input"):
         run_command("fit", run_cfg, out_dir=str(tmp_path / "x"))
+
+
+def test_fit_input_with_a_non_numeric_cell_is_a_config_error(tmp_path):
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("t_us,mean_fz\n0,1.0\n5,abc\n", encoding="utf-8")
+    run_cfg = parse_config(write(tmp_path, FAST_LATTICE + f"[fit]\ninput = {csv_path}\n", "fit.ini"))
+    with pytest.raises(ConfigError, match=re.escape(f"{csv_path} line 3: column 'mean_fz' holds 'abc'")):
+        run_command("fit", run_cfg, out_dir=str(tmp_path / "z"))
 
 
 def test_unknown_command_rejected(tmp_path):

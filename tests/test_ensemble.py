@@ -11,13 +11,17 @@ def tgrid():
     return np.arange(0.0, 1200.1, 5.0)
 
 
-def test_spec_validation(cfg):
+GRID = dict(t_max_us=1200.0, dt_out_us=5.0)  # the times of tgrid
+SHORT_GRID = dict(t_max_us=95.0, dt_out_us=5.0)  # tgrid[:20]
+
+
+def test_spec_validation():
     with pytest.raises(ValueError):
-        EnsembleSpec(cfg=cfg, u1_relative_spread=0.6)
+        EnsembleSpec(spread=0.6)
     with pytest.raises(ValueError):
-        EnsembleSpec(cfg=cfg, n_samples=0)
+        EnsembleSpec(n_samples=0)
     with pytest.raises(ValueError):
-        EnsembleSpec(cfg=cfg, distribution="lognormal")
+        EnsembleSpec(distribution="lognormal")
 
 
 def factors(spec):
@@ -25,12 +29,12 @@ def factors(spec):
 
 
 def test_sampling_deterministic_and_truncated(cfg):
-    spec = EnsembleSpec(cfg=cfg, u1_relative_spread=0.05, n_samples=64, seed=99)
+    spec = EnsembleSpec(spread=0.05, n_samples=64, seed=99)
     a = factors(spec)
     b = factors(spec)
     np.testing.assert_array_equal(a, b)
     assert np.all(np.abs(a - 1.0) <= 0.05 * 3.0 + 1e-12)
-    uniform = EnsembleSpec(cfg=cfg, u1_relative_spread=0.05, n_samples=64, seed=99, distribution="uniform")
+    uniform = EnsembleSpec(spread=0.05, n_samples=64, seed=99, distribution="uniform")
     u = factors(uniform)
     assert np.all(np.abs(u - 1.0) <= 0.05 * np.sqrt(3.0) + 1e-12)
     assert not np.array_equal(a, u)
@@ -43,50 +47,50 @@ def test_zero_spread_equals_single_run(cfg, tgrid, bz_mg, g_f):
     # conventions with and without a bias field, for either sign of g_F
     cfg = cfg.replace(bz_mg=bz_mg, species=cesium_f4(g_f=g_f))
     doublet = wannier_doublet(cfg)
-    spec = EnsembleSpec(cfg=cfg, u1_relative_spread=0.0, n_samples=3, seed=1)
-    result = ensemble_magnetization(spec, tgrid)
+    spec = EnsembleSpec(spread=0.0, n_samples=3, seed=1, **GRID)
+    result = ensemble_magnetization(cfg, spec)
     single = propagate_static(cfg, doublet.coef_l, tgrid, doublet=doublet)
     np.testing.assert_allclose(result.mean_fz, single.fz, atol=1e-10)
     assert result.n_skipped == 0
     np.testing.assert_allclose(result.sample_u1_er, cfg.u1_er, atol=1e-12)
 
 
-def test_parallel_serial_identical(cfg, tgrid):
-    spec = EnsembleSpec(cfg=cfg, u1_relative_spread=0.05, n_samples=8, seed=5)
-    serial = ensemble_magnetization(spec, tgrid, jobs=1)
-    parallel = ensemble_magnetization(spec, tgrid, jobs=4)
+def test_parallel_serial_identical(cfg):
+    spec = EnsembleSpec(spread=0.05, n_samples=8, seed=5, **GRID)
+    serial = ensemble_magnetization(cfg, spec, jobs=1)
+    parallel = ensemble_magnetization(cfg, spec, jobs=4)
     np.testing.assert_array_equal(serial.mean_fz, parallel.mean_fz)
     np.testing.assert_array_equal(serial.sample_u1_er, parallel.sample_u1_er)
 
 
-def test_frequency_consistency(cfg, tgrid):
-    spec = EnsembleSpec(cfg=cfg, u1_relative_spread=0.0, n_samples=1, seed=2)
-    result = ensemble_magnetization(spec, tgrid)
+def test_frequency_consistency(cfg):
+    spec = EnsembleSpec(spread=0.0, n_samples=1, seed=2, **GRID)
+    result = ensemble_magnetization(cfg, spec)
     fit = fit_damped_sinusoid(result.t_us, result.mean_fz)
     eps_hz = wannier_doublet(cfg).epsilon_hz
     assert abs(fit.frequency_hz - eps_hz) / eps_hz < 0.01
 
 
-def test_all_samples_failing_raises(tgrid):
+def test_all_samples_failing_raises():
     # theta = 0 has no double well at all, so every sample's localized
     # state construction fails
     flat = LatticeConfig(u1_er=84.0, theta_deg=0.0, bx_mg=85.0, n_planewaves=10)
-    spec = EnsembleSpec(cfg=flat, u1_relative_spread=0.01, n_samples=5, seed=3)
+    spec = EnsembleSpec(spread=0.01, n_samples=5, seed=3, **SHORT_GRID)
     with pytest.raises(RuntimeError):
-        ensemble_magnetization(spec, tgrid[:20])
+        ensemble_magnetization(flat, spec)
 
 
-def test_programming_error_in_a_sample_propagates(cfg, tgrid, monkeypatch):
+def test_programming_error_in_a_sample_propagates(cfg, monkeypatch):
     # only numerical failures count as skipped samples; a bug in one
     # sample out of ten (within the 10 % skip budget) must still surface
     single_run = ensemble._single_run
 
-    def broken_once(spec, index, t_us):
+    def broken_once(cfg, spec, index, t_us):
         if index == 3:
             raise TypeError("bug in sample code")
-        return single_run(spec, index, t_us)
+        return single_run(cfg, spec, index, t_us)
 
     monkeypatch.setattr(ensemble, "_single_run", broken_once)
-    spec = EnsembleSpec(cfg=cfg, u1_relative_spread=0.05, n_samples=10, seed=4)
+    spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
     with pytest.raises(TypeError):
-        ensemble_magnetization(spec, tgrid[:20])
+        ensemble_magnetization(cfg, spec)

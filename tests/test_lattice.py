@@ -8,7 +8,7 @@ from dwsim import LatticeConfig, adiabatic_curves, cesium_f4, diabatic_curves, p
 from dwsim.constants import UnitContext
 from dwsim.lattice import (
     FICTITIOUS_PHASES,
-    count_local_minima,
+    _strict_local_minima,
     double_well_geometry,
     fictitious_zeeman_er,
     scalar_potential_er,
@@ -131,7 +131,7 @@ def test_adiabatic_curves_are_the_numerical_spectrum(u1, theta, bx, bz, phase, g
     numerical = np.linalg.eigvalsh(potential_matrix(cfg, z)).T
     np.testing.assert_allclose(curves, numerical, atol=1e-9)
     np.testing.assert_array_equal(curves[0], curves.min(axis=0))
-    if count_local_minima(curves[0]) == 2:
+    if len(_strict_local_minima(curves[0])) == 2:
         geom = double_well_geometry(cfg)
         assert geom["sigma_plus_z_m"] == _sigma_plus_by_eigenvectors(cfg, geom)
 
@@ -171,7 +171,7 @@ def test_adiabatic_quantization_along_x():
 def test_double_well_minima_count(phase):
     cfg = canonical(fictitious_phase=phase)
     lowest = adiabatic_curves(cfg, cfg.z_grid_m())[0]
-    assert count_local_minima(lowest) == 2
+    assert len(_strict_local_minima(lowest)) == 2
 
 
 def test_adiabatic_tracking_grid_independent():

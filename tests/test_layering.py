@@ -1,0 +1,27 @@
+"""The library layers do not depend on the CLI layers above them."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dwsim"
+LIBRARY = ("constants", "spin", "lattice", "bands", "dynamics", "ensemble", "fitting")
+CLI_LAYERS = {"config", "output", "cli"}
+
+
+def imported_dwsim_modules(path: Path) -> set[str]:
+    """Names of the dwsim modules that one file of the package imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if node.level == 0 else ".".join(filter(None, ("dwsim", node.module)))
+            modules = [f"{base}.{a.name}" for a in node.names] if base == "dwsim" else [base]
+        else:
+            continue
+        names.update(m.split(".")[1] for m in modules if m.startswith("dwsim."))
+    return names
+
+
+def test_library_modules_do_not_import_the_cli_layers():
+    for name in LIBRARY:
+        assert not imported_dwsim_modules(SRC / f"{name}.py") & CLI_LAYERS, name

@@ -175,29 +175,78 @@ def _spin_blocks(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     return onsite, raising
 
 
-def _band_energies(cfg: LatticeConfig, qs, n_bands: int, certify: bool):
-    """Lowest ``n_bands`` energies at each q, without eigenvectors; with
-    ``certify`` also those of the N+8 basis, from the same matrix, whose
-    central principal submatrix is the N-basis one."""
-    extra = CERTIFY_EXTRA_PLANEWAVES if certify else 0
+def _band_energies(cfg: LatticeConfig, qs, n_bands: int) -> np.ndarray:
+    """Lowest ``n_bands`` energies at each q, without eigenvectors.  Each
+    ``eigvalsh`` solves k = 500 // D + 1 q, stacked in one reused buffer:
+    numpy 2.4 holds the GIL through an ``eigvalsh`` of <= 500 eigenvalues."""
     onsite, raising = _spin_blocks(cfg)
-    inner = slice(extra * len(onsite), (2 * cfg.n_planewaves + extra + 1) * len(onsite))
-    small, big = np.empty((len(qs), n_bands)), np.full((len(qs), n_bands), np.nan)
-    for j, q in enumerate(qs):
-        h = _bloch_matrix(cfg, onsite, raising, q, cfg.n_planewaves + extra)
-        small[j] = np.linalg.eigvalsh(h[inner, inner])[:n_bands]
-        if certify:
-            big[j] = np.linalg.eigvalsh(h)[:n_bands]
-    return small, big
+    dim = (2 * cfg.n_planewaves + 1) * len(onsite)
+    per_call = 500 // dim + 1
+    stack = np.empty((per_call, dim, dim), dtype=np.result_type(onsite, raising))
+    energies = np.empty((len(qs), n_bands))
+    for j in range(0, len(qs), per_call):
+        chunk = qs[j : j + per_call]
+        for i, q in enumerate(chunk):
+            stack[i] = _bloch_matrix(cfg, onsite, raising, q, cfg.n_planewaves)
+        energies[j : j + per_call] = np.linalg.eigvalsh(stack[: len(chunk)])[:, :n_bands]
+    return energies
+
+
+def _inertia(cfg: LatticeConfig, qs, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number of eigenvalues of the N+8 Bloch matrix at qs[j] below sigma[j, k],
+    without forming the matrix, and the floor within which that count is exact.
+
+    Block LDL^H over plane waves n = -(N+8)..N+8 has pivots D_n = A_n - sigma
+    - R D_{n-1}^-1 R^H (A_n diagonal block, R raising block); by Sylvester's
+    law of inertia the count is that of negative pivot eigenvalues.  The
+    floor, 100 eps (||H|| + ||R|| max_n ||D_{n-1}^-1 R^H||), grows with a
+    near-singular pivot; an exactly singular one raises LinAlgError."""
+    onsite, raising = _spin_blocks(cfg)
+    m = cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
+    kinetic = (np.asarray(qs)[:, None] + 2.0 * np.arange(-m, m + 1)) ** 2 + potential_coefficients(cfg)[0]
+    pivots = np.empty((2 * m + 1, *sigma.shape, *onsite.shape), dtype=np.result_type(onsite, raising))
+    growth, eye = np.zeros(sigma.shape), np.eye(len(onsite))
+    for p in range(2 * m + 1):
+        pivots[p] = onsite + (kinetic[:, p, None] - sigma)[..., None, None] * eye
+        if p > 0:
+            x = np.linalg.solve(pivots[p - 1], raising.conj().T)
+            growth = np.maximum(growth, np.linalg.norm(x, axis=(-2, -1)))
+            pivots[p] -= raising @ x
+    counts = np.count_nonzero(np.linalg.eigvalsh(pivots) < 0.0, axis=(0, -1))
+    norm_h = np.abs(kinetic).max() + np.linalg.norm(onsite) + 2.0 * np.linalg.norm(raising)
+    return counts, 100.0 * np.finfo(float).eps * (norm_h + np.linalg.norm(raising) * growth)
+
+
+def _certified_by_inertia(cfg: LatticeConfig, qs, energies: np.ndarray, mean_gap: float) -> bool:
+    """Whether the N vs N+8 check of ``solve_bands`` provably passes.
+
+    The N-basis matrix is the central principal submatrix of the N+8 one,
+    so by Cauchy interlacing the k-th N+8 level lies at or below E_k.  If
+    at most k N+8 levels lie below E_k - delta_k, the level drops by at most
+    delta_k, half the drop the check accepts.  The other half covers the
+    count's rounding floor and both eigensolves' rounding."""
+    rtol = CERTIFY_RTOL
+    delta = 0.5 * rtol * np.abs(energies) / (1.0 + rtol)
+    if energies.shape[1] >= 2:
+        gap_delta = 0.5 * (rtol * abs(mean_gap) + GAP_ROUNDING_ER) / (1.0 + rtol)
+        delta[:, :2] = np.minimum(delta[:, :2], gap_delta)
+    try:
+        counts, floor = _inertia(cfg, qs, energies - delta)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(delta > floor) and np.all(counts <= np.arange(energies.shape[1])))
 
 
 def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> BandSolution:
     """Lowest band energies over the quasimomentum grid (energies only).
 
     Each +-q pair of the grid is solved once, in real arithmetic under
-    ``paper_cos`` or at B_z = 0.  With ``certify=True`` the energies are
-    re-solved with N+8 plane waves per side and must agree to 0.1 %
-    relative, and so must the q-averaged doublet gap if ``n_bands >= 2``.
+    ``paper_cos`` or at B_z = 0.  With ``certify=True`` the energies must
+    agree with those of N+8 plane waves per side to 0.1 % relative, and so
+    must the q-averaged doublet gap if ``n_bands >= 2``.  An inertia count
+    of the N+8 matrix shows that they do without solving it; where the
+    count cannot (a level drifts too far, a pivot is near singular, or a
+    tolerance is near rounding), the N+8 energies are solved and compared.
 
     Raises
     ------
@@ -213,10 +262,13 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> B
     # index k pairs with (n_q - k) mod n_q; solve the first of each pair.
     idx = np.arange(cfg.n_q)
     pair = np.minimum(idx, -idx % cfg.n_q)
-    energies, ref = (e[pair] for e in _band_energies(cfg, qs[: pair.max() + 1], n_bands, certify))
+    solved = qs[: pair.max() + 1]
+    solved_energies = _band_energies(cfg, solved, n_bands)
+    energies = solved_energies[pair]
     mean_gap = float(np.mean(energies[:, 1] - energies[:, 0])) if n_bands >= 2 else np.nan
-    if certify:
+    if certify and not _certified_by_inertia(cfg, solved, solved_energies, mean_gap):
         big_n = cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
+        ref = _band_energies(cfg.replace(n_planewaves=big_n), solved, n_bands)[pair]
         drift = np.abs(energies - ref) / np.maximum(np.abs(ref), 1e-9)
         if np.any(drift > CERTIFY_RTOL):
             k = int(np.argmax(np.any(drift > CERTIFY_RTOL, axis=1)))
@@ -315,7 +367,7 @@ def fz_coefficient_diag(cfg: LatticeConfig) -> np.ndarray:
 def _flatness_guard(cfg: LatticeConfig, e_q0: np.ndarray) -> float:
     """Cheap doublet-flatness estimate from 5 quasimomentum samples, q=0 given."""
     # q = -1, -0.5, 0, 0.5, 0.999; E(0.5) = E(-0.5).
-    e = np.insert(_band_energies(cfg, (-1.0, -0.5, 0.999), 2, certify=False)[0], 2, e_q0, axis=0)[[0, 1, 2, 1, 3]]
+    e = np.insert(_band_energies(cfg, (-1.0, -0.5, 0.999), 2), 2, e_q0, axis=0)[[0, 1, 2, 1, 3]]
     gap = float(np.mean(e[:, 1] - e[:, 0]))
     widths = e.max(axis=0) - e.min(axis=0)
     return float(widths.max() / gap) if gap > 0 else np.inf

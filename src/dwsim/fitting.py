@@ -18,6 +18,7 @@ from .errors import ConvergenceError
 log = logging.getLogger("dwsim")
 
 MAX_ITERATIONS = 200
+MIN_SAMPLES = 8
 GRADIENT_TOL = 1e-10
 
 
@@ -90,8 +91,8 @@ def dominant_frequency_hz(t_us: np.ndarray, y: np.ndarray) -> float:
     """
     t_us = np.asarray(t_us, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(t_us) < 8:
-        raise ValueError("need at least 8 samples")
+    if len(t_us) < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     dt = t_us[1] - t_us[0]
     if not np.allclose(np.diff(t_us), dt, rtol=1e-9, atol=1e-12):
         raise ValueError("time grid must be uniform")
@@ -160,8 +161,8 @@ def fit_damped_sinusoid(
     """
     t = np.asarray(t_us, dtype=float)
     y = np.asarray(y, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape or len(t) < 8:
-        raise ValueError("need matching 1-D arrays with at least 8 samples")
+    if t.ndim != 1 or t.shape != y.shape or len(t) < MIN_SAMPLES:
+        raise ValueError(f"need matching 1-D arrays with at least {MIN_SAMPLES} samples")
     if float(np.std(y)) == 0.0:
         raise ValueError("degenerate data: series is constant")
     p = np.asarray(initial, dtype=float) if initial is not None else _initial_guess(t, y)

@@ -24,7 +24,7 @@ from .config import RunConfig
 from .dynamics import output_times, prepare_ground_l, preparation_schedule, propagate_static
 from .ensemble import ensemble_magnetization
 from .errors import ConfigError, ConvergenceError
-from .fitting import fit_damped_sinusoid
+from .fitting import MIN_SAMPLES, fit_damped_sinusoid
 from .lattice import LatticeConfig, potential_curves
 
 COMMANDS = ("potentials", "bands", "wannier", "rabi", "prepare", "sweep", "ensemble", "fit")
@@ -294,6 +294,11 @@ def _cmd_fit(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
         for record in reader:
             t.append(_csv_number(block.input, reader.line_num, record, block.t_column))
             y.append(_csv_number(block.input, reader.line_num, record, block.y_column))
+    where = f"{block.input}: column {block.y_column!r}"
+    if len(y) < MIN_SAMPLES:
+        raise ConfigError(f"{where} has {len(y)} rows, the fit needs at least {MIN_SAMPLES}")
+    if all(value == y[0] for value in y):
+        raise ConfigError(f"{where} is constant, there is nothing to fit")
     fit = fit_damped_sinusoid(np.asarray(t), np.asarray(y))
     write_json(os.path.join(directory, "fit.json"), _fit_payload(fit) | {"input": block.input})
     return ["fit.json"]

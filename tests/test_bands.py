@@ -16,7 +16,17 @@ from dwsim import (
     two_level_model,
     wannier_doublet,
 )
-from dwsim.bands import _band_energies, _bloch_matrix, _spin_basis, _spin_blocks, bloch_to_zgrid, q_grid, solve_q0
+from dwsim.bands import (
+    CERTIFY_EXTRA_PLANEWAVES,
+    _band_energies,
+    _bloch_matrix,
+    _inertia,
+    _spin_basis,
+    _spin_blocks,
+    bloch_to_zgrid,
+    q_grid,
+    solve_q0,
+)
 from dwsim.errors import ConvergenceError
 from dwsim.lattice import FICTITIOUS_PHASES
 
@@ -85,6 +95,19 @@ def test_certification_spots_unconverged_doublet_gap():
     solve_bands(cfg, n_bands=1)
     with pytest.raises(ConvergenceError, match=r"doublet gap not converged: N=8 gives .* E_R, N=16 gives .* E_R"):
         solve_bands(cfg, n_bands=2)
+
+
+def test_certification_keeps_its_tolerance_at_the_edge():
+    # For F = 1/2 at U_1 = 400 E_R, theta = 45 deg, B_x = 50 mG with N = 8 the
+    # gap drifts by 3e-5 and the energies by at most 2.4e-4 through band 4,
+    # which the inertia count certifies; band 5 drifts by 1.39e-3, just over
+    # the tolerance, and the N vs N+8 comparison reports it.
+    cfg = LatticeConfig(
+        u1_er=400.0, theta_deg=45.0, bx_mg=50.0, n_planewaves=8, n_q=1, species=dataclasses.replace(cesium_f4(), f=0.5)
+    )
+    solve_bands(cfg, n_bands=4)
+    with pytest.raises(ConvergenceError, match=r"band 5: N=8 gives 286.271933 E_R, N=16 gives 285.875139 E_R"):
+        solve_bands(cfg, n_bands=5)
 
 
 def test_variational_monotonicity(cfg):
@@ -316,7 +339,7 @@ def test_real_form_energies_equal_complex_solve(q, u1, theta, bx, bz, phase, n_p
     onsite, raising = _spin_blocks(cfg)
     assert onsite.dtype == raising.dtype == np.float64
     dim = (2 * n_pw + 1) * cfg.spin.dim
-    real = _band_energies(cfg, [q], dim, certify=False)[0][0]
+    real = _band_energies(cfg, [q], dim)[0]
     np.testing.assert_allclose(real, np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, q)), rtol=0, atol=1e-9)
 
 
@@ -340,6 +363,49 @@ def test_solve_bands_matches_unpaired_complex_solve(n_q, u1, theta, bx, bz, phas
     assert np.iscomplexobj(_spin_blocks(cfg)[1]) == complex_path
     sol = solve_bands(cfg, n_bands=6, certify=False)
     direct = [np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, q))[:6] for q in q_grid(cfg)]
+    np.testing.assert_allclose(sol.energies, direct, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.floats(-1.0, 1.0),
+    picks=st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    **BOX,
+)
+def test_inertia_count_equals_dense_count(q, picks, u1, theta, bx, bz, phase, n_pw, f):
+    # The block LDL^H count over the N+8 plane waves, real or complex, is the
+    # number of eigenvalues of the dense N+8 matrix below each sigma.  Every
+    # sigma lies in a gap, at least 1e-6 E_R from each eigenvalue.
+    cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f)
+    vals = np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg.replace(n_planewaves=n_pw + CERTIFY_EXTRA_PLANEWAVES), q))
+    gaps = np.diff(vals)
+    wide = np.flatnonzero(gaps > 2e-6)
+    ks = [wide[i % len(wide)] for i, _ in picks]
+    sigma = np.array([vals[k] + 1e-6 + t * (gaps[k] - 2e-6) for k, (_, t) in zip(ks, picks)])
+    counts, floor = _inertia(cfg, [q], sigma[None, :])
+    np.testing.assert_array_equal(counts[0], [np.count_nonzero(vals < s) for s in sigma])
+    assert np.all(floor < 1e-6)
+
+
+def test_certified_solve_makes_no_enlarged_basis_eigensolve(cfg, monkeypatch):
+    # The inertia count certifies the canonical point, so every eigvalsh call
+    # is on N-basis matrices or on 9x9 pivots.  At D = 225 three q share a
+    # call; 13 grid points are 7 solved q, so the last call holds one.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    odd = cfg.replace(n_q=13)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    sol = solve_bands(odd, n_bands=6)
+    monkeypatch.undo()
+    dim, spin_dim = (2 * cfg.n_planewaves + 1) * cfg.spin.dim, cfg.spin.dim
+    assert [s for s in calls if s[-1] != spin_dim] == [(3, dim, dim), (3, dim, dim), (1, dim, dim)]
+    assert any(s[-1] == spin_dim for s in calls)
+    direct = [eigvalsh(assemble_bloch_hamiltonian(odd, q))[:6] for q in q_grid(odd)]
     np.testing.assert_allclose(sol.energies, direct, rtol=0, atol=1e-9)
 
 

@@ -264,6 +264,18 @@ def test_fit_input_with_a_non_numeric_cell_is_a_config_error(tmp_path):
         run_command("fit", run_cfg, out_dir=str(tmp_path / "z"))
 
 
+def test_short_or_constant_fit_input_exits_2(tmp_path, capsys):
+    # too few rows, or nothing but one value, is an input error: exit 2,
+    # naming the file and the column, not a numerical failure
+    for name, values in (("short.csv", [0.1, 0.3, -0.2]), ("flat.csv", [0.25] * 10)):
+        csv_path = tmp_path / name
+        csv_path.write_text("t_us,mean_fz\n" + "".join(f"{5 * k},{v}\n" for k, v in enumerate(values)), encoding="utf-8")
+        ini = write(tmp_path, FAST_LATTICE + f"[fit]\ninput = {csv_path}\n", "fit.ini")
+        assert main(["fit", "--config", ini, "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {csv_path}: column 'mean_fz'" in err
+
+
 def test_unknown_command_rejected(tmp_path):
     run_cfg = parse_config(write(tmp_path, FAST_LATTICE, "cmd.ini"))
     with pytest.raises(ConfigError):

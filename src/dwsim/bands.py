@@ -311,18 +311,21 @@ def doublet_splitting(sol: BandSolution) -> DoubletSplitting:
 
 
 def solve_q0(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors (columns, m_F plane-wave basis)
-    of H(q=0).  Where ``_spin_blocks`` is real, H(0) commutes with the parity
-    (n, k) -> (-n, s_k k), s of ``_spin_basis``: each parity sigma is a real
-    block over n = 0..N, keeping the n = 0 states with s_k = sigma, with
-    sqrt(2) * raising from n = 0 to 1.  Elsewhere H(0) is solved complex.
-    Raises RuntimeError if the real spin blocks break the parity."""
+    """Ascending eigenvalues and eigenvectors (columns, m_F plane-wave basis) of
+    H(q=0).  H(0) commutes with a parity (n, k) -> (-n, s_k k) in a real spin basis u,
+    and each parity sigma is a real block over n = 0..N keeping the n = 0 states with
+    s_k = sigma, with sqrt(2) * raising from n = 0 to 1.  Real ``_spin_blocks`` take u, s
+    of ``_spin_basis``; complex ones are realified to [[Re, -Im], [Im, Re]], u = [I, iI],
+    s = (+1, -1), where the parity is K P (conjugation, n -> -n; Dyson 1962) and sigma = +1
+    alone has H(0)'s spectrum.  Raises RuntimeError if a spin block breaks the parity."""
     onsite, raising = _spin_blocks(cfg)
+    if np.iscomplexobj(raising):
+        u, s, sectors = np.kron([[1.0, 1j]], np.eye(len(onsite))), np.repeat([1.0, -1.0], len(onsite)), (1.0,)
+        onsite, raising = (np.block([[b.real, -b.imag], [b.imag, b.real]]) for b in (onsite, raising))
+    else:
+        (u, s), sectors = _spin_basis(cfg), (1.0, -1.0)
     n, d = cfg.n_planewaves, len(onsite)
     h = _bloch_matrix(cfg, onsite, raising, 0.0, n)
-    if np.iscomplexobj(h):
-        return np.linalg.eigh(h)
-    u, s = _spin_basis(cfg)
     for b, image in ((onsite, s[:, None] * onsite * s), (raising, s[:, None] * raising.T * s)):
         if np.abs(b - image).max() > 1e-12 * np.linalg.norm(b):
             raise RuntimeError(f"spin block does not commute with parity: residue {np.abs(b - image).max():.2e}")
@@ -330,7 +333,7 @@ def solve_q0(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     half[d : 2 * d, :d] *= np.sqrt(2.0)
     half[:d, d : 2 * d] *= np.sqrt(2.0)
     parts = []
-    for sigma in (1.0, -1.0):
+    for sigma in sectors:
         keep = np.concatenate([np.flatnonzero(s == sigma), np.arange(d, len(half))])
         w, v = np.linalg.eigh(half[np.ix_(keep, keep)])
         # Scatter to plane waves -N..N: x[j, N + p, k] is component (p, k) of eigenvector j.
@@ -343,7 +346,7 @@ def solve_q0(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     vals = np.concatenate([w for w, _ in parts])
     order = np.argsort(vals, kind="stable")
     x = np.concatenate([x for _, x in parts])[order].reshape(-1, d)
-    u_re_im = np.stack([u.real.T, u.imag.T], axis=-1).reshape(d, 2 * d)  # x @ u_re_im: (Re, Im) of x @ u.T
+    u_re_im = np.stack([u.real.T, u.imag.T], axis=-1).reshape(d, -1)  # x @ u_re_im: (Re, Im) of x @ u.T
     return vals[order], (x @ u_re_im).view(complex).reshape(len(vals), -1).T
 
 

@@ -130,9 +130,7 @@ class TimeSeries:
     """Time-indexed observables from one propagation run.
 
     Projections p_l / p_r are onto the caller-supplied reference
-    localized states; leakage = 1 - p_l - p_r.  energy_er is only
-    populated for static runs.
-    """
+    localized states; leakage = 1 - p_l - p_r."""
 
     t_us: np.ndarray
     p_l: np.ndarray
@@ -140,8 +138,6 @@ class TimeSeries:
     leakage: np.ndarray
     fz: np.ndarray
     p_m: np.ndarray
-    norm: np.ndarray
-    energy_er: np.ndarray | None
     psi_final: np.ndarray
     dt_us: float | None = None
     step_doubling_infidelity: float | None = None
@@ -160,20 +156,15 @@ def _as_coefficients(cfg: LatticeConfig, psi0: np.ndarray) -> np.ndarray:
 
 
 def _reference_doublet(cfg: LatticeConfig, doublet: WannierDoublet | None) -> WannierDoublet:
-    if doublet is not None:
-        return doublet
-    return wannier_doublet(cfg.replace(bz_mg=0.0))
+    return doublet if doublet is not None else wannier_doublet(cfg.replace(bz_mg=0.0))
 
 
-def _observables(cfg: LatticeConfig, t_us, psi_t, doublet, energy_er=None, dt_us=None, cert=None) -> TimeSeries:
+def _observables(cfg: LatticeConfig, t_us, psi_t, doublet, dt_us=None, cert=None) -> TimeSeries:
     """Assemble a TimeSeries from states psi_t of shape (D, nt)."""
     dim = cfg.spin.dim
-    amp_l = doublet.coef_l.conj() @ psi_t
-    amp_r = doublet.coef_r.conj() @ psi_t
-    p_l = np.abs(amp_l) ** 2
-    p_r = np.abs(amp_r) ** 2
+    p_l = np.abs(doublet.coef_l.conj() @ psi_t) ** 2
+    p_r = np.abs(doublet.coef_r.conj() @ psi_t) ** 2
     dens = np.abs(psi_t) ** 2
-    norm = dens.sum(axis=0)
     fz = fz_coefficient_diag(cfg) @ dens
     p_m = dens.reshape(-1, dim, dens.shape[1]).sum(axis=0).T
     return TimeSeries(
@@ -183,8 +174,6 @@ def _observables(cfg: LatticeConfig, t_us, psi_t, doublet, energy_er=None, dt_us
         leakage=1.0 - p_l - p_r,
         fz=fz,
         p_m=p_m,
-        norm=norm,
-        energy_er=energy_er,
         psi_final=psi_t[:, -1].copy(),
         dt_us=dt_us,
         step_doubling_infidelity=cert,
@@ -211,8 +200,7 @@ def propagate_static(
     a = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(vals * w, t_us))  # (D, nt)
     psi_t = vecs @ (phases * a[:, None])
-    energy = np.real(np.einsum("kt,k,kt->t", phases.conj() * a.conj()[:, None], vals, phases * a[:, None]))
-    return _observables(cfg, t_us, psi_t, doublet, energy_er=energy)
+    return _observables(cfg, t_us, psi_t, doublet)
 
 
 def _schedule_steps(schedule: RampSchedule, dt_us: float):
@@ -233,7 +221,7 @@ def _run_steps(cfg, steps, psi, direction=1):
     w = cfg.units.rad_per_us_per_er()
     times, states = [0.0], [psi]
     for h, bx, bz in steps if direction == 1 else reversed(steps):
-        vals, vecs = np.linalg.eigh(assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx, bz_mg=bz), 0.0))
+        vals, vecs = solve_q0(cfg.replace(bx_mg=bx, bz_mg=bz))
         psi = vecs @ (np.exp(-1j * direction * vals * w * h) * (vecs.conj().T @ psi))
         times.append(times[-1] + h)
         states.append(psi)
@@ -337,8 +325,7 @@ def adiabaticity_report(
     w = cfg.units.rad_per_us_per_er()
     dim = cfg.spin.dim
     if epsilon_hz is None:
-        bx_end, _ = schedule.end_fields_mg
-        vals = np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx_end, bz_mg=0.0), 0.0))
+        vals, _ = solve_q0(cfg.replace(bx_mg=schedule.end_fields_mg[0], bz_mg=0.0))
         epsilon_hz = cfg.units.er_to_hz(float(vals[1] - vals[0]))
 
     seg_reports = []
@@ -352,7 +339,7 @@ def adiabaticity_report(
         min_gap = np.inf
         for t in np.linspace(0.0, seg.duration_us, points_per_segment):
             bx, bz = seg.fields_at(t)
-            vals, vecs = np.linalg.eigh(assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx, bz_mg=bz), 0.0))
+            vals, vecs = solve_q0(cfg.replace(bx_mg=bx, bz_mg=bz))
             e_w = vals * w
             min_gap = min(min_gap, float(vals[2] - vals[1]))
             if rx == 0.0 and rz == 0.0:
@@ -425,10 +412,10 @@ def prepare_ground_l(
     """
     schedule = preparation_schedule(cfg) if schedule is None else schedule
     bx0, bz0 = schedule.start_fields_mg
-    h_start = assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx0, bz_mg=bz0), 0.0)
+    start = cfg.replace(bx_mg=bx0, bz_mg=bz0)
     dim = cfg.spin.dim
-    psi0 = stretched_ground_state(h_start, dim)
-    _, vecs = np.linalg.eigh(h_start)
+    psi0 = stretched_ground_state(assemble_bloch_hamiltonian(start, 0.0), dim)
+    _, vecs = solve_q0(start)
     band0_top = float(np.sum(np.abs(vecs[:, 0].reshape(-1, dim)[:, dim - 1]) ** 2))
     if band0_top < 0.9:
         raise ValueError(

@@ -83,6 +83,14 @@ def _spectral_peak(t: np.ndarray, y: np.ndarray) -> tuple[bool, float]:
     return interior, k / (n_fft * (t[1] - t[0]))
 
 
+def uniform_step(t_us: np.ndarray) -> float:
+    """Spacing of a uniformly sampled time grid; ValueError if it is not uniform."""
+    dt = t_us[1] - t_us[0]
+    if not np.allclose(np.diff(t_us), dt, rtol=1e-9, atol=1e-12):
+        raise ValueError("time grid must be uniform")
+    return dt
+
+
 def dominant_frequency_hz(t_us: np.ndarray, y: np.ndarray) -> float:
     """Frequency of the strongest spectral peak of a sampled series.
 
@@ -93,9 +101,7 @@ def dominant_frequency_hz(t_us: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if len(t_us) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    dt = t_us[1] - t_us[0]
-    if not np.allclose(np.diff(t_us), dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("time grid must be uniform")
+    uniform_step(t_us)
     interior, freq_per_us = _spectral_peak(t_us, y)
     if not interior:
         raise ValueError("no interior spectral peak found")
@@ -154,7 +160,7 @@ def fit_damped_sinusoid(
     Raises
     ------
     ValueError
-        On degenerate (constant) data or an undersampled grid.
+        On degenerate (constant) data or a non-uniform or undersampled grid.
     ConvergenceError
         If Levenberg-Marquardt cannot reach the gradient tolerance; the
         message carries the last iterate and residual.
@@ -165,8 +171,8 @@ def fit_damped_sinusoid(
         raise ValueError(f"need matching 1-D arrays with at least {MIN_SAMPLES} samples")
     if float(np.std(y)) == 0.0:
         raise ValueError("degenerate data: series is constant")
+    dt = uniform_step(t)
     p = np.asarray(initial, dtype=float) if initial is not None else _initial_guess(t, y)
-    dt = t[1] - t[0]
     if p[1] > 0 and dt > 1.0 / (4.0 * p[1]):
         raise ValueError(
             f"undersampled: {1 / (dt * p[1]):.2f} samples per period, need >= 4"

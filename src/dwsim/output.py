@@ -24,7 +24,7 @@ from .config import RunConfig
 from .dynamics import output_times, prepare_ground_l, preparation_schedule, propagate_static
 from .ensemble import ensemble_magnetization
 from .errors import ConfigError, ConvergenceError
-from .fitting import MIN_SAMPLES, fit_damped_sinusoid
+from .fitting import MIN_SAMPLES, fit_damped_sinusoid, uniform_step
 from .lattice import LatticeConfig, potential_curves
 
 COMMANDS = ("potentials", "bands", "wannier", "rabi", "prepare", "sweep", "ensemble", "fit")
@@ -299,6 +299,10 @@ def _cmd_fit(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
         raise ConfigError(f"{where} has {len(y)} rows, the fit needs at least {MIN_SAMPLES}")
     if all(value == y[0] for value in y):
         raise ConfigError(f"{where} is constant, there is nothing to fit")
+    try:
+        uniform_step(np.asarray(t))
+    except ValueError as exc:
+        raise ConfigError(f"{block.input}: column {block.t_column!r}: {exc}") from None
     fit = fit_damped_sinusoid(np.asarray(t), np.asarray(y))
     write_json(os.path.join(directory, "fit.json"), _fit_payload(fit) | {"input": block.input})
     return ["fit.json"]

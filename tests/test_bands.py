@@ -121,16 +121,18 @@ def test_variational_monotonicity(cfg):
 
 
 def test_eigenresidual_and_orthonormality(cfg):
-    # every eigenpair, since propagate_static expands in the whole basis
-    vals, vecs = solve_q0(cfg)
-    ham = assemble_bloch_hamiltonian(cfg, 0.0)
-    scale = np.linalg.norm(ham)
-    for b in range(len(vals)):
-        vec = vecs[:, b]
-        resid = np.linalg.norm(ham @ vec - vals[b] * vec)
-        assert resid <= 1e-10 * scale
-    gram = vecs.conj().T @ vecs
-    np.testing.assert_allclose(gram, np.eye(len(vals)), atol=1e-10)
+    # every eigenpair, since propagate_static expands in the whole basis;
+    # B_z = 0 takes the two parity blocks, -100 mG the realified block
+    for field_cfg in (cfg, cfg.replace(bz_mg=-100.0)):
+        vals, vecs = solve_q0(field_cfg)
+        ham = assemble_bloch_hamiltonian(field_cfg, 0.0)
+        scale = np.linalg.norm(ham)
+        for b in range(len(vals)):
+            vec = vecs[:, b]
+            resid = np.linalg.norm(ham @ vec - vals[b] * vec)
+            assert resid <= 1e-10 * scale
+        gram = vecs.conj().T @ vecs
+        np.testing.assert_allclose(gram, np.eye(len(vals)), atol=1e-10)
 
 
 @pytest.mark.parametrize("u1", [84.0, 120.0, 300.0])
@@ -412,8 +414,9 @@ def test_certified_solve_makes_no_enlarged_basis_eigensolve(cfg, monkeypatch):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(**BOX)
 def test_solve_q0_is_an_eigendecomposition_of_h0(u1, theta, bx, bz, phase, n_pw, f):
-    # Two real parity blocks where the spin blocks are real, one complex
-    # solve elsewhere: either way every eigenpair is one of H(0).
+    # Two real parity blocks where the spin blocks are real, elsewhere the
+    # conjugation-times-(n -> -n) block of the realified spin blocks: either
+    # way every eigenpair is one of H(0).
     cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f)
     ham = assemble_bloch_hamiltonian(cfg, 0.0)
     vals, vecs = solve_q0(cfg)

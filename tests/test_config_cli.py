@@ -276,6 +276,17 @@ def test_short_or_constant_fit_input_exits_2(tmp_path, capsys):
         assert f"config error: {csv_path}: column 'mean_fz'" in err
 
 
+def test_fit_input_on_a_non_uniform_grid_exits_2(tmp_path, capsys):
+    # 12 rows whose t_us skips t = 4: the spectral guess and the fit assume a
+    # uniform grid, so the input is rejected before fitting
+    csv_path = tmp_path / "gap.csv"
+    rows = "".join(f"{t},{np.cos(0.7 * t):.6f}\n" for t in (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12))
+    csv_path.write_text("t_us,mean_fz\n" + rows, encoding="utf-8")
+    ini = write(tmp_path, FAST_LATTICE + f"[fit]\ninput = {csv_path}\n", "fit.ini")
+    assert main(["fit", "--config", ini, "--out", str(tmp_path / "f")]) == 2
+    assert f"config error: {csv_path}: column 't_us': time grid must be uniform" in capsys.readouterr().err
+
+
 def test_unknown_command_rejected(tmp_path):
     run_cfg = parse_config(write(tmp_path, FAST_LATTICE, "cmd.ini"))
     with pytest.raises(ConfigError):

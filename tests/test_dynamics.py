@@ -14,7 +14,7 @@ from dwsim import (
     wannier_doublet,
 )
 from dwsim.bands import assemble_bloch_hamiltonian, bloch_to_zgrid, solve_q0
-from dwsim.dynamics import stretched_ground_state
+from dwsim.dynamics import _run_steps, stretched_ground_state
 
 
 def test_stationary_symmetric_state(cfg, doublet):
@@ -34,8 +34,11 @@ def test_rabi_oscillation_period(cfg, doublet):
     t_first = t[np.argmax(series.p_r)]
     assert t_first == pytest.approx(0.5e6 / eps_hz, rel=0.01)
     # norm and energy conservation, doublet closure
-    np.testing.assert_allclose(series.norm, 1.0, atol=1e-8)
-    drift = np.abs(series.energy_er - series.energy_er[0]) / abs(series.energy_er[0])
+    np.testing.assert_allclose(series.p_m.sum(axis=1), 1.0, atol=1e-8)
+    ham = assemble_bloch_hamiltonian(cfg, 0.0)
+    states = np.stack([propagate_static(cfg, doublet.coef_l, [t_k], doublet=doublet).psi_final for t_k in t[::100]])
+    energy = np.real(np.einsum("kd,kd->k", states.conj(), states @ ham.T))
+    drift = np.abs(energy - energy[0]) / abs(energy[0])
     assert drift.max() < 1e-8
     assert series.leakage.max() < 5e-3
     assert series.leakage.min() > -1e-8
@@ -107,30 +110,65 @@ def test_constant_schedule_matches_static(cfg, doublet):
     np.testing.assert_allclose(ramp.p_l, static.p_l, atol=1e-8)
     np.testing.assert_allclose(ramp.p_r, static.p_r, atol=1e-8)
     np.testing.assert_allclose(ramp.fz, static.fz, atol=1e-8)
-    np.testing.assert_allclose(ramp.norm, 1.0, atol=1e-8)
+    np.testing.assert_allclose(ramp.p_m.sum(axis=1), 1.0, atol=1e-8)
 
 
 def test_certified_ramp_keeps_the_accepted_pass(cfg, doublet, monkeypatch):
-    # certification runs dt and dt/2 once each (n + 2n step eigensolves)
+    # certification runs dt and dt/2 once each (n + 2n step solves of H(0))
     # and returns the series recorded during the accepted dt pass
     schedule = RampSchedule((Segment(40.0, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
     n_steps = 20
-    eigh = np.linalg.eigh
     calls = []
 
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    def counting_solve_q0(step_cfg):
+        calls.append((step_cfg.bx_mg, step_cfg.bz_mg))
+        return solve_q0(step_cfg)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr("dwsim.dynamics.solve_q0", counting_solve_q0)
     certified = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=2.0, doublet=doublet)
     assert len(calls) == n_steps + 2 * n_steps
     monkeypatch.undo()
     assert certified.dt_us == 2.0
     assert certified.step_doubling_infidelity < 1e-6
     plain = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=certified.dt_us, doublet=doublet, certify=False)
-    for name in ("t_us", "p_l", "p_r", "leakage", "fz", "p_m", "norm", "psi_final"):
+    for name in ("t_us", "p_l", "p_r", "leakage", "fz", "p_m", "psi_final"):
         np.testing.assert_array_equal(getattr(certified, name), getattr(plain, name))
+
+
+def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, monkeypatch):
+    # H(0) is real at every phase and field (conjugation times n -> -n is a
+    # symmetry squaring to +1), so static runs, ramp steps and adiabaticity
+    # samples at B_z != 0 solve one real D x D block, not the complex H(0).
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counting(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append((np.asarray(a).dtype, np.shape(a)))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    propagate_static(cfg.replace(bz_mg=10.0), doublet.coef_l, np.linspace(0.0, 100.0, 11), doublet=doublet)
+    ramp = RampSchedule((Segment(3.0, cfg.bx_mg, cfg.bx_mg, -100.0, 10.0),))
+    propagate_ramp(cfg, ramp, doublet.coef_l, dt_us=1.0, doublet=doublet, certify=False)
+    hold = RampSchedule((Segment(10.0, 0.0, cfg.bx_mg, -100.0, -100.0),))
+    adiabaticity_report(cfg.replace(bz_mg=-100.0), hold, points_per_segment=3)
+    monkeypatch.undo()
+    dim = (2 * cfg.n_planewaves + 1) * cfg.spin.dim
+    assert [shape for dtype, shape in calls if dtype.kind == "c" and shape[-1] == dim] == []
+    # 1 static + 3 ramp steps + 3 samples + 1 epsilon solve; the B_z = 0
+    # epsilon solve is two parity blocks, every other one a single real block
+    assert len(calls) == 1 + 3 + 3 + 2
+    assert sum(shape == (dim, dim) for _, shape in calls) == 7
+
+
+def test_ramp_step_matches_matrix_exponential(cfg, doublet):
+    # one midpoint step at B_z = -100 mG is exp(-i H h) of the assembled H(0)
+    expm = pytest.importorskip("scipy.linalg").expm
+    h_us, bz = 0.5, -100.0
+    psi, _, _ = _run_steps(cfg, [(h_us, cfg.bx_mg, bz)], doublet.coef_l)
+    ham = assemble_bloch_hamiltonian(cfg.replace(bz_mg=bz), 0.0)
+    exact = expm(-1j * cfg.units.rad_per_us_per_er() * h_us * ham) @ doublet.coef_l
+    np.testing.assert_allclose(psi, exact, rtol=0, atol=1e-12)
 
 
 def test_time_reversal(cfg, doublet):

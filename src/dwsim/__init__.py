@@ -16,11 +16,9 @@ from .lattice import (
 )
 from .bands import (
     BandSolution,
-    DoubletSplitting,
     TwoLevelModel,
     WannierDoublet,
     assemble_bloch_hamiltonian,
-    doublet_splitting,
     solve_bands,
     two_level_model,
     wannier_doublet,
@@ -55,12 +53,10 @@ __all__ = [
     "diabatic_curves",
     "adiabatic_curves",
     "BandSolution",
-    "DoubletSplitting",
     "WannierDoublet",
     "TwoLevelModel",
     "assemble_bloch_hamiltonian",
     "solve_bands",
-    "doublet_splitting",
     "wannier_doublet",
     "two_level_model",
     "Segment",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import UnitContext
 from .errors import ConvergenceError
 from .lattice import LatticeConfig, double_well_geometry, potential_coefficients
 
@@ -32,21 +31,17 @@ class BandSolution:
     """Band energies over a quasimomentum grid; no Bloch spinors are kept.
 
     energies[k, b] is the b-th ascending band energy (E_R) at q_grid[k].
-    ``flatness`` is the per-band (max-min over q) width divided by the
-    mean ground-doublet gap.
+    ``epsilon_*`` is the q-averaged ground-doublet gap and ``flatness`` the
+    per-band (max-min over q) width over it, both nan below 2 bands;
+    ``flatness_warning`` flags a doublet flatness above 0.2.
     """
 
     cfg: LatticeConfig
     q_over_kl: np.ndarray
     energies: np.ndarray
-    flatness: np.ndarray
-
-
-@dataclass(frozen=True)
-class DoubletSplitting:
     epsilon_er: float
     epsilon_hz: float
-    flatness: tuple[float, float]
+    flatness: np.ndarray
     flatness_warning: bool
 
 
@@ -196,25 +191,36 @@ def _inertia(cfg: LatticeConfig, qs, sigma: np.ndarray) -> tuple[np.ndarray, np.
     """Number of eigenvalues of the N+8 Bloch matrix at qs[j] below sigma[j, k],
     without forming the matrix, and the floor within which that count is exact.
 
-    Block LDL^H over plane waves n = -(N+8)..N+8 has pivots D_n = A_n - sigma
-    - R D_{n-1}^-1 R^H (A_n diagonal block, R raising block); by Sylvester's
-    law of inertia the count is that of negative pivot eigenvalues.  The
-    floor, 100 eps (||H|| + ||R|| max_n ||D_{n-1}^-1 R^H||), grows with a
-    near-singular pivot; an exactly singular one raises LinAlgError."""
+    Block LDL^H eliminates plane wave n = 0 first, then n = -(N+8)..-1, 1..N+8
+    as a chain in which the Schur complement of n = 0 links -1 to 1; by
+    Sylvester's law of inertia the count is that of negative pivot eigenvalues.
+    The floor, 100 eps (||H|| + max ||L|| ||D^-1 L||) over each pivot D and its
+    links L to later blocks, grows with a near-singular pivot (a singular one
+    raises LinAlgError).  A pivot is near singular where its leading block holds
+    a level of H with weight on its last plane wave, as the block n < 0 does at
+    q = 0 under a parity (the odd levels) and n < N+8 at q = +1 (an edge
+    level): hence n = 0 first, and q -> -|q|, as E(q) = E(-q)."""
     onsite, raising = _spin_blocks(cfg)
-    m = cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
-    kinetic = (np.asarray(qs)[:, None] + 2.0 * np.arange(-m, m + 1)) ** 2 + potential_coefficients(cfg)[0]
-    pivots = np.empty((2 * m + 1, *sigma.shape, *onsite.shape), dtype=np.result_type(onsite, raising))
-    growth, eye = np.zeros(sigma.shape), np.eye(len(onsite))
-    for p in range(2 * m + 1):
-        pivots[p] = onsite + (kinetic[:, p, None] - sigma)[..., None, None] * eye
-        if p > 0:
-            x = np.linalg.solve(pivots[p - 1], raising.conj().T)
-            growth = np.maximum(growth, np.linalg.norm(x, axis=(-2, -1)))
-            pivots[p] -= raising @ x
+    d, m = len(onsite), cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
+    up = raising.conj().T  # the block from n to n+1
+    order = np.r_[0, -m:0, 1 : m + 1]
+    kinetic = (-np.abs(np.asarray(qs))[:, None] + 2.0 * order) ** 2 + potential_coefficients(cfg)[0]
+    pivots = onsite + (kinetic.T[:, :, None] - sigma)[..., None, None] * np.eye(d)
+    pivots = pivots.astype(np.result_type(onsite, raising))
+    links = np.concatenate([up, raising], axis=1)  # n = 0 to n = 1 and to n = -1
+    x = np.linalg.solve(pivots[0], links)
+    update = np.linalg.norm(links) * np.linalg.norm(x, axis=(-2, -1))
+    pivots[m] -= up @ x[..., d:]
+    pivots[m + 1] -= raising @ x[..., :d]
+    across = -up @ x[..., :d]  # the link from n = -1 to n = 1
+    for p in range(2, 2 * m + 1):
+        link = across if p == m + 1 else up
+        x = np.linalg.solve(pivots[p - 1], link)
+        update = np.maximum(update, np.linalg.norm(link, axis=(-2, -1)) * np.linalg.norm(x, axis=(-2, -1)))
+        pivots[p] -= link.conj().swapaxes(-1, -2) @ x
     counts = np.count_nonzero(np.linalg.eigvalsh(pivots) < 0.0, axis=(0, -1))
     norm_h = np.abs(kinetic).max() + np.linalg.norm(onsite) + 2.0 * np.linalg.norm(raising)
-    return counts, 100.0 * np.finfo(float).eps * (norm_h + np.linalg.norm(raising) * growth)
+    return counts, 100.0 * np.finfo(float).eps * (norm_h + update)
 
 
 def _certified_by_inertia(cfg: LatticeConfig, qs, energies: np.ndarray, mean_gap: float) -> bool:
@@ -238,7 +244,8 @@ def _certified_by_inertia(cfg: LatticeConfig, qs, energies: np.ndarray, mean_gap
 
 
 def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> BandSolution:
-    """Lowest band energies over the quasimomentum grid (energies only).
+    """Lowest band energies over the quasimomentum grid (energies only), the
+    q-averaged doublet gap and the flatness, which logs a warning above 0.2.
 
     Each +-q pair of the grid is solved once, in real arithmetic under
     ``paper_cos`` or at B_z = 0.  With ``certify=True`` the energies must
@@ -286,27 +293,17 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> B
             )
     widths = energies.max(axis=0) - energies.min(axis=0)
     flatness = widths / mean_gap if n_bands >= 2 and mean_gap > 0 else np.full(n_bands, np.nan)
-    return BandSolution(cfg=cfg, q_over_kl=qs, energies=energies, flatness=flatness)
-
-
-def doublet_splitting(sol: BandSolution) -> DoubletSplitting:
-    """Quasimomentum-averaged gap between the two lowest bands.
-
-    A flatness above 0.2 flags the two-level reduction as dubious.
-    """
-    if sol.energies.shape[1] < 2:
-        raise ValueError("need at least 2 solved bands")
-    eps_er = float(np.mean(sol.energies[:, 1] - sol.energies[:, 0]))
-    units = UnitContext(sol.cfg.species)
-    flat = (float(sol.flatness[0]), float(sol.flatness[1]))
-    warn = bool(max(flat) > FLATNESS_WARN)
-    if warn:
-        log.warning("doublet flatness %.3f exceeds %.2f; two-level reduction dubious", max(flat), FLATNESS_WARN)
-    return DoubletSplitting(
-        epsilon_er=eps_er,
-        epsilon_hz=units.er_to_hz(eps_er),
-        flatness=flat,
-        flatness_warning=warn,
+    doublet_flatness = np.max(flatness[:2])
+    if doublet_flatness > FLATNESS_WARN:
+        log.warning("doublet flatness %.3f exceeds %.2f; two-level reduction dubious", doublet_flatness, FLATNESS_WARN)
+    return BandSolution(
+        cfg=cfg,
+        q_over_kl=qs,
+        energies=energies,
+        epsilon_er=mean_gap,
+        epsilon_hz=cfg.units.er_to_hz(mean_gap),
+        flatness=flatness,
+        flatness_warning=bool(doublet_flatness > FLATNESS_WARN),
     )
 
 
@@ -367,15 +364,6 @@ def fz_coefficient_diag(cfg: LatticeConfig) -> np.ndarray:
     return np.tile(m, 2 * cfg.n_planewaves + 1)
 
 
-def _flatness_guard(cfg: LatticeConfig, e_q0: np.ndarray) -> float:
-    """Cheap doublet-flatness estimate from 5 quasimomentum samples, q=0 given."""
-    # q = -1, -0.5, 0, 0.5, 0.999; E(0.5) = E(-0.5).
-    e = np.insert(_band_energies(cfg, (-1.0, -0.5, 0.999), 2), 2, e_q0, axis=0)[[0, 1, 2, 1, 3]]
-    gap = float(np.mean(e[:, 1] - e[:, 0]))
-    widths = e.max(axis=0) - e.min(axis=0)
-    return float(widths.max() / gap) if gap > 0 else np.inf
-
-
 PHASE_FIX_FLOOR = 1e-6
 
 
@@ -402,19 +390,19 @@ def wannier_doublet(cfg: LatticeConfig, flatness_guard: bool = True) -> WannierD
     sigma+ well center is made real positive, then the sign of |A> is
     chosen so that (|S>+|A>)/sqrt(2) sits left of the barrier.  This
     makes |L> the left, predominantly m_F > 0, localized state.  With
-    ``flatness_guard`` the premise is checked: bands that are not flat
-    raise ValueError, and a negative ``barrier_margin_er`` logs a warning.
+    ``flatness_guard`` the premise is checked: bands that are not flat over
+    q = -1, -1/2, 0, 1/2 raise ValueError, and a negative
+    ``barrier_margin_er`` logs a warning.
     """
     vals, vecs = solve_q0(cfg)
     if flatness_guard:
-        flat = _flatness_guard(cfg, vals[:2])
-        if flat > FLATNESS_WARN:
+        flat = solve_bands(cfg.replace(n_q=4), n_bands=2, certify=False).flatness.max()
+        if not flat <= FLATNESS_WARN:  # a nan flatness (no gap) raises too
             raise ValueError(
                 f"lowest bands not flat (flatness {flat:.3f} > {FLATNESS_WARN}); "
                 "the doublet does not define localized states"
             )
     eps_er = float(vals[1] - vals[0])
-    units = cfg.units
 
     geom = double_well_geometry(cfg)
     margin = float(geom["barrier_er"] - vals[1])
@@ -454,7 +442,7 @@ def wannier_doublet(cfg: LatticeConfig, flatness_guard: bool = True) -> WannierD
         coef_l=coef_l,
         coef_r=coef_r,
         epsilon_er=eps_er,
-        epsilon_hz=units.er_to_hz(eps_er),
+        epsilon_hz=cfg.units.er_to_hz(eps_er),
         well_center_nm=geom["sigma_plus_z_m"] * 1e9,
         barrier_nm=geom["barrier_z_m"] * 1e9,
         centroid_l_nm=centroid(psi_l) * 1e9,
@@ -480,13 +468,11 @@ def two_level_model(cfg: LatticeConfig) -> TwoLevelModel:
     B_z = 0, 0.0431 at 10 mG and 0.0312 at 20 mG; at U_1 = 120 E_R it is
     at most 0.0028 over the same fields.
     """
-    sym = doublet_splitting(solve_bands(cfg.replace(bz_mg=0.0), n_bands=2, certify=False))
-    eps_hz = sym.epsilon_hz
+    eps_hz = solve_bands(cfg.replace(bz_mg=0.0), n_bands=2, certify=False).epsilon_hz
     if cfg.bz_mg == 0.0:
         nu_hz = eps_hz
     else:
-        act = doublet_splitting(solve_bands(cfg, n_bands=2, certify=False))
-        nu_hz = act.epsilon_hz
+        nu_hz = solve_bands(cfg, n_bands=2, certify=False).epsilon_hz
     clamped = False
     if nu_hz < eps_hz:
         if (eps_hz - nu_hz) / max(eps_hz, 1e-300) > 1e-9:

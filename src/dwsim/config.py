@@ -17,12 +17,12 @@ from .ensemble import EnsembleSpec
 from .errors import ConfigError
 from .lattice import LatticeConfig
 
-SWEEP_PARAMETERS = ("u1", "bx", "bz", "theta")
-SWEEP_BOUNDS = {
-    "u1": (10.0, 300.0),
-    "bx": (5.0, 300.0),
-    "bz": (-100.0, 100.0),
-    "theta": (45.0, 90.0),
+# Sweep axis -> (the LatticeConfig field it sets, validated range lo, hi).
+SWEEP_AXES = {
+    "u1": ("u1_er", 10.0, 300.0),
+    "bx": ("bx_mg", 5.0, 300.0),
+    "bz": ("bz_mg", -100.0, 100.0),
+    "theta": ("theta_deg", 45.0, 90.0),
 }
 
 _REQUIRED_LATTICE = ("u1_er", "theta_deg", "bx_mg")
@@ -42,15 +42,15 @@ class SweepBlock:
     u1_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.parameter not in SWEEP_PARAMETERS:
-            raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}, got {self.parameter!r}")
+        if self.parameter not in SWEEP_AXES:
+            raise ValueError(f"parameter must be one of {tuple(SWEEP_AXES)}, got {self.parameter!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.start == self.stop:
             raise ValueError("start and stop must differ")
         if self.u1_scale <= 0:
             raise ValueError(f"u1_scale must be positive, got {self.u1_scale}")
-        lo, hi = SWEEP_BOUNDS[self.parameter]
+        _, lo, hi = SWEEP_AXES[self.parameter]
         for v in (self.start, self.stop):
             if not lo <= v <= hi:
                 raise ValueError(f"{self.parameter} value {v} outside validated range [{lo}, {hi}]")

@@ -61,11 +61,6 @@ class SpeciesConstants:
             raise ValueError(f"F must be a half-integer >= 1/2, got {self.f}")
 
     @property
-    def dim(self) -> int:
-        """Spin-space dimension 2F+1."""
-        return int(round(2 * self.f + 1))
-
-    @property
     def k_l(self) -> float:
         """Lattice wavevector 2*pi/wavelength in rad/m."""
         return 2.0 * math.pi / self.wavelength_m

@@ -15,8 +15,9 @@ import numpy as np
 
 from .bands import (
     WannierDoublet,
+    _bloch_matrix,
+    _raising_block,
     _zeeman_block,
-    assemble_bloch_hamiltonian,
     fz_coefficient_diag,
     solve_q0,
     wannier_doublet,
@@ -87,10 +88,6 @@ class RampSchedule:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
-
-    @property
-    def duration_us(self) -> float:
-        return sum(s.duration_us for s in self.segments)
 
     @property
     def end_fields_mg(self) -> tuple[float, float]:
@@ -383,17 +380,18 @@ class PreparationResult:
     series: TimeSeries = field(repr=False)
 
 
-def stretched_ground_state(h: np.ndarray, dim: int) -> np.ndarray:
-    """Ground state of the m_F = +F diabatic potential, embedded in the
-    full coefficient basis: the lowest eigenvector of the m_F = +F
-    sub-block of the q=0 Hamiltonian ``h`` with ``dim`` spin states.
-    F_x has a zero diagonal, so B_x adds exactly 0 to that sub-block.
+def stretched_ground_state(cfg: LatticeConfig) -> np.ndarray:
+    """Ground state of the m_F = +F diabatic potential, embedded in the full
+    coefficient basis: the lowest eigenvector of the m_F = +F sub-block of the
+    q=0 Hamiltonian of ``cfg``, built from the m_F = +F corners of the spin
+    blocks.  F_x has a zero diagonal, so B_x adds exactly 0 to that sub-block.
     """
-    top = np.arange(dim - 1, len(h), dim)
-    _, vecs = np.linalg.eigh(h[np.ix_(top, top)])
-    psi = np.zeros(len(h), dtype=complex)
-    psi[top] = vecs[:, 0]
-    return psi
+    top = np.s_[-1:, -1:]
+    onsite = _zeeman_block(cfg, cfg.bx_mg, cfg.bz_mg)[top]
+    chain = _bloch_matrix(cfg, onsite, _raising_block(cfg)[top], 0.0, cfg.n_planewaves)
+    psi = np.zeros((len(chain), cfg.spin.dim), dtype=complex)
+    psi[:, -1] = np.linalg.eigh(chain)[1][:, 0]
+    return psi.reshape(-1)
 
 
 def prepare_ground_l(
@@ -414,7 +412,7 @@ def prepare_ground_l(
     bx0, bz0 = schedule.start_fields_mg
     start = cfg.replace(bx_mg=bx0, bz_mg=bz0)
     dim = cfg.spin.dim
-    psi0 = stretched_ground_state(assemble_bloch_hamiltonian(start, 0.0), dim)
+    psi0 = stretched_ground_state(start)
     _, vecs = solve_q0(start)
     band0_top = float(np.sum(np.abs(vecs[:, 0].reshape(-1, dim)[:, dim - 1]) ** 2))
     if band0_top < 0.9:

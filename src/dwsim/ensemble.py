@@ -30,7 +30,8 @@ MAX_SKIP_FRACTION = 0.1
 @dataclass(frozen=True)
 class EnsembleSpec:
     """The [ensemble] section: the relative U_1 spread of the samples, how
-    many there are and how they are drawn, and the output time grid."""
+    many there are and how they are drawn, and the output time grid.  Every
+    factor 1 + spread x is positive: x >= -3 (gaussian, spread < 1/3) or -sqrt(3) (uniform)."""
 
     spread: float = 0.05
     n_samples: int = 200
@@ -48,6 +49,8 @@ class EnsembleSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}")
+        if self.distribution == "gaussian" and self.spread >= 1.0 / GAUSS_TRUNCATION:
+            raise ValueError(f"a gaussian spread must be below 1/{GAUSS_TRUNCATION:g}, got {self.spread}")
         if self.t_max_us <= 0 or self.dt_out_us <= 0:
             raise ValueError("t_max_us and dt_out_us must be positive")
 
@@ -66,8 +69,8 @@ def sample_intensity_factor(spec: EnsembleSpec, index: int) -> float:
     """Multiplicative U_1 factor for one sample.
 
     Deterministic in (seed, index) regardless of execution order; the
-    gaussian branch is truncated at +-3 sigma by redrawing, keeping U_1
-    positive for any spread < 1/3 x 2.
+    gaussian branch is truncated at +-3 sigma by redrawing, so the factor
+    is positive for every spread ``EnsembleSpec`` accepts.
     """
     rng = np.random.default_rng([spec.seed, index])
     if spec.distribution == "gaussian":

@@ -141,12 +141,12 @@ def _effective_field(cfg: LatticeConfig, z_m: np.ndarray | float) -> tuple[float
 
 
 def diabatic_curves(cfg: LatticeConfig, z_m: np.ndarray) -> np.ndarray:
-    """Diagonal elements <m|U(z)|m> for every m_F, shape (2F+1, len(z)).
+    """Diagonal elements <m|U(z)|m> = U_J(z) + m b_z(z), shape (2F+1, len(z)).
 
     B_x does not contribute (F_x has zero diagonal).
     """
-    diag = np.arange(cfg.spin.dim)
-    return potential_matrix(cfg, np.asarray(z_m, dtype=float))[:, diag, diag].real.T
+    z_m = np.asarray(z_m, dtype=float)
+    return scalar_potential_er(cfg, z_m) + cfg.spin.m_values[:, None] * _effective_field(cfg, z_m)[1]
 
 
 def adiabatic_curves(cfg: LatticeConfig, z_m: np.ndarray) -> np.ndarray:
@@ -177,12 +177,10 @@ def potential_curves(cfg: LatticeConfig, z_m: np.ndarray | None = None) -> Poten
     )
 
 
-def _strict_local_minima(curve: np.ndarray, periodic: bool = True) -> np.ndarray:
-    """Indices of the strict local minima of a sampled curve (cyclic by default)."""
+def _strict_local_minima(curve: np.ndarray) -> np.ndarray:
+    """Indices of the strict local minima of a cyclic sampled curve."""
     curve = np.asarray(curve)
     is_min = (curve < np.roll(curve, 1)) & (curve <= np.roll(curve, -1))
-    if not periodic:  # the end points have only one neighbour
-        is_min[:1] = is_min[-1:] = False
     return np.flatnonzero(is_min)
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bands import doublet_splitting, solve_bands, wannier_doublet
-from .config import RunConfig
+from .bands import solve_bands, wannier_doublet
+from .config import SWEEP_AXES, RunConfig
 from .dynamics import output_times, prepare_ground_l, preparation_schedule, propagate_static
 from .ensemble import ensemble_magnetization
 from .errors import ConfigError, ConvergenceError
@@ -104,30 +104,24 @@ def sweep_frequency(
     u1_scale: float = 1.0,
     jobs: int = 1,
 ) -> list[tuple[float, float, float, str]]:
-    """Ground-doublet splitting over one parameter axis.
+    """Ground-doublet splitting over one parameter axis; U_1, swept or not,
+    is scaled by ``u1_scale``.
 
     Returns rows (value, nu_hz, flatness, status) in ascending axis
     order; points whose band solve fails certification are flagged
     'unconverged' and the sweep continues.
     """
+    if parameter not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    field = SWEEP_AXES[parameter][0]
     values = sorted(float(v) for v in values)
 
     def point(value: float):
-        if parameter == "u1":
-            cfg_i = cfg.replace(u1_er=value * u1_scale)
-        else:
-            cfg_i = cfg.replace(u1_er=cfg.u1_er * u1_scale)
-            if parameter == "bx":
-                cfg_i = cfg_i.replace(bx_mg=value)
-            elif parameter == "bz":
-                cfg_i = cfg_i.replace(bz_mg=value)
-            elif parameter == "theta":
-                cfg_i = cfg_i.replace(theta_deg=value)
-            else:
-                raise ValueError(f"unknown sweep parameter {parameter!r}")
+        u1_er = (value if parameter == "u1" else cfg.u1_er) * u1_scale
+        cfg_i = cfg.replace(**{field: value}).replace(u1_er=u1_er)
         try:
-            split = doublet_splitting(solve_bands(cfg_i, n_bands=2))
-            return (value, split.epsilon_hz, max(split.flatness), "ok")
+            sol = solve_bands(cfg_i, n_bands=2)
+            return (value, sol.epsilon_hz, sol.flatness.max(), "ok")
         except ConvergenceError:
             return (value, float("nan"), float("nan"), "unconverged")
 
@@ -178,13 +172,12 @@ def _cmd_wannier(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
         rows.append(row)
     write_csv(os.path.join(directory, "wannier.csv"), header, rows, run_cfg.output.precision)
     sol = solve_bands(cfg, n_bands=2)
-    split = doublet_splitting(sol)
     write_json(
         os.path.join(directory, "doublet.json"),
         {
             "epsilon_hz": wd.epsilon_hz,
             "epsilon_er": wd.epsilon_er,
-            "epsilon_q_averaged_hz": split.epsilon_hz,
+            "epsilon_q_averaged_hz": sol.epsilon_hz,
             "centroid_l_nm": wd.centroid_l_nm,
             "centroid_r_nm": wd.centroid_r_nm,
             "separation_nm": wd.centroid_r_nm - wd.centroid_l_nm,
@@ -192,7 +185,7 @@ def _cmd_wannier(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
             "well_center_nm": wd.well_center_nm,
             "barrier_nm": wd.barrier_nm,
             "barrier_margin_er": wd.barrier_margin_er,
-            "flatness": list(split.flatness),
+            "flatness": sol.flatness.tolist(),
             "basis_order": "m_F = -F..+F ascending",
         },
     )

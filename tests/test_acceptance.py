@@ -36,7 +36,6 @@ from dwsim import (
     LatticeConfig,
     adiabatic_curves,
     assemble_bloch_hamiltonian,
-    doublet_splitting,
     dominant_frequency_hz,
     fit_damped_sinusoid,
     prepare_ground_l,
@@ -168,7 +167,7 @@ def test_criterion_04_spectrum_vs_dynamics():
     t = np.linspace(0.0, 4000.0, 4001)
     series = propagate_static(cfg, wd.coef_l, t, doublet=wd)
     nu_dyn = dominant_frequency_hz(t, series.fz)
-    eps_band = doublet_splitting(solve_bands(cfg, n_bands=2, certify=False)).epsilon_hz
+    eps_band = solve_bands(cfg, n_bands=2, certify=False).epsilon_hz
     rel = abs(nu_dyn - eps_band) / eps_band
     ok = rel < 0.01
     report(
@@ -188,7 +187,7 @@ def test_criterion_05_two_level_behavior():
     nus = {}
     for b in (0.0, 10.0, 20.0, -10.0, -20.0):
         sol = solve_bands(cfg.replace(bz_mg=b), n_bands=2, certify=False)
-        nus[b] = doublet_splitting(sol).epsilon_hz
+        nus[b] = sol.epsilon_hz
     asym = max(
         abs(nus[10.0] - nus[-10.0]) / nus[10.0],
         abs(nus[20.0] - nus[-20.0]) / nus[20.0],

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import re
@@ -5,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dwsim import ConfigError, LatticeConfig, cesium_f4, doublet_splitting, solve_bands, wannier_doublet
+from dwsim import ConfigError, LatticeConfig, cesium_f4, solve_bands, wannier_doublet
 from dwsim.cli import main
 from dwsim.config import parse_config
 from dwsim.output import run_command, sweep_frequency
@@ -110,6 +111,72 @@ def test_bad_ensemble_input_exits_2(tmp_path, capsys):
     assert "numerical failure" not in capsys.readouterr().err
 
 
+def test_gaussian_spread_keeps_every_u1_positive(tmp_path):
+    # a gaussian factor 1 + spread x, |x| <= 3, reaches U_1 <= 0 from spread 1/3 on
+    with pytest.raises(ConfigError, match="gaussian spread"):
+        parse_config(write(tmp_path, MINIMAL + "[ensemble]\nspread = 0.4\n"))
+    uniform = parse_config(write(tmp_path, MINIMAL + "[ensemble]\nspread = 0.4\ndistribution = uniform\n"))
+    assert uniform.ensemble.spread == 0.4
+
+
+LIGHT_RUN = MINIMAL + """\
+n_planewaves = 12
+n_q = 9
+z_points = 256
+
+[rabi]
+t_max_us = 400
+
+[prepare]
+bx_ramp_us = 20
+bz_ramp_us = 10
+"""
+
+# (solver, array shape, dtype kind) -> calls at LIGHT_RUN.  wannier: the two
+# q = 0 parity blocks, the flatness guard's q = -1, -1/2, 0 stack, the 5-q
+# band solve and its inertia pivots.  rabi: the doublet's and the
+# propagator's q = 0 solves and the guard.  prepare: the m_F = +F chain,
+# the start state's solve, 60 ramp steps at dt = 0.5 us and 120 at dt/2,
+# 100 adiabaticity points (the last at B_z = 0, in parity blocks) and the
+# doublet with its guard.
+EIGENSOLVES = {
+    "wannier": {
+        ("eigh", (112, 112), "f"): 1,
+        ("eigh", (113, 113), "f"): 1,
+        ("eigvalsh", (2, 225, 225), "f"): 1,
+        ("eigvalsh", (3, 225, 225), "f"): 2,
+        ("eigvalsh", (41, 5, 2, 9, 9), "f"): 1,
+    },
+    "rabi": {
+        ("eigh", (112, 112), "f"): 2,
+        ("eigh", (113, 113), "f"): 2,
+        ("eigvalsh", (3, 225, 225), "f"): 1,
+    },
+    "prepare": {
+        ("eigh", (25, 25), "c"): 1,
+        ("eigh", (112, 112), "f"): 2,
+        ("eigh", (113, 113), "f"): 2,
+        ("eigh", (225, 225), "f"): 280,
+        ("eigvalsh", (3, 225, 225), "f"): 1,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(EIGENSOLVES))
+def test_commands_make_their_known_eigensolves(tmp_path, monkeypatch, command):
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _solver=solver, **kwargs):
+            calls[_name, np.shape(a), np.asarray(a).dtype.kind] += 1
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    run_command(command, parse_config(write(tmp_path, LIGHT_RUN)), out_dir=str(tmp_path / command))
+    assert dict(calls) == EIGENSOLVES[command]
+
+
 def test_byte_determinism_and_manifest(tmp_path, capsys):
     ini = write(tmp_path, FAST_LATTICE)
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
@@ -153,17 +220,17 @@ def test_sweep_u1_scale(tmp_path):
     rows = sweep_frequency(cfg, "u1", [80.0, 90.0], u1_scale=1.04)
     for value, nu_hz, _flat, status in rows:
         assert status == "ok"
-        direct = doublet_splitting(
-            solve_bands(cfg.replace(u1_er=value * 1.04), n_bands=2, certify=False)
-        )
+        direct = solve_bands(cfg.replace(u1_er=value * 1.04), n_bands=2, certify=False)
         assert nu_hz == pytest.approx(direct.epsilon_hz, rel=1e-9)
 
 
 def test_single_point_sweep_matches_direct():
     cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=10, n_q=3)
     rows = sweep_frequency(cfg, "bx", [85.0])
-    direct = doublet_splitting(solve_bands(cfg, n_bands=2))
+    direct = solve_bands(cfg, n_bands=2)
     assert rows[0][1] == pytest.approx(direct.epsilon_hz, rel=1e-12)
+    with pytest.raises(ValueError, match="unknown sweep parameter"):
+        sweep_frequency(cfg, "detuning", [1.0])
 
 
 def test_sweep_flags_unconverged_point_and_continues():

@@ -299,11 +299,12 @@ def test_adiabaticity_figures_match_dense_rate_operator():
 def test_stretched_state_ignores_bx(cfg):
     # F_x has a zero diagonal, so B_x adds exactly 0 to the m_F = +F sub-block
     dim = cfg.spin.dim
-    states = [
-        stretched_ground_state(assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx, bz_mg=-100.0), 0.0), dim)
-        for bx in (0.0, 37.0)
-    ]
+    states = [stretched_ground_state(cfg.replace(bx_mg=bx, bz_mg=-100.0)) for bx in (0.0, 37.0)]
     np.testing.assert_array_equal(states[0], states[1])
+    # the state is the lowest eigenvector of that sub-block of the full Hamiltonian
+    h = assemble_bloch_hamiltonian(cfg.replace(bx_mg=37.0, bz_mg=-100.0), 0.0)
+    top = np.arange(dim - 1, len(h), dim)
+    np.testing.assert_array_equal(states[1][top], np.linalg.eigh(h[np.ix_(top, top)])[1][:, 0])
     assert not np.any(states[0].reshape(-1, dim)[:, :-1])
     assert np.linalg.norm(states[0]) == pytest.approx(1.0, abs=1e-12)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -134,6 +135,29 @@ def test_adiabatic_curves_are_the_numerical_spectrum(u1, theta, bx, bz, phase, g
     if len(_strict_local_minima(curves[0])) == 2:
         geom = double_well_geometry(cfg)
         assert geom["sigma_plus_z_m"] == _sigma_plus_by_eigenvectors(cfg, geom)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    u1=st.floats(10.0, 300.0),
+    theta=st.floats(0.0, 180.0),
+    bx=st.floats(-300.0, 300.0),
+    bz=st.floats(-100.0, 100.0),
+    phase=st.sampled_from(FICTITIOUS_PHASES),
+    g_f=st.sampled_from((0.25, -0.25)),
+    f=st.sampled_from((0.5, 1.5, 4.0)),
+)
+def test_diabatic_curves_are_the_diagonal_of_the_potential_matrix(u1, theta, bx, bz, phase, g_f, f):
+    # the closed form U_J + m b_z equals the diagonal of U(z), sign bits included
+    cfg = LatticeConfig(
+        u1_er=u1, theta_deg=theta, bx_mg=bx, bz_mg=bz, fictitious_phase=phase,
+        species=dataclasses.replace(cesium_f4(g_f=g_f), f=f), z_points=64,
+    )
+    z = cfg.z_grid_m()
+    diagonal = np.diagonal(potential_matrix(cfg, z), axis1=1, axis2=2).real.T
+    curves = diabatic_curves(cfg, z)
+    np.testing.assert_array_equal(curves, diagonal)
+    np.testing.assert_array_equal(np.signbit(curves), np.signbit(diagonal))
 
 
 @pytest.mark.parametrize(

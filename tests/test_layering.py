@@ -22,6 +22,16 @@ def imported_dwsim_modules(path: Path) -> set[str]:
     return names
 
 
+def test_no_module_calls_the_reference_hamiltonian():
+    # assemble_bloch_hamiltonian is the tests' reference; the package builds
+    # every Hamiltonian with bands._bloch_matrix
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert name != "assemble_bloch_hamiltonian", path.name
+
+
 def test_library_modules_do_not_import_the_cli_layers():
     for name in LIBRARY:
         assert not imported_dwsim_modules(SRC / f"{name}.py") & CLI_LAYERS, name

@@ -26,7 +26,8 @@ environment.
 Every path handed to the CLI is relative to OUT_DIR, so the bundles
 (whose manifests record the resolved config, the fit input path
 included) do not depend on where OUT_DIR is.  The ``dwsim`` under test is
-the one ``PYTHONPATH`` selects; without it, this checkout's ``src``.
+the one ``PYTHONPATH`` selects, its entries taken relative to the working
+directory of the caller; without it, this checkout's ``src``.
 Comparing the listings of two source trees on the same machine shows
 whether a change keeps every output byte.
 """
@@ -103,7 +104,9 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0])
     env = dict(os.environ)
-    env.setdefault("PYTHONPATH", str(ROOT / "src"))
+    # Each command runs in OUT_DIR, so a relative entry must be made absolute here.
+    paths = env.get("PYTHONPATH", str(ROOT / "src")).split(os.pathsep)
+    env["PYTHONPATH"] = os.pathsep.join(os.path.abspath(path) for path in paths)
     env.update({var: "1" for var in BLAS_THREAD_VARS})
     print(f"# BLAS threads pinned to 1: {' '.join(f'{var}=1' for var in BLAS_THREAD_VARS)}")
     paper_cos = CONFIG.replace("[lattice]\n", "[lattice]\nfictitious_phase = paper_cos\n")

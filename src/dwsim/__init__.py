@@ -25,6 +25,7 @@ from .bands import (
 )
 from .dynamics import (
     AdiabaticityReport,
+    PrepareBlock,
     PreparationResult,
     RampSchedule,
     Segment,
@@ -70,6 +71,7 @@ __all__ = [
     "prepare_ground_l",
     "adiabaticity_report",
     "dominant_frequency_hz",
+    "PrepareBlock",
     "EnsembleSpec",
     "EnsembleResult",
     "ensemble_magnetization",

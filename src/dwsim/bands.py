@@ -369,16 +369,13 @@ PHASE_FIX_FLOOR = 1e-6
 
 def _fix_phase(psi_z: np.ndarray, j_anchor: int) -> complex:
     """Phase factor making the largest-magnitude spin component at the
-    anchor grid point real positive; falls back to the next-largest
-    usable component when the leading one is degenerate with zero."""
+    anchor grid point real positive; 1 when that component is below
+    PHASE_FIX_FLOOR times the state's largest magnitude or the state holds
+    a NaN."""
     row = psi_z[j_anchor]
-    floor = PHASE_FIX_FLOOR * np.max(np.abs(psi_z))
-    order = np.argsort(np.abs(row))[::-1]
-    for rank, k in enumerate(order):
-        if np.abs(row[k]) >= floor:
-            if rank > 0:
-                log.info("phase anchor fell back to spin component %d", int(k))
-            return np.exp(-1j * np.angle(row[k]))
+    k = np.argsort(np.abs(row))[-1]  # argsort's pick among equal magnitudes, not argmax's
+    if np.abs(row[k]) >= PHASE_FIX_FLOOR * np.max(np.abs(psi_z)):
+        return np.exp(-1j * np.angle(row[k]))
     log.info("all spin components below phase-fix floor at anchor; leaving phase unchanged")
     return 1.0 + 0.0j
 

@@ -27,6 +27,7 @@ from .lattice import LatticeConfig
 
 STEP_DOUBLING_TOL = 1e-6
 MAX_HALVINGS = 8
+ADIABATICITY_POINTS = 50  # instantaneous spectra sampled per ramp segment
 SUDDEN_THRESHOLD = 0.5  # duration * epsilon below this counts as sudden
 ADIABATIC_THRESHOLD = 0.1  # ground-to-excited rate figure below this counts as adiabatic
 
@@ -90,24 +91,14 @@ class RampSchedule:
             raise ValueError("schedule needs at least one segment")
 
     @property
-    def end_fields_mg(self) -> tuple[float, float]:
-        last = self.segments[-1]
-        return last.bx_end_mg, last.bz_end_mg
-
-    @property
     def start_fields_mg(self) -> tuple[float, float]:
         first = self.segments[0]
         return first.bx_start_mg, first.bz_start_mg
 
 
-def preparation_schedule(
-    cfg: LatticeConfig,
-    bx_ramp_us: float = PrepareBlock.bx_ramp_us,
-    bz_ramp_us: float = PrepareBlock.bz_ramp_us,
-    bz_start_mg: float = PrepareBlock.bz_start_mg,
-) -> RampSchedule:
-    """Two-stage protocol: ramp B_x on while a large holding B_z pins the
-    stretched spin state, then ramp B_z to the config value.
+def preparation_schedule(cfg: LatticeConfig, block: PrepareBlock) -> RampSchedule:
+    """Two-stage protocol of ``block``: ramp B_x on while a large holding
+    B_z pins the stretched spin state, then ramp B_z to the config value.
 
     The default holding field is -100 mG: with g_F > 0 the negative sign
     makes m_F = +F the lowest Zeeman manifold, and its magnitude exceeds
@@ -116,8 +107,8 @@ def preparation_schedule(
     """
     return RampSchedule(
         segments=(
-            Segment(bx_ramp_us, 0.0, cfg.bx_mg, bz_start_mg, bz_start_mg),
-            Segment(bz_ramp_us, cfg.bx_mg, cfg.bx_mg, bz_start_mg, cfg.bz_mg),
+            Segment(block.bx_ramp_us, 0.0, cfg.bx_mg, block.bz_start_mg, block.bz_start_mg),
+            Segment(block.bz_ramp_us, cfg.bx_mg, cfg.bx_mg, block.bz_start_mg, cfg.bz_mg),
         )
     )
 
@@ -152,10 +143,6 @@ def _as_coefficients(cfg: LatticeConfig, psi0: np.ndarray) -> np.ndarray:
     return psi0
 
 
-def _reference_doublet(cfg: LatticeConfig, doublet: WannierDoublet | None) -> WannierDoublet:
-    return doublet if doublet is not None else wannier_doublet(cfg.replace(bz_mg=0.0))
-
-
 def _observables(cfg: LatticeConfig, t_us, psi_t, doublet, dt_us=None, cert=None) -> TimeSeries:
     """Assemble a TimeSeries from states psi_t of shape (D, nt)."""
     dim = cfg.spin.dim
@@ -181,16 +168,12 @@ def propagate_static(
     cfg: LatticeConfig,
     psi0: np.ndarray,
     t_us: np.ndarray,
-    doublet: WannierDoublet | None = None,
+    doublet: WannierDoublet,
 ) -> TimeSeries:
     """Evolve the q=0 coefficient vector psi0 under the static Bloch
-    Hamiltonian of ``cfg``.
-
-    Projections use ``doublet`` if given, otherwise the symmetric-well
-    doublet of the same config with B_z = 0.
+    Hamiltonian of ``cfg``, projecting on the localized states of ``doublet``.
     """
     psi0 = _as_coefficients(cfg, psi0)
-    doublet = _reference_doublet(cfg, doublet)
     t_us = np.asarray(t_us, dtype=float)
     vals, vecs = solve_q0(cfg)
     w = cfg.units.rad_per_us_per_er()
@@ -212,14 +195,14 @@ def _schedule_steps(schedule: RampSchedule, dt_us: float):
     return steps
 
 
-def _run_steps(cfg, steps, psi, direction=1):
+def _run_steps(cfg, steps, psi):
     """Step psi through ``steps``; return the final state, the step times
     and the states at those times stacked as columns (D, n + 1)."""
     w = cfg.units.rad_per_us_per_er()
     times, states = [0.0], [psi]
-    for h, bx, bz in steps if direction == 1 else reversed(steps):
+    for h, bx, bz in steps:
         vals, vecs = solve_q0(cfg.replace(bx_mg=bx, bz_mg=bz))
-        psi = vecs @ (np.exp(-1j * direction * vals * w * h) * (vecs.conj().T @ psi))
+        psi = vecs @ (np.exp(-1j * vals * w * h) * (vecs.conj().T @ psi))
         times.append(times[-1] + h)
         states.append(psi)
     return psi, np.asarray(times), np.stack(states, axis=1)
@@ -229,20 +212,15 @@ def propagate_ramp(
     cfg: LatticeConfig,
     schedule: RampSchedule,
     psi0: np.ndarray,
-    dt_us: float = PrepareBlock.dt_us,
-    doublet: WannierDoublet | None = None,
-    certify: bool = True,
-    direction: int = 1,
+    dt_us: float,
+    doublet: WannierDoublet,
 ) -> TimeSeries:
     """Propagate through a field ramp with midpoint-frozen spectral steps.
 
     Certification reruns the schedule at dt/2 and requires the final
     states to agree to 1e-6 in fidelity, halving dt (up to 8 times)
     until they do.  Each step size runs once, and the series returned is
-    the one recorded during the accepted dt pass.  ``direction=-1``
-    applies the exact inverse steps in reverse order, so a forward run
-    followed by a direction=-1 run returns the initial state to solver
-    precision.
+    the one recorded during the accepted dt pass.
 
     Raises
     ------
@@ -252,27 +230,22 @@ def propagate_ramp(
     """
     if dt_us <= 0:
         raise ValueError(f"dt_us must be positive, got {dt_us}")
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
     psi0 = _as_coefficients(cfg, psi0)
-    doublet = _reference_doublet(cfg, doublet)
 
     dt = float(dt_us)
-    cert_infid = None
-    psi, times, states = _run_steps(cfg, _schedule_steps(schedule, dt), psi0, direction)
-    if certify:
-        for _ in range(MAX_HALVINGS):
-            fine = _run_steps(cfg, _schedule_steps(schedule, dt / 2), psi0, direction)
-            cert_infid = float(1.0 - np.abs(psi.conj() @ fine[0]) ** 2)
-            if cert_infid < STEP_DOUBLING_TOL:
-                break
-            dt /= 2
-            psi, times, states = fine
-        else:
-            raise ConvergenceError(
-                f"ramp step-doubling certification failed: dt={dt} us and dt/2 "
-                f"final states disagree (infidelity {cert_infid:.3e} >= {STEP_DOUBLING_TOL})"
-            )
+    psi, times, states = _run_steps(cfg, _schedule_steps(schedule, dt), psi0)
+    for _ in range(MAX_HALVINGS):
+        fine = _run_steps(cfg, _schedule_steps(schedule, dt / 2), psi0)
+        cert_infid = float(1.0 - np.abs(psi.conj() @ fine[0]) ** 2)
+        if cert_infid < STEP_DOUBLING_TOL:
+            break
+        dt /= 2
+        psi, times, states = fine
+    else:
+        raise ConvergenceError(
+            f"ramp step-doubling certification failed: dt={dt} us and dt/2 "
+            f"final states disagree (infidelity {cert_infid:.3e} >= {STEP_DOUBLING_TOL})"
+        )
     return _observables(cfg, times, states, doublet, dt_us=dt, cert=cert_infid)
 
 
@@ -310,20 +283,11 @@ class AdiabaticityReport:
     adiabatic_threshold: float = ADIABATIC_THRESHOLD
 
 
-def adiabaticity_report(
-    cfg: LatticeConfig,
-    schedule: RampSchedule,
-    points_per_segment: int = 50,
-    epsilon_hz: float | None = None,
-) -> AdiabaticityReport:
-    """Instantaneous spectra and rate figures along a schedule."""
-    if points_per_segment < 2:
-        raise ValueError("need at least 2 sample points per segment")
+def adiabaticity_report(cfg: LatticeConfig, schedule: RampSchedule, epsilon_hz: float) -> AdiabaticityReport:
+    """Spectra and rate figures at ADIABATICITY_POINTS instants of each
+    segment; a segment is sudden against the doublet splitting ``epsilon_hz``."""
     w = cfg.units.rad_per_us_per_er()
     dim = cfg.spin.dim
-    if epsilon_hz is None:
-        vals, _ = solve_q0(cfg.replace(bx_mg=schedule.end_fields_mg[0], bz_mg=0.0))
-        epsilon_hz = cfg.units.er_to_hz(float(vals[1] - vals[0]))
 
     seg_reports = []
     overall_min_gap = np.inf
@@ -334,7 +298,7 @@ def adiabaticity_report(
         h_dot = _zeeman_block(cfg, rx, rz) * w
         fom12 = fom13 = fom23 = 0.0
         min_gap = np.inf
-        for t in np.linspace(0.0, seg.duration_us, points_per_segment):
+        for t in np.linspace(0.0, seg.duration_us, ADIABATICITY_POINTS):
             bx, bz = seg.fields_at(t)
             vals, vecs = solve_q0(cfg.replace(bx_mg=bx, bz_mg=bz))
             e_w = vals * w
@@ -394,13 +358,9 @@ def stretched_ground_state(cfg: LatticeConfig) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def prepare_ground_l(
-    cfg: LatticeConfig,
-    schedule: RampSchedule | None = None,
-    dt_us: float = PrepareBlock.dt_us,
-    doublet: WannierDoublet | None = None,
-) -> PreparationResult:
-    """Run the state-preparation protocol and report fidelities.
+def prepare_ground_l(cfg: LatticeConfig, block: PrepareBlock) -> PreparationResult:
+    """Run the state-preparation protocol of ``block`` and report fidelities
+    against the B_z = 0 doublet of ``cfg``.
 
     The initial state is the q=0 ground state of the stretched-state
     (m_F = +F) potential at the schedule's starting fields; it must also
@@ -408,7 +368,7 @@ def prepare_ground_l(
     stretched-spin population, otherwise the holding field is unsuitable
     and a ValueError is raised.
     """
-    schedule = preparation_schedule(cfg) if schedule is None else schedule
+    schedule = preparation_schedule(cfg, block)
     bx0, bz0 = schedule.start_fields_mg
     start = cfg.replace(bx_mg=bx0, bz_mg=bz0)
     dim = cfg.spin.dim
@@ -422,9 +382,9 @@ def prepare_ground_l(
             "the stretched state the ground manifold"
         )
 
-    doublet = _reference_doublet(cfg, doublet)
-    series = propagate_ramp(cfg, schedule, psi0, dt_us=dt_us, doublet=doublet)
-    report = adiabaticity_report(cfg, schedule, epsilon_hz=doublet.epsilon_hz)
+    doublet = wannier_doublet(cfg.replace(bz_mg=0.0))
+    series = propagate_ramp(cfg, schedule, psi0, block.dt_us, doublet)
+    report = adiabaticity_report(cfg, schedule, doublet.epsilon_hz)
     return PreparationResult(
         psi_final=series.psi_final,
         fidelity_l=float(series.p_l[-1]),

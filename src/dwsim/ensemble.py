@@ -99,12 +99,14 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec, jobs: int = 1
     """Mean <F_z>(t) over localized-state Rabi runs of the ensemble ``spec``
     drawn around ``cfg``, on the spec's output time grid.
 
-    Every sample solves its own q=0 doublet once and gives its
-    left-localized magnetization in closed form.  Samples that fail
-    numerically (ConvergenceError, ValueError, LinAlgError) are skipped with
-    a logged diagnostic; more than 10 % skipped raises RuntimeError.  Any
-    other exception propagates.  The reduction sums in fixed index order
-    after all samples complete, so the result does not depend on ``jobs``.
+    Every sample solves its own q=0 doublet once and gives the magnetization
+    of its (|S> + |A>)/sqrt(2) in closed form: the left-localized |L> at
+    B_z = 0, but not a localized state at B_z != 0, where that doublet is
+    tilted.  Samples that fail numerically (ConvergenceError, ValueError,
+    LinAlgError) are skipped with a logged diagnostic; more than 10 %
+    skipped raises RuntimeError.  Any other exception propagates.  The
+    reduction sums in fixed index order after all samples complete, so the
+    result does not depend on ``jobs``.
     """
     t_us = output_times(spec.t_max_us, spec.dt_out_us)
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -167,9 +167,9 @@ def adiabatic_curves(cfg: LatticeConfig, z_m: np.ndarray) -> np.ndarray:
     return scalar_potential_er(cfg, z_m)[None, :] + cfg.spin.m_values[:, None] * r[None, :]
 
 
-def potential_curves(cfg: LatticeConfig, z_m: np.ndarray | None = None) -> PotentialCurves:
+def potential_curves(cfg: LatticeConfig) -> PotentialCurves:
     """Bundle diabatic and adiabatic curves on the config's grid."""
-    z_m = cfg.z_grid_m() if z_m is None else np.asarray(z_m, dtype=float)
+    z_m = cfg.z_grid_m()
     return PotentialCurves(
         z_nm=z_m * 1e9,
         diabatic=diabatic_curves(cfg, z_m),
@@ -184,13 +184,13 @@ def _strict_local_minima(curve: np.ndarray) -> np.ndarray:
     return np.flatnonzero(is_min)
 
 
-def double_well_geometry(cfg: LatticeConfig, z_m: np.ndarray | None = None) -> dict:
-    """Locate the wells of the lowest adiabatic curve within one period.
+def double_well_geometry(cfg: LatticeConfig) -> dict:
+    """Locate the wells of the lowest adiabatic curve on the config's grid.
 
     Returns positions (m) of the two minima, the low barrier between
     them, and which minimum hosts predominantly m_F > 0 states.
     """
-    z_m = cfg.z_grid_m() if z_m is None else np.asarray(z_m, dtype=float)
+    z_m = cfg.z_grid_m()
     lowest = adiabatic_curves(cfg, z_m)[0]
     n = len(z_m)
     minima = _strict_local_minima(lowest)

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bands import solve_bands, wannier_doublet
 from .config import SWEEP_AXES, RunConfig
-from .dynamics import output_times, prepare_ground_l, preparation_schedule, propagate_static
+from .dynamics import output_times, prepare_ground_l, propagate_static
 from .ensemble import ensemble_magnetization
 from .errors import ConfigError, ConvergenceError
 from .fitting import MIN_SAMPLES, fit_damped_sinusoid, uniform_step
@@ -158,6 +158,7 @@ def _cmd_bands(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
 def _cmd_wannier(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     cfg = run_cfg.lattice
     wd = wannier_doublet(cfg)
+    sol = solve_bands(cfg, n_bands=2)
     dim = cfg.spin.dim
     f_int = cfg.species.f
     header = ["z_nm"]
@@ -171,7 +172,6 @@ def _cmd_wannier(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
             row += list(block[j])
         rows.append(row)
     write_csv(os.path.join(directory, "wannier.csv"), header, rows, run_cfg.output.precision)
-    sol = solve_bands(cfg, n_bands=2)
     write_json(
         os.path.join(directory, "doublet.json"),
         {
@@ -210,15 +210,7 @@ def _cmd_rabi(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
 
 
 def _cmd_prepare(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
-    cfg = run_cfg.lattice
-    block = run_cfg.prepare
-    schedule = preparation_schedule(
-        cfg,
-        bx_ramp_us=block.bx_ramp_us,
-        bz_ramp_us=block.bz_ramp_us,
-        bz_start_mg=block.bz_start_mg,
-    )
-    result = prepare_ground_l(cfg, schedule, dt_us=block.dt_us)
+    result = prepare_ground_l(run_cfg.lattice, run_cfg.prepare)
     write_json(
         os.path.join(directory, "prep.json"),
         {
@@ -245,14 +237,17 @@ def _cmd_sweep(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
 
 def _cmd_ensemble(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     spec = run_cfg.ensemble
+    n_times = len(output_times(spec.t_max_us, spec.dt_out_us))
+    if n_times < MIN_SAMPLES:
+        raise ConfigError(f"[ensemble] time grid has {n_times} output times, the fit needs at least {MIN_SAMPLES}")
     result = ensemble_magnetization(run_cfg.lattice, spec, jobs=jobs)
+    fit = fit_damped_sinusoid(result.t_us, result.mean_fz)
     write_csv(
         os.path.join(directory, "ensemble.csv"),
         ["t_us", "mean_fz"],
         [[result.t_us[k], result.mean_fz[k]] for k in range(len(result.t_us))],
         run_cfg.output.precision,
     )
-    fit = fit_damped_sinusoid(result.t_us, result.mean_fz)
     write_json(os.path.join(directory, "fit.json"), _fit_payload(fit) | {
         "n_samples": spec.n_samples,
         "n_skipped": result.n_skipped,

@@ -34,6 +34,7 @@ import numpy as np
 
 from dwsim import (
     LatticeConfig,
+    PrepareBlock,
     adiabatic_curves,
     assemble_bloch_hamiltonian,
     dominant_frequency_hz,
@@ -243,7 +244,7 @@ def test_criterion_06_scalar_limit():
 def test_criterion_07_preparation_protocol():
     t0 = time.perf_counter()
     cfg = canonical_cfg(n_planewaves=10, z_points=256)
-    result = prepare_ground_l(cfg, dt_us=1.0)
+    result = prepare_ground_l(cfg, PrepareBlock(dt_us=1.0))
     seg2 = result.report.segments[1]
     ok = (
         result.doublet_population >= 0.95

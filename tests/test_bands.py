@@ -19,6 +19,7 @@ from dwsim.bands import (
     CERTIFY_EXTRA_PLANEWAVES,
     _band_energies,
     _bloch_matrix,
+    _fix_phase,
     _inertia,
     _spin_basis,
     _spin_blocks,
@@ -198,6 +199,22 @@ def test_flatness_warning_for_shallow_lattice(caplog):
         sol = solve_bands(cfg, 2, certify=False)
     assert sol.flatness_warning
     assert "two-level reduction dubious" in caplog.text
+
+
+def test_fix_phase_anchors_the_largest_component_or_keeps_the_phase(caplog):
+    psi = np.zeros((4, 3), dtype=complex)
+    psi[0] = [0.0, 2.0, 0.0]
+    psi[2] = [0.1, -0.5j, 0.3]
+    # the largest component at the anchor becomes real positive
+    assert psi[2, 1] * _fix_phase(psi, 2) == pytest.approx(0.5, abs=1e-15)
+    # below the floor (relative to the whole state) or with a NaN in the
+    # state, the phase is left as it is, and the log says so
+    psi[2] = [1e-7, -1e-7j, 0.0]
+    for state in (psi, np.where(np.arange(3) == 0, np.nan, psi)):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="dwsim"):
+            assert _fix_phase(state, 2) == 1.0
+        assert "below phase-fix floor" in caplog.text
 
 
 def test_wannier_geometry(cfg, doublet):

@@ -105,10 +105,24 @@ def test_bad_ensemble_input_exits_2(tmp_path, capsys):
     out = str(tmp_path / "x")
     ok = write(tmp_path, FAST_LATTICE, "ok.ini")
     assert main(["ensemble", "--config", ok, "--out", out, "--seed", "-3"]) == 2
-    for line in ("seed = -1", "dt_out_us = 0", "t_max_us = -5"):
+    for line in ("seed = -1", "dt_out_us = 0", "t_max_us = -5", "t_max_us = 20"):
         ini = write(tmp_path, FAST_LATTICE + f"[ensemble]\n{line}\n", "ens.ini")
         assert main(["ensemble", "--config", ini, "--out", out]) == 2
     assert "numerical failure" not in capsys.readouterr().err
+
+
+def test_failed_run_leaves_no_data_file(tmp_path, capsys):
+    # a run that fails numerically writes nothing, so no data file lies
+    # there without its manifest
+    runs = (
+        ("wannier", "[lattice]\nu1_er = 800\ntheta_deg = 60\nbx_mg = 300\nn_planewaves = 8\nn_q = 3\n"),
+        ("ensemble", FAST_LATTICE + "[ensemble]\nn_samples = 4\ndt_out_us = 100\n"),
+    )
+    for command, text in runs:
+        out = tmp_path / command
+        assert main([command, "--config", write(tmp_path, text, f"{command}.ini"), "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
 
 def test_gaussian_spread_keeps_every_u1_positive(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from dwsim import (
     LatticeConfig,
+    PrepareBlock,
     RampSchedule,
     Segment,
     adiabaticity_report,
@@ -14,7 +15,7 @@ from dwsim import (
     wannier_doublet,
 )
 from dwsim.bands import assemble_bloch_hamiltonian, bloch_to_zgrid, solve_q0
-from dwsim.dynamics import _run_steps, stretched_ground_state
+from dwsim.dynamics import ADIABATICITY_POINTS, _observables, _run_steps, _schedule_steps, stretched_ground_state
 
 
 def test_stationary_symmetric_state(cfg, doublet):
@@ -87,25 +88,25 @@ def test_density_snapshots(cfg, doublet):
 
 def test_input_validation(cfg, doublet):
     with pytest.raises(ValueError):
-        propagate_static(cfg, doublet.coef_l[:10], np.linspace(0, 1, 5))
+        propagate_static(cfg, doublet.coef_l[:10], np.linspace(0, 1, 5), doublet)
     with pytest.raises(ValueError):
-        propagate_static(cfg, 2.0 * doublet.coef_l, np.linspace(0, 1, 5))
+        propagate_static(cfg, 2.0 * doublet.coef_l, np.linspace(0, 1, 5), doublet)
     with pytest.raises(ValueError):  # a grid wavefunction is not a coefficient vector
-        propagate_static(cfg, doublet.psi_l, np.linspace(0, 1, 5))
+        propagate_static(cfg, doublet.psi_l, np.linspace(0, 1, 5), doublet)
     with pytest.raises(ValueError):
         Segment(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_near_zero_duration_is_identity(cfg, doublet):
     schedule = RampSchedule((Segment(1e-9, cfg.bx_mg, cfg.bx_mg, 0.0, 0.0),))
-    series = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=1.0, doublet=doublet, certify=False)
+    series = _observables(cfg, *_run_steps(cfg, _schedule_steps(schedule, 1.0), doublet.coef_l)[1:], doublet)
     assert np.abs(np.vdot(series.psi_final, doublet.coef_l)) ** 2 > 1.0 - 1e-12
 
 
 def test_constant_schedule_matches_static(cfg, doublet):
     duration = 40.0
     schedule = RampSchedule((Segment(duration, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
-    ramp = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=2.0, doublet=doublet, certify=False)
+    ramp = _observables(cfg, *_run_steps(cfg, _schedule_steps(schedule, 2.0), doublet.coef_l)[1:], doublet)
     static = propagate_static(cfg, doublet.coef_l, ramp.t_us, doublet=doublet)
     np.testing.assert_allclose(ramp.p_l, static.p_l, atol=1e-8)
     np.testing.assert_allclose(ramp.p_r, static.p_r, atol=1e-8)
@@ -130,7 +131,7 @@ def test_certified_ramp_keeps_the_accepted_pass(cfg, doublet, monkeypatch):
     monkeypatch.undo()
     assert certified.dt_us == 2.0
     assert certified.step_doubling_infidelity < 1e-6
-    plain = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=certified.dt_us, doublet=doublet, certify=False)
+    plain = _observables(cfg, *_run_steps(cfg, _schedule_steps(schedule, certified.dt_us), doublet.coef_l)[1:], doublet)
     for name in ("t_us", "p_l", "p_r", "leakage", "fz", "p_m", "psi_final"):
         np.testing.assert_array_equal(getattr(certified, name), getattr(plain, name))
 
@@ -149,16 +150,15 @@ def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, mon
         monkeypatch.setattr(np.linalg, name, counting)
     propagate_static(cfg.replace(bz_mg=10.0), doublet.coef_l, np.linspace(0.0, 100.0, 11), doublet=doublet)
     ramp = RampSchedule((Segment(3.0, cfg.bx_mg, cfg.bx_mg, -100.0, 10.0),))
-    propagate_ramp(cfg, ramp, doublet.coef_l, dt_us=1.0, doublet=doublet, certify=False)
+    _observables(cfg, *_run_steps(cfg, _schedule_steps(ramp, 1.0), doublet.coef_l)[1:], doublet)
     hold = RampSchedule((Segment(10.0, 0.0, cfg.bx_mg, -100.0, -100.0),))
-    adiabaticity_report(cfg.replace(bz_mg=-100.0), hold, points_per_segment=3)
+    adiabaticity_report(cfg.replace(bz_mg=-100.0), hold, doublet.epsilon_hz)
     monkeypatch.undo()
     dim = (2 * cfg.n_planewaves + 1) * cfg.spin.dim
     assert [shape for dtype, shape in calls if dtype.kind == "c" and shape[-1] == dim] == []
-    # 1 static + 3 ramp steps + 3 samples + 1 epsilon solve; the B_z = 0
-    # epsilon solve is two parity blocks, every other one a single real block
-    assert len(calls) == 1 + 3 + 3 + 2
-    assert sum(shape == (dim, dim) for _, shape in calls) == 7
+    # 1 static + 3 ramp steps + the report's samples, each a single real block
+    assert len(calls) == 1 + 3 + ADIABATICITY_POINTS
+    assert sum(shape == (dim, dim) for _, shape in calls) == 1 + 3 + ADIABATICITY_POINTS
 
 
 def test_ramp_step_matches_matrix_exponential(cfg, doublet):
@@ -178,8 +178,10 @@ def test_time_reversal(cfg, doublet):
             Segment(20.0, cfg.bx_mg, cfg.bx_mg, -100.0, 0.0),
         )
     )
-    fwd = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=0.5, doublet=doublet, certify=False)
-    back = propagate_ramp(cfg, schedule, fwd.psi_final, dt_us=0.5, doublet=doublet, certify=False, direction=-1)
+    steps = _schedule_steps(schedule, 0.5)
+    fwd = _observables(cfg, *_run_steps(cfg, steps, doublet.coef_l)[1:], doublet)
+    inverse = [(-h, bx, bz) for h, bx, bz in reversed(steps)]
+    back = _observables(cfg, *_run_steps(cfg, inverse, fwd.psi_final)[1:], doublet)
     infidelity = 1.0 - np.abs(np.vdot(back.psi_final, doublet.coef_l)) ** 2
     assert infidelity < 1e-10
     # static forward/backward
@@ -194,7 +196,7 @@ def prep_cfg():
 
 
 def test_preparation_protocol(prep_cfg):
-    result = prepare_ground_l(prep_cfg, dt_us=1.0)
+    result = prepare_ground_l(prep_cfg, PrepareBlock(dt_us=1.0))
     assert result.initial_stretched_population >= 0.9
     assert result.doublet_population >= 0.95
     assert result.fidelity_l >= 0.7
@@ -217,9 +219,8 @@ def test_turnoff_sits_in_the_adiabaticity_window(prep_cfg):
 
 def test_preparation_rejects_wrong_holding_sign(prep_cfg):
     # +100 mG makes m_F = +F the *highest* Zeeman manifold
-    schedule = preparation_schedule(prep_cfg, bz_start_mg=+100.0)
     with pytest.raises(ValueError):
-        prepare_ground_l(prep_cfg, schedule)
+        prepare_ground_l(prep_cfg, PrepareBlock(bz_start_mg=+100.0))
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +235,7 @@ def _turnoff_run(cfg, bz_hold, duration_us, dt_us):
     psi0 = v0[:, 0]
     schedule = RampSchedule((Segment(duration_us, cfg.bx_mg, cfg.bx_mg, bz_hold, 0.0),))
     doublet = wannier_doublet(cfg, flatness_guard=False)
-    return propagate_ramp(cfg, schedule, psi0, dt_us=dt_us, doublet=doublet, certify=False), doublet
+    return _observables(cfg, *_run_steps(cfg, _schedule_steps(schedule, dt_us), psi0)[1:], doublet), doublet
 
 
 def test_slow_turnoff_follows_into_symmetric_state(strong_cfg):
@@ -265,9 +266,9 @@ def test_fast_turnoff_leaks_more(strong_cfg):
     assert fast.leakage[-1] > slow.leakage[-1]
 
 
-def test_adiabaticity_report_constant_schedule(cfg):
+def test_adiabaticity_report_constant_schedule(cfg, doublet):
     schedule = RampSchedule((Segment(50.0, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
-    report = adiabaticity_report(cfg, schedule, points_per_segment=5)
+    report = adiabaticity_report(cfg, schedule, doublet.epsilon_hz)
     seg = report.segments[0]
     assert seg.fom_internal == 0.0
     assert seg.fom_ground_to_excited == 0.0
@@ -277,15 +278,15 @@ def test_adiabaticity_report_constant_schedule(cfg):
 def test_adiabaticity_figures_match_dense_rate_operator():
     # reference: the rate operator dH/dt as a dense kron(I, F) matrix
     cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=8, n_q=1)
-    schedule = preparation_schedule(cfg)
-    report = adiabaticity_report(cfg, schedule, points_per_segment=3)
+    schedule = preparation_schedule(cfg, PrepareBlock())
+    report = adiabaticity_report(cfg, schedule, wannier_doublet(cfg).epsilon_hz)
     w = cfg.units.rad_per_us_per_er()
     eye = np.eye(2 * cfg.n_planewaves + 1)
     for seg, seg_report in zip(schedule.segments, report.segments):
         rx, rz = seg.rates_per_us
         h_dot = w * cfg.units.zeeman_er_per_mg() * (rx * np.kron(eye, cfg.spin.fx) + rz * np.kron(eye, cfg.spin.fz))
         foms = np.zeros(3)
-        for t in np.linspace(0.0, seg.duration_us, 3):
+        for t in np.linspace(0.0, seg.duration_us, ADIABATICITY_POINTS):
             bx, bz = seg.fields_at(t)
             vals, vecs = np.linalg.eigh(assemble_bloch_hamiltonian(cfg.replace(bx_mg=bx, bz_mg=bz), 0.0))
             e = vals * w
@@ -309,9 +310,9 @@ def test_stretched_state_ignores_bx(cfg):
     assert np.linalg.norm(states[0]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_adiabaticity_gap_at_end_matches_bandstructure(cfg):
-    schedule = preparation_schedule(cfg)
-    report = adiabaticity_report(cfg, schedule, points_per_segment=5)
+def test_adiabaticity_gap_at_end_matches_bandstructure(cfg, doublet):
+    schedule = preparation_schedule(cfg, PrepareBlock())
+    report = adiabaticity_report(cfg, schedule, doublet.epsilon_hz)
     vals, _ = solve_q0(cfg)
     assert report.gap_at_end_er == pytest.approx(float(vals[2] - vals[1]), abs=1e-8)
     assert report.min_gap_doublet_excited_er <= report.gap_at_end_er + 1e-12

@@ -12,10 +12,12 @@ per output file, ``manifest.json`` included.  ``fit`` reads the CSV the
 ``ensemble`` command wrote.  A second pass runs ``potentials``,
 ``wannier`` and ``rabi`` again with ``fictitious_phase = paper_cos``
 under OUT_DIR/paper_cos and prints its lines prefixed ``paper_cos/``, so
-phase-dependent geometry is covered too.  A third pass runs ``rabi`` at
-B_z = 10 mG under OUT_DIR/bz_10 and prints its lines prefixed ``bz_10/``:
-with the default ``quadrature_sin`` phase that field takes the q = 0 solve
-off the m_F parity blocks, which no other command but ``prepare`` does.
+phase-dependent geometry is covered too.  A third pass runs ``rabi`` and
+``ensemble`` at B_z = 10 mG under OUT_DIR/bz_10 and prints their lines
+prefixed ``bz_10/``: with the default ``quadrature_sin`` phase that field
+takes the q = 0 solves off the m_F parity blocks, which no other command
+but ``prepare`` does, and it tilts the doublet each ensemble sample starts
+from.
 
 Bundle bytes depend on the BLAS thread count, so every command runs with
 one BLAS thread (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
@@ -43,7 +45,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 COMMANDS = ("potentials", "bands", "wannier", "rabi", "prepare", "sweep", "ensemble", "fit")
 PAPER_COS_COMMANDS = ("potentials", "wannier", "rabi")
-BZ_10_COMMANDS = ("rabi",)
+BZ_10_COMMANDS = ("rabi", "ensemble")
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 CONFIG = """\

@@ -16,11 +16,9 @@ from .lattice import (
 )
 from .bands import (
     BandSolution,
-    TwoLevelModel,
     WannierDoublet,
     assemble_bloch_hamiltonian,
     solve_bands,
-    two_level_model,
     wannier_doublet,
 )
 from .dynamics import (
@@ -37,7 +35,7 @@ from .dynamics import (
     propagate_static,
 )
 from .ensemble import EnsembleResult, EnsembleSpec, ensemble_magnetization
-from .fitting import DampedSinusoidFit, dominant_frequency_hz, fit_damped_sinusoid
+from .fitting import DampedSinusoidFit, fit_damped_sinusoid
 from .errors import ConfigError, ConvergenceError
 
 __all__ = [
@@ -55,11 +53,9 @@ __all__ = [
     "adiabatic_curves",
     "BandSolution",
     "WannierDoublet",
-    "TwoLevelModel",
     "assemble_bloch_hamiltonian",
     "solve_bands",
     "wannier_doublet",
-    "two_level_model",
     "Segment",
     "RampSchedule",
     "TimeSeries",
@@ -70,7 +66,6 @@ __all__ = [
     "preparation_schedule",
     "prepare_ground_l",
     "adiabaticity_report",
-    "dominant_frequency_hz",
     "PrepareBlock",
     "EnsembleSpec",
     "EnsembleResult",

@@ -81,22 +81,6 @@ class WannierDoublet:
     barrier_margin_er: float
 
 
-@dataclass(frozen=True)
-class TwoLevelModel:
-    """Effective (epsilon, delta) description of the ground doublet.
-
-    epsilon is the splitting with B_z forced to zero, nu(B_z) the actual
-    splitting; delta = sqrt(nu^2 - eps^2) * sign(B_z); Omega = nu and the
-    Rabi period is T = 1/nu.
-    """
-
-    epsilon_hz: float
-    delta_hz: float
-    omega_hz: float
-    rabi_period_us: float
-    clamped: bool
-
-
 def _raising_block(cfg: LatticeConfig) -> np.ndarray:
     """Spin block coupling plane wave n to n+1, in E_R: cos(2 k_L z) gives
     weight 1/2 to the scalar and (paper_cos) fictitious terms; the
@@ -307,44 +291,76 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> B
     )
 
 
-def solve_q0(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors (columns, m_F plane-wave basis) of
-    H(q=0).  H(0) commutes with a parity (n, k) -> (-n, s_k k) in a real spin basis u,
-    and each parity sigma is a real block over n = 0..N keeping the n = 0 states with
-    s_k = sigma, with sqrt(2) * raising from n = 0 to 1.  Real ``_spin_blocks`` take u, s
-    of ``_spin_basis``; complex ones are realified to [[Re, -Im], [Im, Re]], u = [I, iI],
-    s = (+1, -1), where the parity is K P (conjugation, n -> -n; Dyson 1962) and sigma = +1
-    alone has H(0)'s spectrum.  Raises RuntimeError if a spin block breaks the parity."""
-    onsite, raising = _spin_blocks(cfg)
+@dataclass(frozen=True)
+class Q0Sectors:
+    """Real symmetric sectors ``matrices`` of parities ``sigmas`` of H(0) (see ``q0_sectors``)."""
+
+    n_side: int
+    u: np.ndarray
+    s: np.ndarray
+    sigmas: tuple
+    matrices: tuple
+
+
+def q0_sectors(cfg: LatticeConfig, du1: bool = False) -> Q0Sectors:
+    """H(0), or with ``du1`` dH(0)/dU_1, as real sectors: H(0) is affine in U_1, and
+    H(U_1) = H(U_1') + (U_1 - U_1') dH(0)/dU_1 sector by sector.  H(0) commutes with a
+    parity (n, k) -> (-n, s_k k) in a real spin basis u, and each parity sigma is a real
+    block over n = 0..N keeping the n = 0 states with s_k = sigma, with sqrt(2) * raising
+    from n = 0 to 1.  Real ``_spin_blocks`` take u, s of ``_spin_basis``; complex ones are
+    realified to [[Re, -Im], [Im, Re]], u = [I, iI], s = (+1, -1), where the parity is K P
+    (conjugation, n -> -n; Dyson 1962) and sigma = +1 alone has H(0)'s spectrum.  Raises
+    RuntimeError if a spin block breaks the parity."""
+    onsite, raising = _spin_blocks(cfg.replace(u1_er=1.0) if du1 else cfg)
     if np.iscomplexobj(raising):
-        u, s, sectors = np.kron([[1.0, 1j]], np.eye(len(onsite))), np.repeat([1.0, -1.0], len(onsite)), (1.0,)
+        u, s, sigmas = np.kron([[1.0, 1j]], np.eye(len(onsite))), np.repeat([1.0, -1.0], len(onsite)), (1.0,)
         onsite, raising = (np.block([[b.real, -b.imag], [b.imag, b.real]]) for b in (onsite, raising))
     else:
-        (u, s), sectors = _spin_basis(cfg), (1.0, -1.0)
-    n, d = cfg.n_planewaves, len(onsite)
-    h = _bloch_matrix(cfg, onsite, raising, 0.0, n)
+        (u, s), sigmas = _spin_basis(cfg), (1.0, -1.0)
     for b, image in ((onsite, s[:, None] * onsite * s), (raising, s[:, None] * raising.T * s)):
         if np.abs(b - image).max() > 1e-12 * np.linalg.norm(b):
             raise RuntimeError(f"spin block does not commute with parity: residue {np.abs(b - image).max():.2e}")
-    half = h[n * d :, n * d :]  # plane waves n = 0..N
+    n, d = cfg.n_planewaves, len(onsite)
+    if (2 * n + 1) * d > MAX_DIMENSION:
+        raise ValueError(f"basis dimension {(2 * n + 1) * d} exceeds limit {MAX_DIMENSION}")
+    offset = potential_coefficients(cfg.replace(u1_er=1.0) if du1 else cfg)[0]
+    half = np.zeros((n + 1, d, n + 1, d))  # plane waves n = 0..N
+    p = np.arange(n + 1)
+    half[p, :, p, :] = 0.0 if du1 else onsite
+    half[p[1:], :, p[:-1], :] = raising
+    half[p[:-1], :, p[1:], :] = raising.T
+    half = half.reshape((n + 1) * d, (n + 1) * d)
+    half[np.diag_indices(len(half))] += np.repeat(offset + (0.0 * p if du1 else (2.0 * p) ** 2), d)
     half[d : 2 * d, :d] *= np.sqrt(2.0)
     half[:d, d : 2 * d] *= np.sqrt(2.0)
-    parts = []
-    for sigma in sectors:
-        keep = np.concatenate([np.flatnonzero(s == sigma), np.arange(d, len(half))])
-        w, v = np.linalg.eigh(half[np.ix_(keep, keep)])
-        # Scatter to plane waves -N..N: x[j, N + p, k] is component (p, k) of eigenvector j.
-        x = np.zeros((len(w), 2 * n + 1, d))
-        tail = v[len(keep) - n * d :].T.reshape(len(w), n, d) / np.sqrt(2.0)
-        x[:, n + 1 :] = tail
-        x[:, :n] = (sigma * s * tail)[:, ::-1]
-        x[:, n, s == sigma] = v[: len(keep) - n * d].T
-        parts.append((w, x))
-    vals = np.concatenate([w for w, _ in parts])
-    order = np.argsort(vals, kind="stable")
-    x = np.concatenate([x for _, x in parts])[order].reshape(-1, d)
-    u_re_im = np.stack([u.real.T, u.imag.T], axis=-1).reshape(d, -1)  # x @ u_re_im: (Re, Im) of x @ u.T
-    return vals[order], (x @ u_re_im).view(complex).reshape(len(vals), -1).T
+    keeps = (np.concatenate([np.flatnonzero(s == sigma), np.arange(d, len(half))]) for sigma in sigmas)
+    return Q0Sectors(n, u, s, sigmas, tuple(half[np.ix_(keep, keep)] for keep in keeps))
+
+
+def q0_eigenpairs(form: Q0Sectors, solved, n_vectors: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n_vectors`` lowest (None: all) of the eigenpairs ``solved[i] = (w, v)`` of
+    ``form.matrices[i]``, ascending, with only those columns of v mapped to m_F plane waves."""
+    n, s, d = form.n_side, form.s, len(form.s)
+    vals = np.concatenate([w for w, _ in solved])
+    order = np.argsort(vals, kind="stable")[:n_vectors]
+    # Scatter to plane waves -N..N: x[j, N + p, k] is component (p, k) of eigenvector j.
+    x, start = np.zeros((len(order), 2 * n + 1, d)), 0
+    for sigma, (w, v) in zip(form.sigmas, solved):
+        rows = np.flatnonzero((order >= start) & (order < start + len(w)))
+        v, start = v[:, order[rows] - start], start + len(w)
+        tail = v[len(v) - n * d :].T.reshape(len(rows), n, d) / np.sqrt(2.0)
+        x[rows, n + 1 :] = tail
+        x[rows, :n] = (sigma * s * tail)[:, ::-1]
+        x[rows[:, None], n, np.flatnonzero(s == sigma)] = v[: len(v) - n * d].T
+    u_re_im = np.stack([form.u.real.T, form.u.imag.T], axis=-1).reshape(d, -1)  # x @ u_re_im: (Re, Im) of x @ u.T
+    return vals[order], (x.reshape(-1, d) @ u_re_im).view(complex).reshape(len(order), -1).T
+
+
+def solve_q0(cfg: LatticeConfig, n_vectors: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors (columns, m_F plane-wave basis) of H(q=0),
+    the ``n_vectors`` lowest or all, solved in the real sectors of ``q0_sectors``."""
+    form = q0_sectors(cfg)
+    return q0_eigenpairs(form, [np.linalg.eigh(h) for h in form.matrices], n_vectors)
 
 
 def bloch_to_zgrid(cfg: LatticeConfig, coeffs: np.ndarray) -> np.ndarray:
@@ -380,18 +396,17 @@ def _fix_phase(psi_z: np.ndarray, j_anchor: int) -> complex:
     return 1.0 + 0.0j
 
 
-def wannier_doublet(cfg: LatticeConfig, flatness_guard: bool = True) -> WannierDoublet:
-    """Construct |S>, |A>, |L>, |R> from the q=0 ground doublet.
-
-    Global phases: the largest spin component of each state at the
-    sigma+ well center is made real positive, then the sign of |A> is
-    chosen so that (|S>+|A>)/sqrt(2) sits left of the barrier.  This
-    makes |L> the left, predominantly m_F > 0, localized state.  With
-    ``flatness_guard`` the premise is checked: bands that are not flat over
-    q = -1, -1/2, 0, 1/2 raise ValueError, and a negative
-    ``barrier_margin_er`` logs a warning.
+def wannier_doublet(cfg: LatticeConfig, flatness_guard: bool = True, q0_pairs=None) -> WannierDoublet:
+    """Construct |S>, |A>, |L>, |R> from the q=0 ground doublet ``q0_pairs``, the
+    two lowest eigenpairs of H(0) as (and by default from) ``solve_q0(cfg, 2)``.
+    Global phases: the largest spin component of each state at the sigma+
+    well center is made real positive, then the sign of |A> is chosen so
+    that (|S>+|A>)/sqrt(2) sits left of the barrier.  This makes |L> the
+    left, predominantly m_F > 0, localized state.  With ``flatness_guard``
+    the premise is checked: bands that are not flat over q = -1, -1/2, 0,
+    1/2 raise ValueError, and a negative ``barrier_margin_er`` logs a warning.
     """
-    vals, vecs = solve_q0(cfg)
+    vals, vecs = solve_q0(cfg, 2) if q0_pairs is None else q0_pairs
     if flatness_guard:
         flat = solve_bands(cfg.replace(n_q=4), n_bands=2, certify=False).flatness.max()
         if not flat <= FLATNESS_WARN:  # a nan flatness (no gap) raises too
@@ -446,42 +461,4 @@ def wannier_doublet(cfg: LatticeConfig, flatness_guard: bool = True) -> WannierD
         centroid_r_nm=centroid(psi_r) * 1e9,
         overlap_lr=overlap,
         barrier_margin_er=margin,
-    )
-
-
-def two_level_model(cfg: LatticeConfig) -> TwoLevelModel:
-    """Extract (epsilon, delta, Omega) from spectral data only.
-
-    epsilon is the q-averaged splitting with B_z forced to zero, nu the
-    splitting at the actual B_z; delta = sqrt(nu^2 - eps^2) sign(B_z).
-    If nu < eps (numerically), delta is clamped to 0 and flagged.
-
-    The reduction presumes a tunnel-split doublet: both q=0 doublet
-    levels below the intra-well barrier and the detuning small against
-    the gap to the third band.  Otherwise propagating |L> leaves the
-    doublet and P_R(t) departs from the two-level formula.  At the
-    canonical point (U_1 = 84 E_R, theta = 80 deg, B_x = 85 mG, N = 12)
-    |A> lies 1.33 E_R above the barrier and the largest departure is 0.0054 at
-    B_z = 0, 0.0431 at 10 mG and 0.0312 at 20 mG; at U_1 = 120 E_R it is
-    at most 0.0028 over the same fields.
-    """
-    eps_hz = solve_bands(cfg.replace(bz_mg=0.0), n_bands=2, certify=False).epsilon_hz
-    if cfg.bz_mg == 0.0:
-        nu_hz = eps_hz
-    else:
-        nu_hz = solve_bands(cfg, n_bands=2, certify=False).epsilon_hz
-    clamped = False
-    if nu_hz < eps_hz:
-        if (eps_hz - nu_hz) / max(eps_hz, 1e-300) > 1e-9:
-            log.warning("nu(Bz)=%.6g Hz below epsilon=%.6g Hz; clamping delta to 0", nu_hz, eps_hz)
-        clamped = True
-        delta_hz = 0.0
-    else:
-        delta_hz = float(np.sqrt(nu_hz**2 - eps_hz**2) * np.sign(cfg.bz_mg))
-    return TwoLevelModel(
-        epsilon_hz=eps_hz,
-        delta_hz=delta_hz,
-        omega_hz=nu_hz,
-        rabi_period_us=1e6 / nu_hz if nu_hz > 0 else np.inf,
-        clamped=clamped,
     )

@@ -300,7 +300,7 @@ def adiabaticity_report(cfg: LatticeConfig, schedule: RampSchedule, epsilon_hz: 
         min_gap = np.inf
         for t in np.linspace(0.0, seg.duration_us, ADIABATICITY_POINTS):
             bx, bz = seg.fields_at(t)
-            vals, vecs = solve_q0(cfg.replace(bx_mg=bx, bz_mg=bz))
+            vals, vecs = solve_q0(cfg.replace(bx_mg=bx, bz_mg=bz), 3)
             e_w = vals * w
             min_gap = min(min_gap, float(vals[2] - vals[1]))
             if rx == 0.0 and rz == 0.0:
@@ -373,7 +373,7 @@ def prepare_ground_l(cfg: LatticeConfig, block: PrepareBlock) -> PreparationResu
     start = cfg.replace(bx_mg=bx0, bz_mg=bz0)
     dim = cfg.spin.dim
     psi0 = stretched_ground_state(start)
-    _, vecs = solve_q0(start)
+    _, vecs = solve_q0(start, 1)
     band0_top = float(np.sum(np.abs(vecs[:, 0].reshape(-1, dim)[:, dim - 1]) ** 2))
     if band0_top < 0.9:
         raise ValueError(

@@ -3,7 +3,8 @@
 Each atom sees its own single-beam light shift drawn around the nominal
 value; the ensemble-averaged magnetization of identical localized-state
 Rabi runs then dephases on a timescale set by the frequency spread.
-Each sample's <F_z>(t) is closed-form in the sample's own q=0 doublet.
+Each sample's <F_z>(t) is closed-form in the sample's own q=0 doublet,
+found by certified eigenvector continuation in U_1.
 Sampling is splittable per index so serial and parallel runs agree
 bit for bit.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import fz_coefficient_diag, wannier_doublet
+from .bands import fz_coefficient_diag, q0_eigenpairs, q0_sectors, wannier_doublet
 from .dynamics import output_times
 from .errors import ConvergenceError
 from .lattice import LatticeConfig
@@ -25,6 +26,10 @@ log = logging.getLogger("dwsim")
 DISTRIBUTIONS = ("gaussian", "uniform")
 GAUSS_TRUNCATION = 3.0
 MAX_SKIP_FRACTION = 0.1
+RITZ_RESIDUAL_ER = 1e-10  # a Ritz pair with ||Hx - theta x|| above this is solved in full
+NODE_VECTORS = 3  # lowest eigenvectors kept per sector and node
+NODE_COUNTS = (9, 17, 33)  # Chebyshev-Lobatto nodes, nested: refining m nodes adds m - 1
+RANK_RTOL = 1e-14  # basis directions below this share of the largest singular value are dropped
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,15 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Sample-mean magnetization with per-sample provenance."""
+    """Sample-mean magnetization with per-sample provenance, the continuation's
+    node count and the largest residual (E_R) of a Ritz pair it read."""
 
     t_us: np.ndarray
     mean_fz: np.ndarray
     sample_u1_er: np.ndarray
     n_skipped: int
+    n_nodes: int
+    max_residual_er: float
 
 
 def sample_intensity_factor(spec: EnsembleSpec, index: int) -> float:
@@ -82,46 +90,80 @@ def sample_intensity_factor(spec: EnsembleSpec, index: int) -> float:
     return 1.0 + spec.spread * x
 
 
-def _single_run(cfg: LatticeConfig, spec: EnsembleSpec, index: int, t_us: np.ndarray):
-    """<F_z>(t) of |L> = (|S> + |A>)/sqrt(2) in the sample's own doublet:
+def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[list, int, float]:
+    """``solve_q0(cfg_i, 2)`` at each U_1 of ``u1`` by eigenvector continuation, or None
+    where a residual exceeds RITZ_RESIDUAL_ER; the node count; the largest residual."""
+    form, slope = q0_sectors(cfg), q0_sectors(cfg, du1=True).matrices
+    shift, node_vectors = u1 - cfg.u1_er, {}
+    for m in NODE_COUNTS:
+        nodes = np.unique(np.interp(np.cos(np.pi * np.arange(m) / (m - 1)), [-1.0, 1.0], [shift.min(), shift.max()]))
+        for x in set(nodes) - set(node_vectors):
+            node_vectors[x] = [np.linalg.eigh(h + x * b)[1][:, :NODE_VECTORS] for h, b in zip(form.matrices, slope)]
+        sectors = []
+        for i, (h, b) in enumerate(zip(form.matrices, slope)):
+            q, sv, _ = np.linalg.svd(np.hstack([node_vectors[x][i] for x in nodes]), full_matrices=False)
+            q = q[:, sv > RANK_RTOL * sv[0]]
+            hq, bq = h @ q, b @ q
+            theta, y = (a[..., :2] for a in np.linalg.eigh(q.T @ hq + shift[:, None, None] * (q.T @ bq)))
+            ritz = q @ y
+            residual = hq @ y + shift[:, None, None] * (bq @ y) - ritz * theta[:, None, :]
+            sectors.append((theta, ritz, np.linalg.norm(residual, axis=1)))
+        read = np.argsort(np.hstack([theta for theta, _, _ in sectors]), axis=1, kind="stable")[:, :2]
+        residual = np.take_along_axis(np.hstack([r for _, _, r in sectors]), read, axis=1).max(axis=1)
+        failed = residual > RITZ_RESIDUAL_ER
+        if not failed.any() or m - 1 > failed.sum():
+            break
+    pairs = [None if bad else q0_eigenpairs(form, [(t[j], x[j]) for t, x, _ in sectors], 2)
+             for j, bad in enumerate(failed)]
+    return pairs, len(nodes), float(residual.max())
+
+
+def _single_run(cfg: LatticeConfig, spec: EnsembleSpec, index: int, t_us: np.ndarray, q0_pairs):
+    """<F_z>(t) of |L> = (|S> + |A>)/sqrt(2) in the doublet of ``q0_pairs`` (or of a full solve):
     (F_SS + F_AA)/2 + Re(F_SA exp(-i omega t)), hbar omega = E_A - E_S."""
     cfg_i = cfg.replace(u1_er=cfg.u1_er * sample_intensity_factor(spec, index))
-    doublet = wannier_doublet(cfg_i, flatness_guard=False)
+    doublet = wannier_doublet(cfg_i, flatness_guard=False, q0_pairs=q0_pairs)
     fz_diag = fz_coefficient_diag(cfg_i)
     s, a = doublet.coef_s, doublet.coef_a
     f_ss, f_aa, f_sa = (np.vdot(x, fz_diag * y) for x, y in ((s, s), (a, a), (s, a)))
     omega = doublet.epsilon_er * cfg_i.units.rad_per_us_per_er()
     fz = 0.5 * (f_ss + f_aa).real + np.real(f_sa * np.exp(-1j * omega * t_us))
-    return cfg_i.u1_er, fz
+    return fz
 
 
 def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec, jobs: int = 1) -> EnsembleResult:
     """Mean <F_z>(t) over localized-state Rabi runs of the ensemble ``spec``
     drawn around ``cfg``, on the spec's output time grid.
 
-    Every sample solves its own q=0 doublet once and gives the magnetization
-    of its (|S> + |A>)/sqrt(2) in closed form: the left-localized |L> at
-    B_z = 0, but not a localized state at B_z != 0, where that doublet is
-    tilted.  Samples that fail numerically (ConvergenceError, ValueError,
-    LinAlgError) are skipped with a logged diagnostic; more than 10 %
-    skipped raises RuntimeError.  Any other exception propagates.  The
-    reduction sums in fixed index order after all samples complete, so the
-    result does not depend on ``jobs``.
+    Every sample gives the magnetization of its (|S> + |A>)/sqrt(2) in closed
+    form from its own q=0 doublet (not a localized state at B_z != 0, where
+    that doublet is tilted).  H(0) is affine in U_1, so the NODE_VECTORS
+    lowest eigenvectors of each real sector at Chebyshev-Lobatto nodes over
+    the drawn U_1, orthonormalized by SVD without dependent directions, span
+    every sample's doublet.  Each Ritz pair read is certified by
+    ||Hx - theta x|| <= RITZ_RESIDUAL_ER; 9 nodes refine to 17 and 33 while
+    fewer new nodes than failing samples, and a sample still failing solves
+    H(0) in full.  Node count and largest residual are logged at INFO and
+    returned.  Samples that fail numerically (ConvergenceError, ValueError,
+    LinAlgError) are skipped with a logged diagnostic; more than 10 % skipped
+    raises RuntimeError; any other exception propagates.  The reduction sums
+    in fixed index order, so the result does not depend on ``jobs``.
     """
     t_us = output_times(spec.t_max_us, spec.dt_out_us)
+    u1 = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)])
+    pairs, n_nodes, max_residual = _ritz_doublets(cfg, u1)
+    log.info("ensemble: %d nodes, largest Ritz residual %.2e E_R, %d samples solved in full",
+             n_nodes, max_residual, sum(p is None for p in pairs))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        raw = list(pool.map(lambda i: _guarded_run(cfg, spec, i, t_us), range(spec.n_samples)))
+        raw = list(pool.map(lambda i: _guarded_run(cfg, spec, i, t_us, pairs[i]), range(spec.n_samples)))
 
-    u1 = np.full(spec.n_samples, np.nan)
+    skipped = [fz is None for fz in raw]
+    u1[skipped] = np.nan
     total = np.zeros(len(t_us))
-    n_ok = 0
-    for i, item in enumerate(raw):
-        if item is None:
-            continue
-        u1[i], fz = item
-        total += fz
-        n_ok += 1
-    n_skipped = spec.n_samples - n_ok
+    for fz in raw:
+        if fz is not None:
+            total += fz
+    n_skipped = sum(skipped)
     if n_skipped > MAX_SKIP_FRACTION * spec.n_samples:
         raise RuntimeError(
             f"{n_skipped}/{spec.n_samples} ensemble samples failed; "
@@ -129,15 +171,17 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec, jobs: int = 1
         )
     return EnsembleResult(
         t_us=t_us,
-        mean_fz=total / n_ok,
+        mean_fz=total / (spec.n_samples - n_skipped),
         sample_u1_er=u1,
         n_skipped=n_skipped,
+        n_nodes=n_nodes,
+        max_residual_er=max_residual,
     )
 
 
-def _guarded_run(cfg: LatticeConfig, spec: EnsembleSpec, index: int, t_us: np.ndarray):
+def _guarded_run(cfg: LatticeConfig, spec: EnsembleSpec, index: int, t_us: np.ndarray, q0_pairs):
     try:
-        return _single_run(cfg, spec, index, t_us)
+        return _single_run(cfg, spec, index, t_us, q0_pairs)
     except (ConvergenceError, ValueError, np.linalg.LinAlgError):
         log.exception("ensemble sample %d failed; skipping", index)
         return None

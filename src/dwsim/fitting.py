@@ -91,23 +91,6 @@ def uniform_step(t_us: np.ndarray) -> float:
     return dt
 
 
-def dominant_frequency_hz(t_us: np.ndarray, y: np.ndarray) -> float:
-    """Frequency of the strongest spectral peak of a sampled series.
-
-    Hann-windowed, zero-padded discrete spectrum with parabolic
-    refinement of the peak bin; the mean is removed first.
-    """
-    t_us = np.asarray(t_us, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(t_us) < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    uniform_step(t_us)
-    interior, freq_per_us = _spectral_peak(t_us, y)
-    if not interior:
-        raise ValueError("no interior spectral peak found")
-    return float(freq_per_us * 1e6)
-
-
 def _envelope_rate(t: np.ndarray, y: np.ndarray, c0: float) -> float:
     """Decay-rate guess from the log amplitude of coarse windows."""
     n_win = min(8, max(2, len(t) // 16))

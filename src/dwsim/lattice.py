@@ -199,10 +199,9 @@ def double_well_geometry(cfg: LatticeConfig) -> dict:
     j1, j2 = minima
     # barrier: highest point on the arc from j1 to j2 (forward); compare
     # against the complementary arc and keep the lower of the two maxima.
-    arc1 = list(range(j1, j2 + 1))
-    arc2 = list(range(j2, n)) + list(range(0, j1 + 1))
-    b1 = max(arc1, key=lambda j: lowest[j])
-    b2 = max(arc2, key=lambda j: lowest[j])
+    arc1 = np.arange(j1, j2 + 1)
+    arc2 = np.r_[j2:n, 0 : j1 + 1]
+    b1, b2 = arc1[np.argmax(lowest[arc1])], arc2[np.argmax(lowest[arc2])]
     # Barriers within rounding of each other (mirror images, as at
     # paper_cos) are equal: keep the forward arc's.
     barrier_j = b2 if lowest[b2] < lowest[b1] - 1e-12 * abs(lowest[b1]) else b1

@@ -37,12 +37,10 @@ from dwsim import (
     PrepareBlock,
     adiabatic_curves,
     assemble_bloch_hamiltonian,
-    dominant_frequency_hz,
     fit_damped_sinusoid,
     prepare_ground_l,
     propagate_static,
     solve_bands,
-    two_level_model,
     wannier_doublet,
 )
 from dwsim.cli import main as cli_main
@@ -50,6 +48,8 @@ from dwsim.ensemble import EnsembleSpec, ensemble_magnetization
 from dwsim.lattice import _strict_local_minima
 
 from fd_oracle import reference_energies, reference_states
+from spectrum import dominant_frequency_hz
+from two_level import two_level_model
 
 CANONICAL = dict(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, bz_mg=0.0)
 # Deep-lattice point where the ground doublet is tunnel-split: U_1 at the

@@ -12,7 +12,6 @@ from dwsim import (
     cesium_f4,
     potential_matrix,
     solve_bands,
-    two_level_model,
     wannier_doublet,
 )
 from dwsim.bands import (
@@ -24,11 +23,13 @@ from dwsim.bands import (
     _spin_basis,
     _spin_blocks,
     bloch_to_zgrid,
+    q0_sectors,
     q_grid,
     solve_q0,
 )
 from dwsim.errors import ConvergenceError
 from dwsim.lattice import FICTITIOUS_PHASES
+from two_level import two_level_model
 
 
 def test_theta_zero_block_diagonal():
@@ -446,6 +447,22 @@ def test_solve_q0_is_an_eigendecomposition_of_h0(u1, theta, bx, bz, phase, n_pw,
     np.testing.assert_allclose(vals, np.linalg.eigvalsh(ham), rtol=0, atol=1e-9)
     assert np.linalg.norm(ham @ vecs - vecs * vals) <= 1e-10 * np.linalg.norm(ham)
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(len(vals)), rtol=0, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(u1_other=st.floats(10.0, 300.0), n_vectors=st.integers(1, 4), **BOX)
+def test_q0_sectors_are_affine_in_u1(u1_other, n_vectors, u1, theta, bx, bz, phase, n_pw, f):
+    # H(0) = H(0)|_U1 + (U1' - U1) dH(0)/dU1 sector by sector, and asking
+    # solve_q0 for its lowest columns maps those columns alone.
+    cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f)
+    here, slope, there = q0_sectors(cfg), q0_sectors(cfg, du1=True), q0_sectors(cfg.replace(u1_er=u1_other))
+    assert here.sigmas == slope.sigmas == there.sigmas
+    for h, b, g in zip(here.matrices, slope.matrices, there.matrices):
+        assert np.abs(h + (u1_other - u1) * b - g).max() <= 1e-12 * np.abs(g).max()
+    vals, vecs = solve_q0(cfg)
+    low_vals, low_vecs = solve_q0(cfg, n_vectors)
+    np.testing.assert_array_equal(low_vals, vals[:n_vectors])
+    np.testing.assert_allclose(low_vecs, vecs[:, :n_vectors], rtol=0, atol=1e-14)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

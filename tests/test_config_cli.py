@@ -152,8 +152,15 @@ bz_ramp_us = 10
 # propagator's q = 0 solves and the guard.  prepare: the m_F = +F chain,
 # the start state's solve, 60 ramp steps at dt = 0.5 us and 120 at dt/2,
 # 100 adiabaticity points (the last at B_z = 0, in parity blocks) and the
-# doublet with its guard.
+# doublet with its guard.  ensemble: 9 continuation nodes, each two parity
+# blocks, and the 200 projected problems of 9 x 3 node vectors per block; no
+# sample falls back to its own solve.
 EIGENSOLVES = {
+    "ensemble": {
+        ("eigh", (112, 112), "f"): 9,
+        ("eigh", (113, 113), "f"): 9,
+        ("eigh", (200, 27, 27), "f"): 2,
+    },
     "wannier": {
         ("eigh", (112, 112), "f"): 1,
         ("eigh", (113, 113), "f"): 1,

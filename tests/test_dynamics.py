@@ -7,7 +7,6 @@ from dwsim import (
     RampSchedule,
     Segment,
     adiabaticity_report,
-    dominant_frequency_hz,
     prepare_ground_l,
     preparation_schedule,
     propagate_ramp,
@@ -16,6 +15,7 @@ from dwsim import (
 )
 from dwsim.bands import assemble_bloch_hamiltonian, bloch_to_zgrid, solve_q0
 from dwsim.dynamics import ADIABATICITY_POINTS, _observables, _run_steps, _schedule_steps, stretched_ground_state
+from spectrum import dominant_frequency_hz
 
 
 def test_stationary_symmetric_state(cfg, doublet):

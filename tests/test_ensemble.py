@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dwsim import LatticeConfig, cesium_f4, fit_damped_sinusoid, propagate_static, wannier_doublet
 from dwsim import ensemble
-from dwsim.ensemble import EnsembleSpec, ensemble_magnetization, sample_intensity_factor
+from dwsim.bands import fz_coefficient_diag, q0_sectors, solve_q0
+from dwsim.dynamics import output_times
+from dwsim.ensemble import GAUSS_TRUNCATION, EnsembleSpec, ensemble_magnetization, sample_intensity_factor
+from test_bands import BOX, _box_cfg
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +89,84 @@ def test_programming_error_in_a_sample_propagates(cfg, monkeypatch):
     # sample out of ten (within the 10 % skip budget) must still surface
     single_run = ensemble._single_run
 
-    def broken_once(cfg, spec, index, t_us):
+    def broken_once(cfg, spec, index, t_us, q0_pairs):
         if index == 3:
             raise TypeError("bug in sample code")
-        return single_run(cfg, spec, index, t_us)
+        return single_run(cfg, spec, index, t_us, q0_pairs)
 
     monkeypatch.setattr(ensemble, "_single_run", broken_once)
     spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
     with pytest.raises(TypeError):
         ensemble_magnetization(cfg, spec)
+
+
+def doublet_terms(vals, vecs, fz_diag):
+    """eps, F_SS + F_AA and |F_SA| of two q=0 eigenpairs: unchanged by their phases."""
+    s, a = vecs.T
+    return vals[1] - vals[0], (np.vdot(s, fz_diag * s) + np.vdot(a, fz_diag * a)).real, abs(np.vdot(s, fz_diag * a))
+
+
+CANONICAL_BOX = dict(u1=84.0, theta=80.0, bx=85.0, bz=0.0, phase="quadrature_sin", n_pw=10, f=4.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    share=st.floats(0.0, 1.0, exclude_max=True),
+    distribution=st.sampled_from(ensemble.DISTRIBUTIONS),
+    n_samples=st.integers(1, 12),
+    **BOX,
+)
+@example(share=0.0, distribution="gaussian", n_samples=6, **CANONICAL_BOX)  # spread 0: one node
+@example(share=0.5, distribution="uniform", n_samples=1, **dict(CANONICAL_BOX, bz=10.0))  # one sample
+@example(share=0.9, distribution="gaussian", n_samples=12, **dict(CANONICAL_BOX, phase="paper_cos"))
+def test_continuation_matches_per_sample_solves(share, distribution, n_samples, u1, theta, bx, bz, phase, n_pw, f):
+    # Every certified Ritz doublet is that of the per-sample solve_q0: eps to
+    # 1e-10 relative above the eigensolvers' rounding floor, F_SS + F_AA and
+    # F_SA to 1e-10, at spreads up to the largest EnsembleSpec accepts; and
+    # F_SA with its sign wherever the doublet is oriented by a double well.
+    cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f)
+    largest = 1.0 / GAUSS_TRUNCATION if distribution == "gaussian" else 0.5
+    spec = EnsembleSpec(spread=share * largest, n_samples=n_samples, seed=11, distribution=distribution)
+    u1s = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(n_samples)])
+    pairs, n_nodes, residual = ensemble._ritz_doublets(cfg, u1s)
+    assert 1 <= n_nodes <= max(ensemble.NODE_COUNTS)
+    if u1s.min() == u1s.max():
+        assert n_nodes == 1
+    assert (residual <= ensemble.RITZ_RESIDUAL_ER) == all(p is not None for p in pairs)
+    fz_diag = fz_coefficient_diag(cfg)
+    for u1_i, pair in zip(u1s, pairs):
+        if pair is None:
+            continue
+        cfg_i = cfg.replace(u1_er=u1_i)
+        full = solve_q0(cfg_i, 2)
+        floor = 10.0 * np.finfo(float).eps * max(np.linalg.norm(h) for h in q0_sectors(cfg_i).matrices)
+        (eps, trace, f_sa), (eps_ref, trace_ref, f_sa_ref) = doublet_terms(*pair, fz_diag), doublet_terms(*full, fz_diag)
+        assert abs(eps - eps_ref) <= 1e-10 * abs(eps_ref) + floor
+        assert abs(trace - trace_ref) <= 1e-10
+        assert abs(f_sa - f_sa_ref) <= 1e-10
+        try:
+            ref = wannier_doublet(cfg_i, flatness_guard=False)
+        except ValueError:  # no double well to orient the doublet by
+            continue
+        got = wannier_doublet(cfg_i, flatness_guard=False, q0_pairs=pair)
+        assert abs(np.vdot(got.coef_s, fz_diag * got.coef_a) - np.vdot(ref.coef_s, fz_diag * ref.coef_a)) <= 1e-10
+
+
+def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
+    # With no residual small enough every sample takes the full solve, which
+    # is the closed form of each sample's own wannier_doublet, bit for bit.
+    monkeypatch.setattr(ensemble, "RITZ_RESIDUAL_ER", 0.0)
+    spec = EnsembleSpec(spread=0.05, n_samples=6, seed=8, **SHORT_GRID)
+    result = ensemble_magnetization(cfg, spec)
+    assert result.max_residual_er > 0.0
+    t_us = output_times(spec.t_max_us, spec.dt_out_us)
+    total = np.zeros(len(t_us))
+    for i in range(spec.n_samples):
+        cfg_i = cfg.replace(u1_er=cfg.u1_er * sample_intensity_factor(spec, i))
+        doublet = wannier_doublet(cfg_i, flatness_guard=False)
+        fz_diag = fz_coefficient_diag(cfg_i)
+        s, a = doublet.coef_s, doublet.coef_a
+        f_ss, f_aa, f_sa = (np.vdot(x, fz_diag * y) for x, y in ((s, s), (a, a), (s, a)))
+        omega = doublet.epsilon_er * cfg_i.units.rad_per_us_per_er()
+        total += 0.5 * (f_ss + f_aa).real + np.real(f_sa * np.exp(-1j * omega * t_us))
+    np.testing.assert_array_equal(result.mean_fz, total / spec.n_samples)

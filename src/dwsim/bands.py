@@ -396,30 +396,35 @@ def _fix_phase(psi_z: np.ndarray, j_anchor: int) -> complex:
     return 1.0 + 0.0j
 
 
-def wannier_doublet(cfg: LatticeConfig, flatness_guard: bool = True, q0_pairs=None) -> WannierDoublet:
-    """Construct |S>, |A>, |L>, |R> from the q=0 ground doublet ``q0_pairs``, the
-    two lowest eigenpairs of H(0) as (and by default from) ``solve_q0(cfg, 2)``.
-    Global phases: the largest spin component of each state at the sigma+
-    well center is made real positive, then the sign of |A> is chosen so
-    that (|S>+|A>)/sqrt(2) sits left of the barrier.  This makes |L> the
-    left, predominantly m_F > 0, localized state.  With ``flatness_guard``
-    the premise is checked: bands that are not flat over q = -1, -1/2, 0,
-    1/2 raise ValueError, and a negative ``barrier_margin_er`` logs a warning.
-    """
-    vals, vecs = solve_q0(cfg, 2) if q0_pairs is None else q0_pairs
-    if flatness_guard:
-        flat = solve_bands(cfg.replace(n_q=4), n_bands=2, certify=False).flatness.max()
-        if not flat <= FLATNESS_WARN:  # a nan flatness (no gap) raises too
-            raise ValueError(
-                f"lowest bands not flat (flatness {flat:.3f} > {FLATNESS_WARN}); "
-                "the doublet does not define localized states"
-            )
+def wannier_doublet(cfg: LatticeConfig) -> WannierDoublet:
+    """``localized_doublet`` of the q=0 ground doublet ``solve_q0(cfg, 2)``, with its
+    premise checked: bands that are not flat over q = -1, -1/2, 0, 1/2 raise
+    ValueError, and a negative ``barrier_margin_er`` logs a warning."""
+    vals, vecs = solve_q0(cfg, 2)
+    flat = solve_bands(cfg.replace(n_q=4), n_bands=2, certify=False).flatness.max()
+    if not flat <= FLATNESS_WARN:  # a nan flatness (no gap) raises too
+        raise ValueError(
+            f"lowest bands not flat (flatness {flat:.3f} > {FLATNESS_WARN}); "
+            "the doublet does not define localized states"
+        )
+    doublet = localized_doublet(cfg, vals, vecs)
+    if doublet.barrier_margin_er < 0.0:
+        log.warning("|A> lies %.3g E_R above the intra-well barrier; the doublet is not tunnel-split",
+                    -doublet.barrier_margin_er)
+    return doublet
+
+
+def localized_doublet(cfg: LatticeConfig, vals: np.ndarray, vecs: np.ndarray) -> WannierDoublet:
+    """Construct |S>, |A>, |L>, |R> from the two lowest eigenpairs ``vals``, ``vecs``
+    of H(0), as ``solve_q0(cfg, 2)`` returns them, without checking that they are
+    a localized doublet.  Global phases: the largest spin component of each state
+    at the sigma+ well center is made real positive, then the sign of |A> is chosen
+    so that (|S>+|A>)/sqrt(2) sits left of the barrier.  This makes |L> the left,
+    predominantly m_F > 0, localized state."""
     eps_er = float(vals[1] - vals[0])
 
     geom = double_well_geometry(cfg)
     margin = float(geom["barrier_er"] - vals[1])
-    if flatness_guard and margin < 0.0:
-        log.warning("|A> lies %.3g E_R above the intra-well barrier; the doublet is not tunnel-split", -margin)
     z_m = cfg.z_grid_m()
     dz = cfg.period_m / len(z_m)
     j_anchor = int(round(geom["sigma_plus_z_m"] / dz)) % len(z_m)

@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="INI-style run configuration")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps/ensembles")
+    parser.add_argument("--jobs", type=int, default=1, help="worker threads for sweep points")
     parser.add_argument("--out", default=None, help="output directory (overrides [output] directory)")
     parser.add_argument("--seed", type=int, default=None, help="override the ensemble seed")
     parser.add_argument("--verbose", action="store_true")

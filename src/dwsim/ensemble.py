@@ -5,18 +5,15 @@ value; the ensemble-averaged magnetization of identical localized-state
 Rabi runs then dephases on a timescale set by the frequency spread.
 Each sample's <F_z>(t) is closed-form in the sample's own q=0 doublet,
 found by certified eigenvector continuation in U_1.
-Sampling is splittable per index so serial and parallel runs agree
-bit for bit.
 """
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import fz_coefficient_diag, q0_eigenpairs, q0_sectors, wannier_doublet
+from .bands import fz_coefficient_diag, localized_doublet, q0_eigenpairs, q0_sectors, solve_q0
 from .dynamics import output_times
 from .errors import ConvergenceError
 from .lattice import LatticeConfig
@@ -118,11 +115,10 @@ def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[list, int, float
     return pairs, len(nodes), float(residual.max())
 
 
-def _single_run(cfg: LatticeConfig, spec: EnsembleSpec, index: int, t_us: np.ndarray, q0_pairs):
-    """<F_z>(t) of |L> = (|S> + |A>)/sqrt(2) in the doublet of ``q0_pairs`` (or of a full solve):
+def _single_run(cfg_i: LatticeConfig, vals: np.ndarray, vecs: np.ndarray, t_us: np.ndarray) -> np.ndarray:
+    """<F_z>(t) of |L> = (|S> + |A>)/sqrt(2) in the q=0 doublet ``vals``, ``vecs`` of ``cfg_i``:
     (F_SS + F_AA)/2 + Re(F_SA exp(-i omega t)), hbar omega = E_A - E_S."""
-    cfg_i = cfg.replace(u1_er=cfg.u1_er * sample_intensity_factor(spec, index))
-    doublet = wannier_doublet(cfg_i, flatness_guard=False, q0_pairs=q0_pairs)
+    doublet = localized_doublet(cfg_i, vals, vecs)
     fz_diag = fz_coefficient_diag(cfg_i)
     s, a = doublet.coef_s, doublet.coef_a
     f_ss, f_aa, f_sa = (np.vdot(x, fz_diag * y) for x, y in ((s, s), (a, a), (s, a)))
@@ -131,7 +127,7 @@ def _single_run(cfg: LatticeConfig, spec: EnsembleSpec, index: int, t_us: np.nda
     return fz
 
 
-def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec, jobs: int = 1) -> EnsembleResult:
+def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleResult:
     """Mean <F_z>(t) over localized-state Rabi runs of the ensemble ``spec``
     drawn around ``cfg``, on the spec's output time grid.
 
@@ -146,24 +142,23 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec, jobs: int = 1
     H(0) in full.  Node count and largest residual are logged at INFO and
     returned.  Samples that fail numerically (ConvergenceError, ValueError,
     LinAlgError) are skipped with a logged diagnostic; more than 10 % skipped
-    raises RuntimeError; any other exception propagates.  The reduction sums
-    in fixed index order, so the result does not depend on ``jobs``.
+    raises RuntimeError; any other exception propagates.  The samples run
+    and sum in index order.
     """
     t_us = output_times(spec.t_max_us, spec.dt_out_us)
     u1 = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)])
     pairs, n_nodes, max_residual = _ritz_doublets(cfg, u1)
     log.info("ensemble: %d nodes, largest Ritz residual %.2e E_R, %d samples solved in full",
              n_nodes, max_residual, sum(p is None for p in pairs))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        raw = list(pool.map(lambda i: _guarded_run(cfg, spec, i, t_us, pairs[i]), range(spec.n_samples)))
-
-    skipped = [fz is None for fz in raw]
-    u1[skipped] = np.nan
-    total = np.zeros(len(t_us))
-    for fz in raw:
-        if fz is not None:
-            total += fz
-    n_skipped = sum(skipped)
+    total, n_skipped = np.zeros(len(t_us)), 0
+    for i, pair in enumerate(pairs):
+        try:
+            cfg_i = cfg.replace(u1_er=float(u1[i]))
+            total += _single_run(cfg_i, *(solve_q0(cfg_i, 2) if pair is None else pair), t_us)
+        except (ConvergenceError, ValueError, np.linalg.LinAlgError):
+            log.exception("ensemble sample %d failed; skipping", i)
+            u1[i] = np.nan
+            n_skipped += 1
     if n_skipped > MAX_SKIP_FRACTION * spec.n_samples:
         raise RuntimeError(
             f"{n_skipped}/{spec.n_samples} ensemble samples failed; "
@@ -177,11 +172,3 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec, jobs: int = 1
         n_nodes=n_nodes,
         max_residual_er=max_residual,
     )
-
-
-def _guarded_run(cfg: LatticeConfig, spec: EnsembleSpec, index: int, t_us: np.ndarray, q0_pairs):
-    try:
-        return _single_run(cfg, spec, index, t_us, q0_pairs)
-    except (ConvergenceError, ValueError, np.linalg.LinAlgError):
-        log.exception("ensemble sample %d failed; skipping", index)
-        return None

@@ -123,11 +123,7 @@ def _initial_guess(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([a0, nu0, lam0, phi0, coef[2]])
 
 
-def fit_damped_sinusoid(
-    t_us: np.ndarray,
-    y: np.ndarray,
-    initial: tuple[float, float, float, float, float] | None = None,
-) -> DampedSinusoidFit:
+def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
     """Fit A exp(-t/tau) cos(2 pi nu t + phi) + C to a sampled series.
 
     Parameters
@@ -135,10 +131,7 @@ def fit_damped_sinusoid(
     t_us, y : array_like
         Uniformly sampled series; at least 4 samples per oscillation
         period are required, and fewer than 2 periods of data only
-        produce a warning.
-    initial : tuple, optional
-        (amplitude, frequency_per_us, decay_rate_per_us, phase_rad,
-        offset) starting point; derived from the data when omitted.
+        produce a warning.  The starting point is derived from the data.
 
     Raises
     ------
@@ -155,7 +148,7 @@ def fit_damped_sinusoid(
     if float(np.std(y)) == 0.0:
         raise ValueError("degenerate data: series is constant")
     dt = uniform_step(t)
-    p = np.asarray(initial, dtype=float) if initial is not None else _initial_guess(t, y)
+    p = _initial_guess(t, y)
     if p[1] > 0 and dt > 1.0 / (4.0 * p[1]):
         raise ValueError(
             f"undersampled: {1 / (dt * p[1]):.2f} samples per period, need >= 4"
@@ -166,8 +159,7 @@ def fit_damped_sinusoid(
     residual = _model(p, t) - y
     cost = float(residual @ residual)
     mu = 0.0
-    # gradient tolerance scaled by the problem size so that refitting a
-    # converged result stops immediately regardless of the first run's path
+    # gradient tolerance scaled by the problem size
     g_scale = max(1.0, float(np.max(np.abs(y - y.mean()))) * max(1.0, float(t[-1] - t[0])) * len(t))
     n_iter = 0
     converged = False

@@ -67,10 +67,9 @@ class LatticeConfig:
     def period_m(self) -> float:
         return self.species.period_m
 
-    def z_grid_m(self, n: int | None = None) -> np.ndarray:
-        """Uniform grid of one lattice period, endpoint excluded."""
-        n = self.z_points if n is None else n
-        return np.arange(n) * (self.period_m / n)
+    def z_grid_m(self) -> np.ndarray:
+        """Uniform grid of ``z_points`` over one lattice period, endpoint excluded."""
+        return np.arange(self.z_points) * (self.period_m / self.z_points)
 
     def replace(self, **kw) -> "LatticeConfig":
         return replace(self, **kw)

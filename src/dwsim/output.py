@@ -2,8 +2,8 @@
 
 Floats are written with fixed significant-digit formatting and rows in
 a fixed order, so identical configs reproduce byte-identical bundles.
-Sweep and ensemble points fan out to a thread pool; the reduction is an
-ordered gather, making results independent of the worker count.
+Sweep points fan out to a thread pool; the reduction is an ordered
+gather, making results independent of the worker count.
 """
 from __future__ import annotations
 
@@ -240,7 +240,7 @@ def _cmd_ensemble(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     n_times = len(output_times(spec.t_max_us, spec.dt_out_us))
     if n_times < MIN_SAMPLES:
         raise ConfigError(f"[ensemble] time grid has {n_times} output times, the fit needs at least {MIN_SAMPLES}")
-    result = ensemble_magnetization(run_cfg.lattice, spec, jobs=jobs)
+    result = ensemble_magnetization(run_cfg.lattice, spec)
     fit = fit_damped_sinusoid(result.t_us, result.mean_fz)
     write_csv(
         os.path.join(directory, "ensemble.csv"),

@@ -270,7 +270,7 @@ def test_criterion_08_dephasing_decade():
     taus = {}
     for spread in (0.05, 0.10):
         spec = EnsembleSpec(spread=spread, n_samples=200, seed=20260808, t_max_us=1500.0, dt_out_us=5.0)
-        result = ensemble_magnetization(cfg, spec, jobs=2)
+        result = ensemble_magnetization(cfg, spec)
         fit = fit_damped_sinusoid(result.t_us, result.mean_fz)
         taus[spread] = fit.tau_us
     decade_ok = 100.0 <= taus[0.05] <= 1000.0

@@ -23,6 +23,7 @@ from dwsim.bands import (
     _spin_basis,
     _spin_blocks,
     bloch_to_zgrid,
+    localized_doublet,
     q0_sectors,
     q_grid,
     solve_q0,
@@ -235,6 +236,19 @@ def test_wannier_flatness_guard():
         wannier_doublet(shallow)
 
 
+@pytest.mark.parametrize("phase", FICTITIOUS_PHASES)
+def test_wannier_doublet_is_the_guarded_localized_doublet(cfg, phase):
+    # past its guard, wannier_doublet is localized_doublet of the q = 0 solve, field for field
+    cfg = cfg.replace(fictitious_phase=phase)
+    got, ref = wannier_doublet(cfg), localized_doublet(cfg, *solve_q0(cfg, 2))
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b, field.name
+
+
 def test_barrier_margin(caplog):
     # barrier - E_A from the q=0 solve: |A> straddles the barrier at the
     # canonical point and lies well below it at U_1 = 120 E_R
@@ -317,7 +331,7 @@ def test_bloch_blocks_are_fourier_coefficients_of_potential(u1, theta, bx, bz, p
     kinetic = np.repeat((2.0 * np.arange(-n_pw, n_pw + 1)) ** 2, dim)
     blocks = (assemble_bloch_hamiltonian(cfg, 0.0) - np.diag(kinetic)).reshape(n, dim, n, dim)
     n_z = 16
-    coeffs = np.fft.fft(potential_matrix(cfg, cfg.z_grid_m(n_z)), axis=0) / n_z
+    coeffs = np.fft.fft(potential_matrix(cfg, np.arange(n_z) * (cfg.period_m / n_z)), axis=0) / n_z
     tol = 1e-12 * np.abs(coeffs).max()
     assert np.abs(coeffs[2:-1]).max() <= tol  # U(z) has no harmonic beyond the first
     for p in range(n):

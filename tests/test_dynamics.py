@@ -13,7 +13,7 @@ from dwsim import (
     propagate_static,
     wannier_doublet,
 )
-from dwsim.bands import assemble_bloch_hamiltonian, bloch_to_zgrid, solve_q0
+from dwsim.bands import assemble_bloch_hamiltonian, bloch_to_zgrid, localized_doublet, solve_q0
 from dwsim.dynamics import ADIABATICITY_POINTS, _observables, _run_steps, _schedule_steps, stretched_ground_state
 from spectrum import dominant_frequency_hz
 
@@ -234,12 +234,12 @@ def _turnoff_run(cfg, bz_hold, duration_us, dt_us):
     _, v0 = np.linalg.eigh(assemble_bloch_hamiltonian(cfg.replace(bz_mg=bz_hold), 0.0))
     psi0 = v0[:, 0]
     schedule = RampSchedule((Segment(duration_us, cfg.bx_mg, cfg.bx_mg, bz_hold, 0.0),))
-    doublet = wannier_doublet(cfg, flatness_guard=False)
+    doublet = localized_doublet(cfg, *solve_q0(cfg, 2))
     return _observables(cfg, *_run_steps(cfg, _schedule_steps(schedule, dt_us), psi0)[1:], doublet), doublet
 
 
 def test_slow_turnoff_follows_into_symmetric_state(strong_cfg):
-    doublet = wannier_doublet(strong_cfg, flatness_guard=False)
+    doublet = localized_doublet(strong_cfg, *solve_q0(strong_cfg, 2))
     eps_hz = doublet.epsilon_hz
     # Landau-Zener oracle: the detuning sweeps at |d delta/dt| =
     # slope * |bz_hold| / T; adiabatic following needs

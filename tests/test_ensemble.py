@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dwsim import LatticeConfig, cesium_f4, fit_damped_sinusoid, propagate_static, wannier_doublet
 from dwsim import ensemble
-from dwsim.bands import fz_coefficient_diag, q0_sectors, solve_q0
+from dwsim.bands import fz_coefficient_diag, localized_doublet, q0_sectors, solve_q0
 from dwsim.dynamics import output_times
 from dwsim.ensemble import GAUSS_TRUNCATION, EnsembleSpec, ensemble_magnetization, sample_intensity_factor
 from test_bands import BOX, _box_cfg
@@ -59,14 +59,6 @@ def test_zero_spread_equals_single_run(cfg, tgrid, bz_mg, g_f):
     np.testing.assert_allclose(result.sample_u1_er, cfg.u1_er, atol=1e-12)
 
 
-def test_parallel_serial_identical(cfg):
-    spec = EnsembleSpec(spread=0.05, n_samples=8, seed=5, **GRID)
-    serial = ensemble_magnetization(cfg, spec, jobs=1)
-    parallel = ensemble_magnetization(cfg, spec, jobs=4)
-    np.testing.assert_array_equal(serial.mean_fz, parallel.mean_fz)
-    np.testing.assert_array_equal(serial.sample_u1_er, parallel.sample_u1_er)
-
-
 def test_frequency_consistency(cfg):
     spec = EnsembleSpec(spread=0.0, n_samples=1, seed=2, **GRID)
     result = ensemble_magnetization(cfg, spec)
@@ -88,14 +80,15 @@ def test_programming_error_in_a_sample_propagates(cfg, monkeypatch):
     # only numerical failures count as skipped samples; a bug in one
     # sample out of ten (within the 10 % skip budget) must still surface
     single_run = ensemble._single_run
+    spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
+    u1_3 = cfg.u1_er * sample_intensity_factor(spec, 3)
 
-    def broken_once(cfg, spec, index, t_us, q0_pairs):
-        if index == 3:
+    def broken_once(cfg_i, vals, vecs, t_us):
+        if cfg_i.u1_er == u1_3:
             raise TypeError("bug in sample code")
-        return single_run(cfg, spec, index, t_us, q0_pairs)
+        return single_run(cfg_i, vals, vecs, t_us)
 
     monkeypatch.setattr(ensemble, "_single_run", broken_once)
-    spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
     with pytest.raises(TypeError):
         ensemble_magnetization(cfg, spec)
 
@@ -145,16 +138,16 @@ def test_continuation_matches_per_sample_solves(share, distribution, n_samples, 
         assert abs(trace - trace_ref) <= 1e-10
         assert abs(f_sa - f_sa_ref) <= 1e-10
         try:
-            ref = wannier_doublet(cfg_i, flatness_guard=False)
+            ref = localized_doublet(cfg_i, *full)
         except ValueError:  # no double well to orient the doublet by
             continue
-        got = wannier_doublet(cfg_i, flatness_guard=False, q0_pairs=pair)
+        got = localized_doublet(cfg_i, *pair)
         assert abs(np.vdot(got.coef_s, fz_diag * got.coef_a) - np.vdot(ref.coef_s, fz_diag * ref.coef_a)) <= 1e-10
 
 
 def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
     # With no residual small enough every sample takes the full solve, which
-    # is the closed form of each sample's own wannier_doublet, bit for bit.
+    # is the closed form of each sample's own localized_doublet, bit for bit.
     monkeypatch.setattr(ensemble, "RITZ_RESIDUAL_ER", 0.0)
     spec = EnsembleSpec(spread=0.05, n_samples=6, seed=8, **SHORT_GRID)
     result = ensemble_magnetization(cfg, spec)
@@ -163,7 +156,7 @@ def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
     total = np.zeros(len(t_us))
     for i in range(spec.n_samples):
         cfg_i = cfg.replace(u1_er=cfg.u1_er * sample_intensity_factor(spec, i))
-        doublet = wannier_doublet(cfg_i, flatness_guard=False)
+        doublet = localized_doublet(cfg_i, *solve_q0(cfg_i, 2))
         fz_diag = fz_coefficient_diag(cfg_i)
         s, a = doublet.coef_s, doublet.coef_a
         f_ss, f_aa, f_sa = (np.vdot(x, fz_diag * y) for x, y in ((s, s), (a, a), (s, a)))

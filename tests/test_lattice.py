@@ -16,6 +16,11 @@ from dwsim.lattice import (
 )
 
 
+def period_grid(cfg, n):
+    """n points over one period, endpoint excluded: coarser or finer than ``cfg.z_grid_m()``."""
+    return np.arange(n) * (cfg.period_m / n)
+
+
 def canonical(**kw):
     base = dict(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, bz_mg=0.0, z_points=256)
     base.update(kw)
@@ -67,7 +72,7 @@ def test_hermitian_and_periodic():
 
 def test_diabatic_curves_ignore_bx():
     cfg = canonical()
-    z = cfg.z_grid_m(64)
+    z = period_grid(cfg, 64)
     with_bx = diabatic_curves(cfg, z)
     without = diabatic_curves(cfg.replace(bx_mg=0.0), z)
     np.testing.assert_allclose(with_bx, without, atol=1e-14)
@@ -75,7 +80,7 @@ def test_diabatic_curves_ignore_bx():
 
 def test_diabatic_m0_and_mirror():
     cfg = canonical()
-    z = cfg.z_grid_m(64)
+    z = period_grid(cfg, 64)
     curves = diabatic_curves(cfg, z)
     np.testing.assert_allclose(curves[4], scalar_potential_er(cfg, z), atol=1e-12)
     # +-m mirror pairs about U_J at B_z = 0
@@ -87,7 +92,7 @@ def test_diabatic_m0_and_mirror():
 
 def test_diabatic_theta90_pure_cosines():
     cfg = canonical(theta_deg=90.0, fictitious_phase="paper_cos", bz_mg=0.0)
-    z = cfg.z_grid_m(64)
+    z = period_grid(cfg, 64)
     curves = diabatic_curves(cfg, z)
     phase = 2 * cfg.species.k_l * z
     for m in range(-4, 5):
@@ -98,7 +103,7 @@ def test_diabatic_theta90_pure_cosines():
 def test_adiabatic_against_analytic_oracle():
     # the closed-form curves against the numerical spectrum of U(z)
     cfg = canonical(bz_mg=7.0)
-    z = cfg.z_grid_m(128)
+    z = period_grid(cfg, 128)
     numerical = np.linalg.eigvalsh(potential_matrix(cfg, z)).T
     np.testing.assert_allclose(adiabatic_curves(cfg, z), numerical, atol=1e-9)
 
@@ -167,7 +172,7 @@ def test_adiabatic_curves_keep_m_f_at_zero_bx(phase, bz):
     # without B_x, m_F is conserved: the curves are the diabatic ones,
     # ordered by their value at the first grid point, through every crossing
     cfg = canonical(bx_mg=0.0, bz_mg=bz, fictitious_phase=phase)
-    z = cfg.z_grid_m(128)
+    z = period_grid(cfg, 128)
     dia = diabatic_curves(cfg, z)
     expected = dia[np.argsort(dia[:, 0], kind="stable")]
     np.testing.assert_allclose(adiabatic_curves(cfg, z), expected, atol=1e-9)
@@ -201,14 +206,14 @@ def test_double_well_minima_count(phase):
 def test_adiabatic_tracking_grid_independent():
     # the curves at a grid point do not depend on the rest of the grid
     cfg = canonical()
-    coarse = adiabatic_curves(cfg, cfg.z_grid_m(32))
-    fine = adiabatic_curves(cfg, cfg.z_grid_m(256))
+    coarse = adiabatic_curves(cfg, period_grid(cfg, 32))
+    fine = adiabatic_curves(cfg, period_grid(cfg, 256))
     np.testing.assert_allclose(coarse, fine[:, ::8], atol=1e-9)
 
 
 def test_trace_sum_rule():
     cfg = canonical(bz_mg=12.0)
-    z = cfg.z_grid_m(128)
+    z = period_grid(cfg, 128)
     dia = diabatic_curves(cfg, z)
     adi = adiabatic_curves(cfg, z)
     np.testing.assert_allclose(dia.sum(axis=0), adi.sum(axis=0), atol=1e-10)

@@ -12,12 +12,10 @@ from .lattice import (
     adiabatic_curves,
     diabatic_curves,
     potential_curves,
-    potential_matrix,
 )
 from .bands import (
     BandSolution,
     WannierDoublet,
-    assemble_bloch_hamiltonian,
     solve_bands,
     wannier_doublet,
 )
@@ -47,13 +45,11 @@ __all__ = [
     "make_spin_operators",
     "LatticeConfig",
     "PotentialCurves",
-    "potential_matrix",
     "potential_curves",
     "diabatic_curves",
     "adiabatic_curves",
     "BandSolution",
     "WannierDoublet",
-    "assemble_bloch_hamiltonian",
     "solve_bands",
     "wannier_doublet",
     "Segment",

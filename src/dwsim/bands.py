@@ -114,14 +114,6 @@ def _zeeman_block(cfg: LatticeConfig, bx_mg: float, bz_mg: float) -> np.ndarray:
     return bx_mg * (per_mg * cfg.spin.fx) + bz_mg * (per_mg * cfg.spin.fz)
 
 
-def assemble_bloch_hamiltonian(cfg: LatticeConfig, q_over_kl: float) -> np.ndarray:
-    """Full complex Bloch Hamiltonian at quasimomentum q (units of k_L), in E_R."""
-    if abs(q_over_kl) > 1.0 + 1e-12:
-        raise ValueError(f"|q| must be <= k_L, got q/k_L = {q_over_kl}")
-    onsite = _zeeman_block(cfg, cfg.bx_mg, cfg.bz_mg)
-    return _bloch_matrix(cfg, onsite, _raising_block(cfg), q_over_kl, cfg.n_planewaves)
-
-
 def q_grid(cfg: LatticeConfig) -> np.ndarray:
     """Quasimomentum samples spanning [-1, 1) in units of k_L."""
     return -1.0 + 2.0 * np.arange(cfg.n_q) / cfg.n_q

@@ -5,18 +5,17 @@ Hamiltonian; field ramps use piecewise-frozen stepping where each step
 applies the spectral exponential of the midpoint-field Hamiltonian, so
 every step is exactly unitary.  Ramp accuracy is certified by step
 doubling and the step is auto-halved until the certification passes.
+A ramp keeps only its final state.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import (
     WannierDoublet,
-    _bloch_matrix,
-    _raising_block,
     _zeeman_block,
     fz_coefficient_diag,
     solve_q0,
@@ -115,7 +114,7 @@ def preparation_schedule(cfg: LatticeConfig, block: PrepareBlock) -> RampSchedul
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Time-indexed observables from one propagation run.
+    """Time-indexed observables of one static propagation run.
 
     Projections p_l / p_r are onto the caller-supplied reference
     localized states; leakage = 1 - p_l - p_r."""
@@ -127,8 +126,6 @@ class TimeSeries:
     fz: np.ndarray
     p_m: np.ndarray
     psi_final: np.ndarray
-    dt_us: float | None = None
-    step_doubling_infidelity: float | None = None
 
 
 def _as_coefficients(cfg: LatticeConfig, psi0: np.ndarray) -> np.ndarray:
@@ -143,7 +140,7 @@ def _as_coefficients(cfg: LatticeConfig, psi0: np.ndarray) -> np.ndarray:
     return psi0
 
 
-def _observables(cfg: LatticeConfig, t_us, psi_t, doublet, dt_us=None, cert=None) -> TimeSeries:
+def _observables(cfg: LatticeConfig, t_us, psi_t, doublet) -> TimeSeries:
     """Assemble a TimeSeries from states psi_t of shape (D, nt)."""
     dim = cfg.spin.dim
     p_l = np.abs(doublet.coef_l.conj() @ psi_t) ** 2
@@ -159,8 +156,6 @@ def _observables(cfg: LatticeConfig, t_us, psi_t, doublet, dt_us=None, cert=None
         fz=fz,
         p_m=p_m,
         psi_final=psi_t[:, -1].copy(),
-        dt_us=dt_us,
-        step_doubling_infidelity=cert,
     )
 
 
@@ -196,16 +191,12 @@ def _schedule_steps(schedule: RampSchedule, dt_us: float):
 
 
 def _run_steps(cfg, steps, psi):
-    """Step psi through ``steps``; return the final state, the step times
-    and the states at those times stacked as columns (D, n + 1)."""
+    """Step psi through ``steps`` and return the final state."""
     w = cfg.units.rad_per_us_per_er()
-    times, states = [0.0], [psi]
     for h, bx, bz in steps:
         vals, vecs = solve_q0(cfg.replace(bx_mg=bx, bz_mg=bz))
         psi = vecs @ (np.exp(-1j * vals * w * h) * (vecs.conj().T @ psi))
-        times.append(times[-1] + h)
-        states.append(psi)
-    return psi, np.asarray(times), np.stack(states, axis=1)
+    return psi
 
 
 def propagate_ramp(
@@ -213,14 +204,14 @@ def propagate_ramp(
     schedule: RampSchedule,
     psi0: np.ndarray,
     dt_us: float,
-    doublet: WannierDoublet,
-) -> TimeSeries:
-    """Propagate through a field ramp with midpoint-frozen spectral steps.
+) -> tuple[np.ndarray, float, float]:
+    """Propagate through a field ramp with midpoint-frozen spectral steps;
+    return the final state, the accepted dt and its step-doubling infidelity.
 
     Certification reruns the schedule at dt/2 and requires the final
     states to agree to 1e-6 in fidelity, halving dt (up to 8 times)
-    until they do.  Each step size runs once, and the series returned is
-    the one recorded during the accepted dt pass.
+    until they do.  Each step size runs once, and the state returned is
+    that of the accepted dt pass.
 
     Raises
     ------
@@ -233,20 +224,20 @@ def propagate_ramp(
     psi0 = _as_coefficients(cfg, psi0)
 
     dt = float(dt_us)
-    psi, times, states = _run_steps(cfg, _schedule_steps(schedule, dt), psi0)
+    psi = _run_steps(cfg, _schedule_steps(schedule, dt), psi0)
     for _ in range(MAX_HALVINGS):
         fine = _run_steps(cfg, _schedule_steps(schedule, dt / 2), psi0)
-        cert_infid = float(1.0 - np.abs(psi.conj() @ fine[0]) ** 2)
+        cert_infid = float(1.0 - np.abs(psi.conj() @ fine) ** 2)
         if cert_infid < STEP_DOUBLING_TOL:
             break
         dt /= 2
-        psi, times, states = fine
+        psi = fine
     else:
         raise ConvergenceError(
             f"ramp step-doubling certification failed: dt={dt} us and dt/2 "
             f"final states disagree (infidelity {cert_infid:.3e} >= {STEP_DOUBLING_TOL})"
         )
-    return _observables(cfg, times, states, doublet, dt_us=dt, cert=cert_infid)
+    return psi, dt, cert_infid
 
 
 @dataclass(frozen=True)
@@ -335,46 +326,32 @@ def adiabaticity_report(cfg: LatticeConfig, schedule: RampSchedule, epsilon_hz: 
 
 @dataclass(frozen=True)
 class PreparationResult:
-    psi_final: np.ndarray
     fidelity_l: float
     p_r: float
     doublet_population: float
     initial_stretched_population: float
+    dt_us: float
+    step_doubling_infidelity: float
     report: AdiabaticityReport
-    series: TimeSeries = field(repr=False)
-
-
-def stretched_ground_state(cfg: LatticeConfig) -> np.ndarray:
-    """Ground state of the m_F = +F diabatic potential, embedded in the full
-    coefficient basis: the lowest eigenvector of the m_F = +F sub-block of the
-    q=0 Hamiltonian of ``cfg``, built from the m_F = +F corners of the spin
-    blocks.  F_x has a zero diagonal, so B_x adds exactly 0 to that sub-block.
-    """
-    top = np.s_[-1:, -1:]
-    onsite = _zeeman_block(cfg, cfg.bx_mg, cfg.bz_mg)[top]
-    chain = _bloch_matrix(cfg, onsite, _raising_block(cfg)[top], 0.0, cfg.n_planewaves)
-    psi = np.zeros((len(chain), cfg.spin.dim), dtype=complex)
-    psi[:, -1] = np.linalg.eigh(chain)[1][:, 0]
-    return psi.reshape(-1)
 
 
 def prepare_ground_l(cfg: LatticeConfig, block: PrepareBlock) -> PreparationResult:
     """Run the state-preparation protocol of ``block`` and report fidelities
     against the B_z = 0 doublet of ``cfg``.
 
-    The initial state is the q=0 ground state of the stretched-state
-    (m_F = +F) potential at the schedule's starting fields; it must also
-    be the lowest band of the full Hamiltonian there with >= 0.9
-    stretched-spin population, otherwise the holding field is unsuitable
+    The initial state is the lowest q=0 state at the schedule's starting
+    fields.  B_x is 0 there, so F_z commutes with H(0) and that state is the
+    ground state of the stretched-state (m_F = +F) potential when the
+    holding field makes m_F = +F the lowest Zeeman manifold.  If its
+    stretched-spin population is below 0.9, the holding field is unsuitable
     and a ValueError is raised.
     """
     schedule = preparation_schedule(cfg, block)
     bx0, bz0 = schedule.start_fields_mg
-    start = cfg.replace(bx_mg=bx0, bz_mg=bz0)
+    _, vecs = solve_q0(cfg.replace(bx_mg=bx0, bz_mg=bz0), 1)
+    psi0 = vecs[:, 0]
     dim = cfg.spin.dim
-    psi0 = stretched_ground_state(start)
-    _, vecs = solve_q0(start, 1)
-    band0_top = float(np.sum(np.abs(vecs[:, 0].reshape(-1, dim)[:, dim - 1]) ** 2))
+    band0_top = float(np.sum(np.abs(psi0.reshape(-1, dim)[:, dim - 1]) ** 2))
     if band0_top < 0.9:
         raise ValueError(
             f"lowest band at the starting fields has only {band0_top:.3f} "
@@ -383,14 +360,15 @@ def prepare_ground_l(cfg: LatticeConfig, block: PrepareBlock) -> PreparationResu
         )
 
     doublet = wannier_doublet(cfg.replace(bz_mg=0.0))
-    series = propagate_ramp(cfg, schedule, psi0, block.dt_us, doublet)
-    report = adiabaticity_report(cfg, schedule, doublet.epsilon_hz)
+    psi, dt, cert_infid = propagate_ramp(cfg, schedule, psi0, block.dt_us)
+    end_us = sum(seg.duration_us for seg in schedule.segments)
+    final = _observables(cfg, [end_us], psi[:, None], doublet)
     return PreparationResult(
-        psi_final=series.psi_final,
-        fidelity_l=float(series.p_l[-1]),
-        p_r=float(series.p_r[-1]),
-        doublet_population=float(series.p_l[-1] + series.p_r[-1]),
+        fidelity_l=float(final.p_l[0]),
+        p_r=float(final.p_r[0]),
+        doublet_population=float(final.p_l[0] + final.p_r[0]),
         initial_stretched_population=band0_top,
-        report=report,
-        series=series,
+        dt_us=dt,
+        step_doubling_infidelity=cert_infid,
+        report=adiabaticity_report(cfg, schedule, doublet.epsilon_hz),
     )

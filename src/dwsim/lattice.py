@@ -91,9 +91,10 @@ class PotentialCurves:
 
 
 def potential_coefficients(cfg: LatticeConfig) -> tuple[float, float, float]:
-    """Coefficients of U(z) in E_R: the offset 4 U_1/3, the scalar
-    amplitude (2 U_1/3) cos(theta) of cos(2 k_L z), and the fictitious
-    amplitude -g_F (2 U_1/3) sin(theta) of the F_z term."""
+    """Coefficients of U(z) in E_R: the offset 4 U_1/3, the weight
+    (2 U_1/3) cos(theta) of each of exp(+-2 i k_L z) in U_J (half its
+    cos(2 k_L z) amplitude), and the fictitious amplitude
+    -g_F (2 U_1/3) sin(theta) of the F_z term."""
     theta = np.radians(cfg.theta_deg)
     offset = 4.0 * cfg.u1_er / 3.0
     scalar = (2.0 * cfg.u1_er / 3.0) * np.cos(theta)
@@ -117,19 +118,9 @@ def fictitious_zeeman_er(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndar
 
 
 def _reduced_phase(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndarray | float:
-    # Reduce to one period before forming the angle so that
-    # potential_matrix(z + period) reproduces potential_matrix(z).
+    # Reduce to one period before forming the angle so that every
+    # potential at z + period reproduces its value at z.
     return 2.0 * np.pi * np.mod(np.asarray(z_m) / cfg.period_m, 1.0)
-
-
-def potential_matrix(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndarray:
-    """Hermitian potential matrix U(z) in E_R: (2F+1)x(2F+1) for a scalar
-    z, stacked to shape (len(z), 2F+1, 2F+1) for an array of positions."""
-    ops = cfg.spin
-    u_j = np.asarray(scalar_potential_er(cfg, z_m))[..., None, None]
-    beta_x, b_z = _effective_field(cfg, z_m)
-    mat = u_j * np.eye(ops.dim) + np.asarray(b_z)[..., None, None] * ops.fz + beta_x * ops.fx
-    return mat.astype(complex)
 
 
 def _effective_field(cfg: LatticeConfig, z_m: np.ndarray | float) -> tuple[float, np.ndarray | float]:

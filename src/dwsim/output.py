@@ -55,19 +55,9 @@ def write_csv(path: str, header: list[str], rows, precision: int) -> None:
             writer.writerow([_fmt(v, precision) for v in row])
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -218,8 +208,8 @@ def _cmd_prepare(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
             "p_r": result.p_r,
             "doublet_population": result.doublet_population,
             "initial_stretched_population": result.initial_stretched_population,
-            "dt_us": result.series.dt_us,
-            "step_doubling_infidelity": result.series.step_doubling_infidelity,
+            "dt_us": result.dt_us,
+            "step_doubling_infidelity": result.step_doubling_infidelity,
             "adiabaticity": dataclasses.asdict(result.report),
         },
     )

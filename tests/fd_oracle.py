@@ -12,7 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dwsim.lattice import LatticeConfig, potential_matrix
+from dwsim.lattice import LatticeConfig
+from reference_hamiltonian import potential_matrix
 
 
 def _lowest_eigenpairs(cfg: LatticeConfig, n_points: int, n_states: int, q_over_kl: float, vectors: bool):

@@ -36,7 +36,6 @@ from dwsim import (
     LatticeConfig,
     PrepareBlock,
     adiabatic_curves,
-    assemble_bloch_hamiltonian,
     fit_damped_sinusoid,
     prepare_ground_l,
     propagate_static,
@@ -48,6 +47,7 @@ from dwsim.ensemble import EnsembleSpec, ensemble_magnetization
 from dwsim.lattice import _strict_local_minima
 
 from fd_oracle import reference_energies, reference_states
+from reference_hamiltonian import assemble_bloch_hamiltonian
 from spectrum import dominant_frequency_hz
 from two_level import two_level_model
 
@@ -249,6 +249,7 @@ def test_criterion_07_preparation_protocol():
     ok = (
         result.doublet_population >= 0.95
         and result.fidelity_l >= 0.7
+        and result.step_doubling_infidelity < 1e-6
         and seg2.sudden_internal
         and seg2.adiabatic_excited
     )
@@ -257,6 +258,7 @@ def test_criterion_07_preparation_protocol():
         ok,
         f"doublet population {result.doublet_population:.3f} (need >= 0.95); "
         f"fidelity_L {result.fidelity_l:.3f} (need >= 0.7); "
+        f"step-doubling infidelity {result.step_doubling_infidelity:.1e} (need < 1e-6); "
         f"turn-off eps*T {seg2.eps_times_duration:.3f} sudden={seg2.sudden_internal}; "
         f"rate figure {seg2.fom_ground_to_excited:.3f} adiabatic={seg2.adiabatic_excited}",
         t0,

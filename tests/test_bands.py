@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dwsim import (
-    LatticeConfig,
-    assemble_bloch_hamiltonian,
-    cesium_f4,
-    potential_matrix,
-    solve_bands,
-    wannier_doublet,
-)
+from dwsim import LatticeConfig, cesium_f4, solve_bands, wannier_doublet
 from dwsim.bands import (
     CERTIFY_EXTRA_PLANEWAVES,
     _band_energies,
@@ -30,6 +23,7 @@ from dwsim.bands import (
 )
 from dwsim.errors import ConvergenceError
 from dwsim.lattice import FICTITIOUS_PHASES
+from reference_hamiltonian import assemble_bloch_hamiltonian, potential_matrix
 from two_level import two_level_model
 
 
@@ -59,11 +53,13 @@ def test_hermiticity(cfg):
 
 
 def test_dimension_guard():
+    # the q=0 solve and the Bloch matrix refuse a basis above MAX_DIMENSION
+    # before allocating it
     cfg = LatticeConfig(n_planewaves=600)
     with pytest.raises(ValueError):
-        assemble_bloch_hamiltonian(cfg, 0.0)
+        solve_q0(cfg)
     with pytest.raises(ValueError):
-        assemble_bloch_hamiltonian(LatticeConfig(n_planewaves=8), 1.5)
+        _bloch_matrix(cfg, *_spin_blocks(cfg), 0.0, cfg.n_planewaves)
 
 
 def test_theta_zero_degeneracy_and_harmonic_gap():

@@ -174,7 +174,6 @@ EIGENSOLVES = {
         ("eigvalsh", (3, 225, 225), "f"): 1,
     },
     "prepare": {
-        ("eigh", (25, 25), "c"): 1,
         ("eigh", (112, 112), "f"): 2,
         ("eigh", (113, 113), "f"): 2,
         ("eigh", (225, 225), "f"): 280,

@@ -13,8 +13,9 @@ from dwsim import (
     propagate_static,
     wannier_doublet,
 )
-from dwsim.bands import assemble_bloch_hamiltonian, bloch_to_zgrid, localized_doublet, solve_q0
-from dwsim.dynamics import ADIABATICITY_POINTS, _observables, _run_steps, _schedule_steps, stretched_ground_state
+from dwsim.bands import bloch_to_zgrid, localized_doublet, solve_q0
+from dwsim.dynamics import ADIABATICITY_POINTS, _observables, _run_steps, _schedule_steps
+from reference_hamiltonian import assemble_bloch_hamiltonian
 from spectrum import dominant_frequency_hz
 
 
@@ -99,15 +100,20 @@ def test_input_validation(cfg, doublet):
 
 def test_near_zero_duration_is_identity(cfg, doublet):
     schedule = RampSchedule((Segment(1e-9, cfg.bx_mg, cfg.bx_mg, 0.0, 0.0),))
-    series = _observables(cfg, *_run_steps(cfg, _schedule_steps(schedule, 1.0), doublet.coef_l)[1:], doublet)
-    assert np.abs(np.vdot(series.psi_final, doublet.coef_l)) ** 2 > 1.0 - 1e-12
+    psi = _run_steps(cfg, _schedule_steps(schedule, 1.0), doublet.coef_l)
+    assert np.abs(np.vdot(psi, doublet.coef_l)) ** 2 > 1.0 - 1e-12
 
 
 def test_constant_schedule_matches_static(cfg, doublet):
     duration = 40.0
     schedule = RampSchedule((Segment(duration, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
-    ramp = _observables(cfg, *_run_steps(cfg, _schedule_steps(schedule, 2.0), doublet.coef_l)[1:], doublet)
-    static = propagate_static(cfg, doublet.coef_l, ramp.t_us, doublet=doublet)
+    steps = _schedule_steps(schedule, 2.0)
+    # the ramp's state after the first k steps, at several k
+    ends = (0, 1, 7, 13, len(steps))
+    times = [sum(h for h, _, _ in steps[:k]) for k in ends]
+    states = np.stack([_run_steps(cfg, steps[:k], doublet.coef_l) for k in ends], axis=1)
+    ramp = _observables(cfg, times, states, doublet)
+    static = propagate_static(cfg, doublet.coef_l, times, doublet=doublet)
     np.testing.assert_allclose(ramp.p_l, static.p_l, atol=1e-8)
     np.testing.assert_allclose(ramp.p_r, static.p_r, atol=1e-8)
     np.testing.assert_allclose(ramp.fz, static.fz, atol=1e-8)
@@ -116,7 +122,7 @@ def test_constant_schedule_matches_static(cfg, doublet):
 
 def test_certified_ramp_keeps_the_accepted_pass(cfg, doublet, monkeypatch):
     # certification runs dt and dt/2 once each (n + 2n step solves of H(0))
-    # and returns the series recorded during the accepted dt pass
+    # and returns the final state of the accepted dt pass
     schedule = RampSchedule((Segment(40.0, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
     n_steps = 20
     calls = []
@@ -126,14 +132,12 @@ def test_certified_ramp_keeps_the_accepted_pass(cfg, doublet, monkeypatch):
         return solve_q0(step_cfg)
 
     monkeypatch.setattr("dwsim.dynamics.solve_q0", counting_solve_q0)
-    certified = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=2.0, doublet=doublet)
+    psi, dt_us, infidelity = propagate_ramp(cfg, schedule, doublet.coef_l, dt_us=2.0)
     assert len(calls) == n_steps + 2 * n_steps
     monkeypatch.undo()
-    assert certified.dt_us == 2.0
-    assert certified.step_doubling_infidelity < 1e-6
-    plain = _observables(cfg, *_run_steps(cfg, _schedule_steps(schedule, certified.dt_us), doublet.coef_l)[1:], doublet)
-    for name in ("t_us", "p_l", "p_r", "leakage", "fz", "p_m", "psi_final"):
-        np.testing.assert_array_equal(getattr(certified, name), getattr(plain, name))
+    assert dt_us == 2.0
+    assert infidelity < 1e-6
+    np.testing.assert_array_equal(psi, _run_steps(cfg, _schedule_steps(schedule, dt_us), doublet.coef_l))
 
 
 def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, monkeypatch):
@@ -150,7 +154,7 @@ def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, mon
         monkeypatch.setattr(np.linalg, name, counting)
     propagate_static(cfg.replace(bz_mg=10.0), doublet.coef_l, np.linspace(0.0, 100.0, 11), doublet=doublet)
     ramp = RampSchedule((Segment(3.0, cfg.bx_mg, cfg.bx_mg, -100.0, 10.0),))
-    _observables(cfg, *_run_steps(cfg, _schedule_steps(ramp, 1.0), doublet.coef_l)[1:], doublet)
+    _run_steps(cfg, _schedule_steps(ramp, 1.0), doublet.coef_l)
     hold = RampSchedule((Segment(10.0, 0.0, cfg.bx_mg, -100.0, -100.0),))
     adiabaticity_report(cfg.replace(bz_mg=-100.0), hold, doublet.epsilon_hz)
     monkeypatch.undo()
@@ -165,7 +169,7 @@ def test_ramp_step_matches_matrix_exponential(cfg, doublet):
     # one midpoint step at B_z = -100 mG is exp(-i H h) of the assembled H(0)
     expm = pytest.importorskip("scipy.linalg").expm
     h_us, bz = 0.5, -100.0
-    psi, _, _ = _run_steps(cfg, [(h_us, cfg.bx_mg, bz)], doublet.coef_l)
+    psi = _run_steps(cfg, [(h_us, cfg.bx_mg, bz)], doublet.coef_l)
     ham = assemble_bloch_hamiltonian(cfg.replace(bz_mg=bz), 0.0)
     exact = expm(-1j * cfg.units.rad_per_us_per_er() * h_us * ham) @ doublet.coef_l
     np.testing.assert_allclose(psi, exact, rtol=0, atol=1e-12)
@@ -179,10 +183,10 @@ def test_time_reversal(cfg, doublet):
         )
     )
     steps = _schedule_steps(schedule, 0.5)
-    fwd = _observables(cfg, *_run_steps(cfg, steps, doublet.coef_l)[1:], doublet)
+    fwd = _run_steps(cfg, steps, doublet.coef_l)
     inverse = [(-h, bx, bz) for h, bx, bz in reversed(steps)]
-    back = _observables(cfg, *_run_steps(cfg, inverse, fwd.psi_final)[1:], doublet)
-    infidelity = 1.0 - np.abs(np.vdot(back.psi_final, doublet.coef_l)) ** 2
+    back = _run_steps(cfg, inverse, fwd)
+    infidelity = 1.0 - np.abs(np.vdot(back, doublet.coef_l)) ** 2
     assert infidelity < 1e-10
     # static forward/backward
     psi_t = _state_at(cfg, doublet.coef_l, 123.0)
@@ -200,7 +204,7 @@ def test_preparation_protocol(prep_cfg):
     assert result.initial_stretched_population >= 0.9
     assert result.doublet_population >= 0.95
     assert result.fidelity_l >= 0.7
-    assert result.series.step_doubling_infidelity < 1e-6
+    assert result.step_doubling_infidelity < 1e-6
     seg2 = result.report.segments[1]
     assert seg2.sudden_internal
     assert seg2.adiabatic_excited
@@ -231,11 +235,17 @@ def strong_cfg():
 
 
 def _turnoff_run(cfg, bz_hold, duration_us, dt_us):
+    """Final state of a B_z turn-off from the ground state at ``bz_hold``, and
+    the B_z = 0 doublet."""
     _, v0 = np.linalg.eigh(assemble_bloch_hamiltonian(cfg.replace(bz_mg=bz_hold), 0.0))
     psi0 = v0[:, 0]
     schedule = RampSchedule((Segment(duration_us, cfg.bx_mg, cfg.bx_mg, bz_hold, 0.0),))
     doublet = localized_doublet(cfg, *solve_q0(cfg, 2))
-    return _observables(cfg, *_run_steps(cfg, _schedule_steps(schedule, dt_us), psi0)[1:], doublet), doublet
+    return _run_steps(cfg, _schedule_steps(schedule, dt_us), psi0), doublet
+
+
+def _population(coef, psi):
+    return float(np.abs(np.vdot(coef, psi)) ** 2)
 
 
 def test_slow_turnoff_follows_into_symmetric_state(strong_cfg):
@@ -252,18 +262,22 @@ def test_slow_turnoff_follows_into_symmetric_state(strong_cfg):
     bz_hold = -20.0
     rate_target = 2 * np.pi * (eps_hz / 2) ** 2 / 3.0
     duration = abs(bz_hold) * slope_hz_per_mg / rate_target * 1e6  # us
-    series, doublet = _turnoff_run(strong_cfg, bz_hold, duration, dt_us=1.0)
-    doublet_pop = series.p_l[-1] + series.p_r[-1]
-    p_s = np.abs(np.vdot(doublet.coef_s, series.psi_final)) ** 2
+    psi, doublet = _turnoff_run(strong_cfg, bz_hold, duration, dt_us=1.0)
+    p_l = _population(doublet.coef_l, psi)
+    doublet_pop = p_l + _population(doublet.coef_r, psi)
+    p_s = _population(doublet.coef_s, psi)
     assert doublet_pop >= 0.99
     assert p_s > 0.85  # adiabatic following into the symmetric state
-    assert 0.3 < series.p_l[-1] < 0.7
+    assert 0.3 < p_l < 0.7
 
 
 def test_fast_turnoff_leaks_more(strong_cfg):
-    slow, _ = _turnoff_run(strong_cfg, -100.0, 70.0, dt_us=0.5)
-    fast, _ = _turnoff_run(strong_cfg, -100.0, 3.0, dt_us=0.05)
-    assert fast.leakage[-1] > slow.leakage[-1]
+    leakage = []
+    for duration, dt_us in ((70.0, 0.5), (3.0, 0.05)):
+        psi, doublet = _turnoff_run(strong_cfg, -100.0, duration, dt_us)
+        leakage.append(1.0 - _population(doublet.coef_l, psi) - _population(doublet.coef_r, psi))
+    slow, fast = leakage
+    assert fast > slow
 
 
 def test_adiabaticity_report_constant_schedule(cfg, doublet):
@@ -297,17 +311,23 @@ def test_adiabaticity_figures_match_dense_rate_operator():
         np.testing.assert_allclose(got, foms, rtol=1e-10)
 
 
-def test_stretched_state_ignores_bx(cfg):
-    # F_x has a zero diagonal, so B_x adds exactly 0 to the m_F = +F sub-block
+def test_start_solve_holds_the_stretched_ground_state(cfg):
+    # prepare_ground_l starts from the lowest vector of its start solve: B_x
+    # is 0 there, so F_z commutes with H(0) and that vector is the ground
+    # state of the m_F = +F sub-block
+    schedule = preparation_schedule(cfg, PrepareBlock())
+    bx0, bz0 = schedule.start_fields_mg
+    assert bx0 == 0.0
+    start = cfg.replace(bx_mg=bx0, bz_mg=bz0)
+    psi0 = solve_q0(start, 1)[1][:, 0]
     dim = cfg.spin.dim
-    states = [stretched_ground_state(cfg.replace(bx_mg=bx, bz_mg=-100.0)) for bx in (0.0, 37.0)]
-    np.testing.assert_array_equal(states[0], states[1])
-    # the state is the lowest eigenvector of that sub-block of the full Hamiltonian
-    h = assemble_bloch_hamiltonian(cfg.replace(bx_mg=37.0, bz_mg=-100.0), 0.0)
-    top = np.arange(dim - 1, len(h), dim)
-    np.testing.assert_array_equal(states[1][top], np.linalg.eigh(h[np.ix_(top, top)])[1][:, 0])
-    assert not np.any(states[0].reshape(-1, dim)[:, :-1])
-    assert np.linalg.norm(states[0]) == pytest.approx(1.0, abs=1e-12)
+    top = np.arange(dim - 1, len(psi0), dim)
+    assert np.sum(np.abs(psi0[top]) ** 2) == pytest.approx(1.0, abs=1e-12)
+    h = assemble_bloch_hamiltonian(start, 0.0)
+    ground = np.zeros_like(psi0)
+    ground[top] = np.linalg.eigh(h[np.ix_(top, top)])[1][:, 0]
+    phase = np.vdot(ground, psi0)
+    np.testing.assert_allclose(psi0, phase / abs(phase) * ground, rtol=0, atol=1e-12)
 
 
 def test_adiabaticity_gap_at_end_matches_bandstructure(cfg, doublet):

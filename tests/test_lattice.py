@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwsim import LatticeConfig, adiabatic_curves, cesium_f4, diabatic_curves, potential_matrix
+from dwsim import LatticeConfig, adiabatic_curves, cesium_f4, diabatic_curves
 from dwsim.constants import UnitContext
 from dwsim.lattice import (
     FICTITIOUS_PHASES,
@@ -14,6 +14,7 @@ from dwsim.lattice import (
     fictitious_zeeman_er,
     scalar_potential_er,
 )
+from reference_hamiltonian import potential_matrix
 
 
 def period_grid(cfg, n):

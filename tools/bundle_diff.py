@@ -7,13 +7,15 @@ Usage:
 Walks DIR_A, and for every file that also exists at the same relative
 path under DIR_B prints one line:
 
-    path  max_abs=...  max_rel=...  (n values)
+    path  max_abs=...  max_rel=... in FIELD  (n values)
 
 over the numeric cells of a CSV file (row by row, column by column) or
 the numeric leaves of a JSON file (matched by key path).  ``max_rel`` is
 the largest |b - a| of a CSV column or JSON leaf divided by the largest
 |a| of that column or leaf, so cells that are zero up to rounding (a
-leakage of 1e-20, say) do not swamp it.  Files whose bytes are equal
+leakage of 1e-20, say) do not swamp it; FIELD names that CSV column or
+JSON key path (``/adiabaticity/segments[1]/fom_internal``, say), and is
+left out when no value changed.  Files whose bytes are equal
 print ``identical``; a CSV file with another header or row count prints
 that instead of numbers, and JSON keys in one file only or changed text
 leaves are counted after the numbers.  Files present in only one tree are listed at the end.  Run it
@@ -58,13 +60,13 @@ def _json_leaves(node, prefix: str = ""):
 
 
 def _pairs(path_a: Path, path_b: Path) -> tuple[list[tuple[object, float, float]], list[str]]:
-    """Numeric (column or key path, a, b) triples of two files and a list of
-    the other differences."""
+    """Numeric (column name or key path, a, b) triples of two files and a
+    list of the other differences."""
     if path_a.suffix == ".csv":
         (head_a, rows_a), (head_b, rows_b) = _csv_values(path_a), _csv_values(path_b)
         if head_a != head_b or len(rows_a) != len(rows_b):
             return [], [f"header or row count differs ({len(rows_a)} vs {len(rows_b)} rows)"]
-        cells, lone = [(j, x, y) for ra, rb in zip(rows_a, rows_b) for j, (x, y) in enumerate(zip(ra, rb))], []
+        cells, lone = [(col, x, y) for ra, rb in zip(rows_a, rows_b) for col, x, y in zip(head_a, ra, rb)], []
     elif path_a.suffix == ".json":
         leaves_a = dict(_json_leaves(json.loads(path_a.read_text(encoding="utf-8"))))
         leaves_b = dict(_json_leaves(json.loads(path_b.read_text(encoding="utf-8"))))
@@ -93,8 +95,11 @@ def compare(path_a: Path, path_b: Path) -> str:
         change[key] = max(change.get(key, 0.0), abs(b - a))
         scale[key] = max(scale.get(key, 0.0), abs(a))
     max_abs = max(change.values(), default=0.0)
-    max_rel = max((change[k] / scale[k] for k in change if 0.0 < scale[k] < math.inf), default=0.0)
-    line = f"max_abs={max_abs:.3g}  max_rel={max_rel:.3g}  ({len(pairs)} values)"
+    rel = {k: change[k] / scale[k] for k in change if 0.0 < scale[k] < math.inf}
+    field = max(rel, key=rel.get, default=None)
+    max_rel = rel.get(field, 0.0)
+    where = f" in {field}" if max_rel > 0.0 else ""
+    line = f"max_abs={max_abs:.3g}  max_rel={max_rel:.3g}{where}  ({len(pairs)} values)"
     if other:
         line += f"; {len(other)} other differences, e.g. {other[0]}"
     return line

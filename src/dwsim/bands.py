@@ -21,6 +21,8 @@ log = logging.getLogger("dwsim")
 MAX_DIMENSION = 10_000
 CERTIFY_EXTRA_PLANEWAVES = 8
 CERTIFY_RTOL = 1e-3
+RESIDUAL_PROBE_START, RESIDUAL_PROBE_STEP = 8, 4  # smaller bases N_s = 8, 12, ... per side
+RESIDUAL_ER = 1e-6  # edge-residual cap: E_R on an energy, relative on the doublet gap
 # Doublet-gap drift below this is eigensolver rounding (~eps * ||H||), not truncation.
 GAP_ROUNDING_ER = 1e-10
 FLATNESS_WARN = 0.2
@@ -34,6 +36,8 @@ class BandSolution:
     ``epsilon_*`` is the q-averaged ground-doublet gap and ``flatness`` the
     per-band (max-min over q) width over it, both nan below 2 bands;
     ``flatness_warning`` flags a doublet flatness above 0.2.
+    ``n_planewaves_solved`` is the basis (plane waves per side) the energies come
+    from; ``edge_residual_er`` the largest edge residual certifying them, else nan.
     """
 
     cfg: LatticeConfig
@@ -43,6 +47,8 @@ class BandSolution:
     epsilon_hz: float
     flatness: np.ndarray
     flatness_warning: bool
+    n_planewaves_solved: int
+    edge_residual_er: float
 
 
 @dataclass(frozen=True)
@@ -199,6 +205,54 @@ def _inertia(cfg: LatticeConfig, qs, sigma: np.ndarray) -> tuple[np.ndarray, np.
     return counts, 100.0 * np.finfo(float).eps * (norm_h + update)
 
 
+def _drift_tolerance(energies: np.ndarray, mean_gap: float) -> np.ndarray:
+    """delta_k: half the drift of each energy, and of the doublet gap, that the N vs N+8 check accepts."""
+    rtol = CERTIFY_RTOL
+    delta = 0.5 * rtol * np.abs(energies) / (1.0 + rtol)
+    if energies.shape[1] >= 2:
+        gap_delta = 0.5 * (rtol * abs(mean_gap) + GAP_ROUNDING_ER) / (1.0 + rtol)
+        delta[:, :2] = np.minimum(delta[:, :2], gap_delta)
+    return delta
+
+
+def _edge_pairs(cfg: LatticeConfig, blocks, qs, n_side: int, n_bands: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``n_bands`` Ritz values of the ``n_side`` Bloch matrix at each q, one ``eigh`` per q,
+    and their edge residuals ||raising v_{+n_side}|| (+) ||raising^H v_{-n_side}||: H is block-
+    tridiagonal in n, so that is the exact residual of the zero-padded vector in any larger basis."""
+    onsite, raising = blocks
+    d, energies, residuals = len(onsite), np.empty((len(qs), n_bands)), np.empty((len(qs), n_bands))
+    for i, q in enumerate(qs):
+        w, v = np.linalg.eigh(_bloch_matrix(cfg, onsite, raising, q, n_side))
+        energies[i], v = w[:n_bands], v[:, :n_bands]
+        up, down = raising @ v[-d:], raising.conj().T @ v[:d]
+        residuals[i] = np.hypot(np.linalg.norm(up, axis=0), np.linalg.norm(down, axis=0))
+    return energies, residuals
+
+
+def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
+    """(N_s, energies, largest edge residual) at the first N_s = 8, 12, ..., N - 8 plane waves
+    per side whose edge residuals certify at qs[0], if they certify at every q; else None.  They
+    certify when each is at most min(1e-6 E_R, delta_k) and, with two or more bands,
+    ||r_0|| + ||r_1|| is at most 1e-6 |mean gap| + GAP_ROUNDING_ER.  The N_s levels lie at or
+    above the N ones (Cauchy interlacing), so a certified grid passes the N vs N+8 check."""
+    blocks = _spin_blocks(cfg)
+
+    def certified(energies, residuals, rows) -> bool:  # mean gap over energies[rows]
+        gap = float(np.mean(energies[rows, 1] - energies[rows, 0])) if n_bands >= 2 else np.nan
+        gap_ok = n_bands < 2 or np.max(residuals[:, 0] + residuals[:, 1]) <= RESIDUAL_ER * abs(gap) + GAP_ROUNDING_ER
+        return bool(gap_ok and np.all(residuals <= np.minimum(RESIDUAL_ER, _drift_tolerance(energies, gap))))
+
+    for n_side in range(RESIDUAL_PROBE_START, cfg.n_planewaves - CERTIFY_EXTRA_PLANEWAVES + 1, RESIDUAL_PROBE_STEP):
+        if (2 * n_side + 1) * len(blocks[0]) < n_bands:
+            continue
+        energies, residuals = _edge_pairs(cfg, blocks, qs[:1], n_side, n_bands)
+        if certified(energies, residuals, [0]):
+            rest = _edge_pairs(cfg, blocks, qs[1:], n_side, n_bands)
+            energies, residuals = np.vstack([energies, rest[0]]), np.vstack([residuals, rest[1]])
+            return (n_side, energies, float(residuals.max())) if certified(energies, residuals, pair) else None
+    return None
+
+
 def _certified_by_inertia(cfg: LatticeConfig, qs, energies: np.ndarray, mean_gap: float) -> bool:
     """Whether the N vs N+8 check of ``solve_bands`` provably passes.
 
@@ -207,11 +261,7 @@ def _certified_by_inertia(cfg: LatticeConfig, qs, energies: np.ndarray, mean_gap
     at most k N+8 levels lie below E_k - delta_k, the level drops by at most
     delta_k, half the drop the check accepts.  The other half covers the
     count's rounding floor and both eigensolves' rounding."""
-    rtol = CERTIFY_RTOL
-    delta = 0.5 * rtol * np.abs(energies) / (1.0 + rtol)
-    if energies.shape[1] >= 2:
-        gap_delta = 0.5 * (rtol * abs(mean_gap) + GAP_ROUNDING_ER) / (1.0 + rtol)
-        delta[:, :2] = np.minimum(delta[:, :2], gap_delta)
+    delta = _drift_tolerance(energies, mean_gap)
     try:
         counts, floor = _inertia(cfg, qs, energies - delta)
     except np.linalg.LinAlgError:
@@ -226,10 +276,12 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> B
     Each +-q pair of the grid is solved once, in real arithmetic under
     ``paper_cos`` or at B_z = 0.  With ``certify=True`` the energies must
     agree with those of N+8 plane waves per side to 0.1 % relative, and so
-    must the q-averaged doublet gap if ``n_bands >= 2``.  An inertia count
-    of the N+8 matrix shows that they do without solving it; where the
-    count cannot (a level drifts too far, a pivot is near singular, or a
-    tolerance is near rounding), the N+8 energies are solved and compared.
+    must the q-averaged doublet gap if ``n_bands >= 2``.  The energies of a
+    smaller basis N_s <= N - 8 whose edge residuals show that they do
+    (``_residual_solve``) are reported; else the N-basis ones, and an inertia
+    count of the N+8 matrix shows that they do without solving it.  Where
+    the count cannot (a level drifts too far, a pivot is near singular, or
+    a tolerance is near rounding), the N+8 energies are solved and compared.
 
     Raises
     ------
@@ -246,10 +298,12 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> B
     idx = np.arange(cfg.n_q)
     pair = np.minimum(idx, -idx % cfg.n_q)
     solved = qs[: pair.max() + 1]
-    solved_energies = _band_energies(cfg, solved, n_bands)
+    found = _residual_solve(cfg, solved, pair, n_bands) if certify else None
+    n_solved, solved_energies, residual = found or (cfg.n_planewaves, _band_energies(cfg, solved, n_bands), np.nan)
+    log.info("bands: %d plane waves per side, largest edge residual %.2e E_R", n_solved, residual)
     energies = solved_energies[pair]
     mean_gap = float(np.mean(energies[:, 1] - energies[:, 0])) if n_bands >= 2 else np.nan
-    if certify and not _certified_by_inertia(cfg, solved, solved_energies, mean_gap):
+    if certify and found is None and not _certified_by_inertia(cfg, solved, solved_energies, mean_gap):
         big_n = cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
         ref = _band_energies(cfg.replace(n_planewaves=big_n), solved, n_bands)[pair]
         drift = np.abs(energies - ref) / np.maximum(np.abs(ref), 1e-9)
@@ -280,6 +334,8 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> B
         epsilon_hz=cfg.units.er_to_hz(mean_gap),
         flatness=flatness,
         flatness_warning=bool(doublet_flatness > FLATNESS_WARN),
+        n_planewaves_solved=n_solved,
+        edge_residual_er=residual,
     )
 
 

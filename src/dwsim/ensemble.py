@@ -93,7 +93,8 @@ def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[list, int, float
     form, slope = q0_sectors(cfg), q0_sectors(cfg, du1=True).matrices
     shift, node_vectors = u1 - cfg.u1_er, {}
     for m in NODE_COUNTS:
-        nodes = np.unique(np.interp(np.cos(np.pi * np.arange(m) / (m - 1)), [-1.0, 1.0], [shift.min(), shift.max()]))
+        nodes = np.sort(np.interp(np.cos(np.pi * np.arange(m) / (m - 1)), [-1.0, 1.0], [shift.min(), shift.max()]))
+        nodes = nodes[np.r_[True, nodes[1:] != nodes[:-1]]]  # np.unique's values, without importing numpy.ma
         for x in set(nodes) - set(node_vectors):
             node_vectors[x] = [np.linalg.eigh(h + x * b)[1][:, :NODE_VECTORS] for h, b in zip(form.matrices, slope)]
         sectors = []

@@ -9,8 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from dwsim import LatticeConfig, cesium_f4, solve_bands, wannier_doublet
 from dwsim.bands import (
     CERTIFY_EXTRA_PLANEWAVES,
+    CERTIFY_RTOL,
+    GAP_ROUNDING_ER,
     _band_energies,
     _bloch_matrix,
+    _edge_pairs,
     _fix_phase,
     _inertia,
     _spin_basis,
@@ -443,6 +446,59 @@ def test_certified_solve_makes_no_enlarged_basis_eigensolve(cfg, monkeypatch):
     assert any(s[-1] == spin_dim for s in calls)
     direct = [eigvalsh(assemble_bloch_hamiltonian(odd, q))[:6] for q in q_grid(odd)]
     np.testing.assert_allclose(sol.energies, direct, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(-1.0, 1.0), **BOX)
+@example(q=0.3, u1=84.0, theta=80.0, bx=85.0, bz=0.0, phase="quadrature_sin", n_pw=8, f=4.0)
+@example(q=0.3, u1=84.0, theta=80.0, bx=85.0, bz=10.0, phase="quadrature_sin", n_pw=8, f=4.0)
+def test_edge_residual_is_the_residual_in_a_larger_basis(q, u1, theta, bx, bz, phase, n_pw, f):
+    # Zero-padded to n_pw + 1 plane waves per side, each Ritz vector's residual
+    # under the dense m_F-basis H lies on the new plane waves, where its norm is
+    # the edge residual; the rows inside are eigensolver rounding.  Real forms
+    # are mapped back to m_F by the spin basis, complex ones are in it already.
+    cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f)
+    blocks, d = _spin_blocks(cfg), cfg.spin.dim
+    theta_k, r = _edge_pairs(cfg, blocks, [q], n_pw, 6)
+    v = np.linalg.eigh(_bloch_matrix(cfg, *blocks, q, n_pw))[1][:, :6]
+    u = np.eye(d) if np.iscomplexobj(blocks[1]) else _spin_basis(cfg)[0]
+    big = assemble_bloch_hamiltonian(cfg.replace(n_planewaves=n_pw + 1), q)
+    padded = np.zeros((len(big), 6), dtype=complex)
+    padded[d:-d] = np.kron(np.eye(2 * n_pw + 1), u) @ v
+    residual = big @ padded - padded * theta_k[0]
+    np.testing.assert_allclose(np.linalg.norm(np.r_[residual[:d], residual[-d:]], axis=0), r[0], rtol=1e-12, atol=0)
+    assert np.linalg.norm(residual[d:-d], axis=0).max() <= 1e-12 * np.linalg.norm(big, 2)
+
+
+@pytest.mark.parametrize("u1", [84.0, 120.0])
+def test_default_basis_is_certified_by_a_smaller_basis(u1, caplog):
+    # At the default N = 24 the edge residuals of N_s <= 16 plane waves per side
+    # certify the energies, which then equal the N-basis ones to rounding; the
+    # N vs N+8 comparison of the uncertified solves stays the oracle.
+    cfg = LatticeConfig(u1_er=u1, theta_deg=80.0, bx_mg=85.0)
+    big_n = cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
+    plain = solve_bands(cfg, n_bands=6, certify=False)
+    ref = solve_bands(cfg.replace(n_planewaves=big_n), n_bands=6, certify=False)
+    assert np.all(np.abs(plain.energies - ref.energies) <= CERTIFY_RTOL * np.abs(ref.energies))
+    assert abs(plain.epsilon_er - ref.epsilon_er) <= CERTIFY_RTOL * abs(ref.epsilon_er) + GAP_ROUNDING_ER
+    assert (plain.n_planewaves_solved, np.isnan(plain.edge_residual_er)) == (cfg.n_planewaves, True)
+    for n_bands in (2, 6):
+        with caplog.at_level(logging.INFO, logger="dwsim"):
+            sol = solve_bands(cfg, n_bands=n_bands)
+        assert sol.n_planewaves_solved <= cfg.n_planewaves - CERTIFY_EXTRA_PLANEWAVES
+        assert sol.edge_residual_er <= 1e-6
+        assert f"bands: {sol.n_planewaves_solved} plane waves per side" in caplog.text
+        np.testing.assert_allclose(sol.energies, plain.energies[:, :n_bands], rtol=0, atol=1e-10)
+
+
+def test_residual_path_skips_a_basis_smaller_than_n_bands():
+    # For F = 1/2 at N = 16 the one smaller basis, N_s = 8, holds 34 levels:
+    # 40 bands are solved and certified in the N basis.
+    cfg = LatticeConfig(
+        u1_er=20.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=16, n_q=1, species=dataclasses.replace(cesium_f4(), f=0.5)
+    )
+    sol = solve_bands(cfg, n_bands=40)
+    assert sol.energies.shape == (1, 40) and sol.n_planewaves_solved == 16
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

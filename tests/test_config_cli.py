@@ -262,6 +262,27 @@ def test_sweep_flags_unconverged_point_and_continues():
     assert np.isnan(by_value[20000.0][1])
 
 
+def test_sweep_at_the_default_basis_flags_unconverged_point():
+    # U_1 = 84 is certified by the edge residual of a smaller basis, U_1 = 20000
+    # by none, and the N vs N+8 comparison flags it.
+    cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_q=1)
+    rows = sweep_frequency(cfg, "u1", [84.0, 20000.0])
+    assert [r[3] for r in rows] == ["ok", "unconverged"]
+    assert rows[0][1] == pytest.approx(solve_bands(cfg, n_bands=2, certify=False).epsilon_hz, rel=1e-9)
+
+
+def test_residual_path_sweep_is_jobs_neutral(tmp_path, capsys):
+    # FAST_LATTICE's N = 10 has no smaller basis N_s <= N - 8 to certify by;
+    # N = 20 has, and its sweep.csv keeps its bytes across thread counts.
+    lattice = FAST_LATTICE.replace("n_planewaves = 10", "n_planewaves = 20")
+    ini = write(tmp_path, lattice + "[sweep]\nparameter = bx\nstart = 60\nstop = 100\nsteps = 3\n")
+    out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
+    assert main(["sweep", "--config", ini, "--out", out1, "--jobs", "1"]) == 0
+    assert main(["sweep", "--config", ini, "--out", out2, "--jobs", "3"]) == 0
+    capsys.readouterr()
+    assert read_bytes(out1, ["sweep.csv"]) == read_bytes(out2, ["sweep.csv"])
+
+
 def test_rabi_command_magnetization_swing(tmp_path, capsys):
     ini = write(
         tmp_path,

@@ -17,7 +17,12 @@ phase-dependent geometry is covered too.  A third pass runs ``rabi`` and
 prefixed ``bz_10/``: with the default ``quadrature_sin`` phase that field
 takes the q = 0 solves off the m_F parity blocks, which no other command
 but ``prepare`` does, and it tilts the doublet each ensemble sample starts
-from.
+from.  A fourth pass runs ``bands``, ``wannier`` and a 2-point ``sweep``
+at the default basis (n_planewaves = 24, n_q = 33, z_points = 512) under
+OUT_DIR/default_basis and prints their lines prefixed ``default_basis/``:
+band solves are certified by the edge residuals of a smaller basis of
+8 <= N_s <= N - 8 plane waves per side, which the light basis leaves no
+room for.
 
 Bundle bytes depend on the BLAS thread count, so every command runs with
 one BLAS thread (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
@@ -46,6 +51,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("potentials", "bands", "wannier", "rabi", "prepare", "sweep", "ensemble", "fit")
 PAPER_COS_COMMANDS = ("potentials", "wannier", "rabi")
 BZ_10_COMMANDS = ("rabi", "ensemble")
+DEFAULT_BASIS_COMMANDS = ("bands", "wannier", "sweep")
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 CONFIG = """\
@@ -78,6 +84,19 @@ dt_out_us = 5
 
 [fit]
 input = ensemble/ensemble.csv
+"""
+
+DEFAULT_BASIS_CONFIG = """\
+[lattice]
+u1_er = 84
+theta_deg = 80
+bx_mg = 85
+
+[sweep]
+parameter = bx
+start = 60
+stop = 100
+steps = 2
 """
 
 
@@ -117,6 +136,7 @@ def main(argv: list[str]) -> int:
         (out, CONFIG, COMMANDS, ""),
         (out / "paper_cos", paper_cos, PAPER_COS_COMMANDS, "paper_cos/"),
         (out / "bz_10", bz_10, BZ_10_COMMANDS, "bz_10/"),
+        (out / "default_basis", DEFAULT_BASIS_CONFIG, DEFAULT_BASIS_COMMANDS, "default_basis/"),
     )
     return 0 if all(run_pass(*spec, env) for spec in passes) else 1
 

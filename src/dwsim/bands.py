@@ -22,7 +22,10 @@ MAX_DIMENSION = 10_000
 CERTIFY_EXTRA_PLANEWAVES = 8
 CERTIFY_RTOL = 1e-3
 RESIDUAL_PROBE_START, RESIDUAL_PROBE_STEP = 8, 4  # smaller bases N_s = 8, 12, ... per side
-RESIDUAL_ER = 1e-6  # edge-residual cap: E_R on an energy, relative on the doublet gap
+RESIDUAL_ER = 1e-6  # residual cap: E_R on an energy, relative on the doublet gap
+CONTINUATION_NODES = (5, 9, 17)  # Chebyshev-Lobatto nodes in q, nested: refining m nodes adds m - 1
+CONTINUATION_VECTORS = 12  # lowest eigenvectors kept per node, at least n_bands + 1
+RANK_RTOL = 1e-14  # basis directions below this share of the largest singular value are dropped
 # Doublet-gap drift below this is eigensolver rounding (~eps * ||H||), not truncation.
 GAP_ROUNDING_ER = 1e-10
 FLATNESS_WARN = 0.2
@@ -37,7 +40,8 @@ class BandSolution:
     per-band (max-min over q) width over it, both nan below 2 bands;
     ``flatness_warning`` flags a doublet flatness above 0.2.
     ``n_planewaves_solved`` is the basis (plane waves per side) the energies come
-    from; ``edge_residual_er`` the largest edge residual certifying them, else nan.
+    from; ``edge_residual_er`` the largest residual certifying them, of a pair
+    zero-padded into any larger basis, else nan.
     """
 
     cfg: LatticeConfig
@@ -215,41 +219,96 @@ def _drift_tolerance(energies: np.ndarray, mean_gap: float) -> np.ndarray:
     return delta
 
 
+def _edge_residuals(raising: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||raising v_{+n_side}|| (+) ||raising^H v_{-n_side}|| of each column of v (or of a stack of v): H is
+    block-tridiagonal in n, so that is all the residual of the zero-padded v in any larger basis adds."""
+    up, down = raising @ v[..., -len(raising):, :], raising.conj().T @ v[..., : len(raising), :]
+    return np.hypot(np.linalg.norm(up, axis=-2), np.linalg.norm(down, axis=-2))
+
+
 def _edge_pairs(cfg: LatticeConfig, blocks, qs, n_side: int, n_bands: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``n_bands`` Ritz values of the ``n_side`` Bloch matrix at each q, one ``eigh`` per q,
-    and their edge residuals ||raising v_{+n_side}|| (+) ||raising^H v_{-n_side}||: H is block-
-    tridiagonal in n, so that is the exact residual of the zero-padded vector in any larger basis."""
+    """Values and ``_edge_residuals`` of the lowest ``n_bands`` eigenpairs of the ``n_side`` Bloch matrix at each q."""
     onsite, raising = blocks
-    d, energies, residuals = len(onsite), np.empty((len(qs), n_bands)), np.empty((len(qs), n_bands))
+    energies, residuals = np.empty((len(qs), n_bands)), np.empty((len(qs), n_bands))
     for i, q in enumerate(qs):
         w, v = np.linalg.eigh(_bloch_matrix(cfg, onsite, raising, q, n_side))
-        energies[i], v = w[:n_bands], v[:, :n_bands]
-        up, down = raising @ v[-d:], raising.conj().T @ v[:d]
-        residuals[i] = np.hypot(np.linalg.norm(up, axis=0), np.linalg.norm(down, axis=0))
+        energies[i], residuals[i] = w[:n_bands], _edge_residuals(raising, v[:, :n_bands])
     return energies, residuals
 
 
-def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
-    """(N_s, energies, largest edge residual) at the first N_s = 8, 12, ..., N - 8 plane waves
-    per side whose edge residuals certify at qs[0], if they certify at every q; else None.  They
-    certify when each is at most min(1e-6 E_R, delta_k) and, with two or more bands,
-    ||r_0|| + ||r_1|| is at most 1e-6 |mean gap| + GAP_ROUNDING_ER.  The N_s levels lie at or
-    above the N ones (Cauchy interlacing), so a certified grid passes the N vs N+8 check."""
-    blocks = _spin_blocks(cfg)
+def _projected_pairs(a: np.ndarray, b: np.ndarray, vectors: np.ndarray, x: np.ndarray, n_ritz: int):
+    """Lowest ``n_ritz`` Ritz pairs of a + x b at every x, from one stacked ``eigh`` in the SVD basis of ``vectors``
+    without directions below RANK_RTOL: values, vectors (n_x, D, n_ritz), residuals ||(a + x b) v - theta v||."""
+    q, sv, _ = np.linalg.svd(vectors, full_matrices=False)
+    q = q[:, sv > RANK_RTOL * sv[0]]
+    aq, bq, qh = a @ q, b @ q, q.conj().T
+    theta, y = (w[..., :n_ritz] for w in np.linalg.eigh(qh @ aq + x[:, None, None] * (qh @ bq)))
+    ritz = q @ y
+    residual = aq @ y + x[:, None, None] * (bq @ y) - ritz * theta[:, None, :]
+    return theta, ritz, np.linalg.norm(residual, axis=1)
 
-    def certified(energies, residuals, rows) -> bool:  # mean gap over energies[rows]
+
+def ritz_continuation(matrices, slopes, x, node_counts, n_vectors: int, n_ritz: int, failing, known=None):
+    """``_projected_pairs`` of each sector ``matrices[i] + x slopes[i]`` by eigenvector continuation: in the basis of
+    its k lowest eigenvectors at m Chebyshev-Lobatto nodes over x (``known``, else solved), k = ``n_vectors`` at the
+    first m and m_0 ``n_vectors`` / m, at least n_ritz + 1, at refined ones.  m runs through ``node_counts`` while
+    ``failing(sectors)`` flags as many x as the m - 1 nodes refining adds, or more.  Returns sectors and node count."""
+    cache = dict(known or {})  # node -> its vectors in each sector
+    for m in node_counts:
+        nodes = np.sort(np.interp(np.cos(np.pi * np.arange(m) / (m - 1)), [-1.0, 1.0], [x.min(), x.max()]))
+        nodes = nodes[np.r_[True, nodes[1:] != nodes[:-1]]]  # np.unique's values, without importing numpy.ma
+        for node in set(nodes) - set(cache):  # copies, so no node keeps its full eigenvector matrix
+            cache[node] = [np.linalg.eigh(a + node * b)[1][:, :n_vectors].copy() for a, b in zip(matrices, slopes)]
+        k = max(n_ritz + 1, n_vectors * node_counts[0] // m)  # refining keeps the basis size
+        sectors = [_projected_pairs(a, b, np.hstack([cache[node][i][:, :k] for node in nodes]), x, n_ritz)
+                   for i, (a, b) in enumerate(zip(matrices, slopes))]
+        failed = failing(sectors)
+        if not failed.any() or m - 1 > failed.sum():
+            break
+    return sectors, len(nodes)
+
+
+def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
+    """(N_s, energies, largest residual, node count, q solved exactly) at the first N_s = 8, 12, ..., N - 8 per side
+    whose pairs certify at qs[0], if they certify at every q: each ||r_k|| <= min(1e-6 E_R, delta_k) and, from two
+    bands, ||r_0|| + ||r_1|| <= 1e-6 |mean gap| + GAP_ROUNDING_ER; else None.  Past CONTINUATION_NODES[0] q, the
+    pairs come from ``ritz_continuation`` in q, H(q) - q^2 being affine in q, the probe's vectors as node qs[0];
+    a q they fail takes ``_edge_pairs``.  Ritz values lie at or above the N_s levels (Courant-Fischer), and those
+    at or above the N ones (Cauchy interlacing), so a certified grid passes the N vs N+8 check."""
+    blocks = _spin_blocks(cfg)
+    raising, d = blocks[1], len(blocks[0])
+
+    def passing(energies, residuals, rows) -> np.ndarray:  # per q; mean gap over energies[rows]
         gap = float(np.mean(energies[rows, 1] - energies[rows, 0])) if n_bands >= 2 else np.nan
-        gap_ok = n_bands < 2 or np.max(residuals[:, 0] + residuals[:, 1]) <= RESIDUAL_ER * abs(gap) + GAP_ROUNDING_ER
-        return bool(gap_ok and np.all(residuals <= np.minimum(RESIDUAL_ER, _drift_tolerance(energies, gap))))
+        ok = np.all(residuals <= np.minimum(RESIDUAL_ER, _drift_tolerance(energies, gap)), axis=1)
+        if n_bands >= 2:
+            ok &= residuals[:, 0] + residuals[:, 1] <= RESIDUAL_ER * abs(gap) + GAP_ROUNDING_ER
+        return ok
+
+    def ritz_pairs(sectors):  # energies and residuals of the zero-padded Ritz pairs
+        theta, ritz, interior = sectors[0]
+        return theta + qs[:, None] ** 2, np.hypot(interior, _edge_residuals(raising, ritz))
 
     for n_side in range(RESIDUAL_PROBE_START, cfg.n_planewaves - CERTIFY_EXTRA_PLANEWAVES + 1, RESIDUAL_PROBE_STEP):
-        if (2 * n_side + 1) * len(blocks[0]) < n_bands:
+        if (2 * n_side + 1) * d < n_bands:
             continue
-        energies, residuals = _edge_pairs(cfg, blocks, qs[:1], n_side, n_bands)
-        if certified(energies, residuals, [0]):
-            rest = _edge_pairs(cfg, blocks, qs[1:], n_side, n_bands)
-            energies, residuals = np.vstack([energies, rest[0]]), np.vstack([residuals, rest[1]])
-            return (n_side, energies, float(residuals.max())) if certified(energies, residuals, pair) else None
+        w, v = np.linalg.eigh(_bloch_matrix(cfg, *blocks, qs[0], n_side))
+        energies, residuals = np.empty((len(qs), n_bands)), np.empty((len(qs), n_bands))
+        energies[0], residuals[0] = w[:n_bands], _edge_residuals(raising, v[:, :n_bands])
+        v = v[:, :max(CONTINUATION_VECTORS, n_bands + 1)].copy()  # the probe keeps only what a node keeps
+        if not passing(energies[:1], residuals[:1], [0])[0]:
+            continue
+        n_nodes, exact = 0, np.arange(1, len(qs))
+        if len(qs) > CONTINUATION_NODES[0]:
+            slope = np.diag(np.repeat(4.0 * np.arange(-n_side, n_side + 1), d))  # H(q) - q^2 = H(0) + q slope
+            sectors, n_nodes = ritz_continuation([_bloch_matrix(cfg, *blocks, 0.0, n_side)], [slope], qs,
+                                                 CONTINUATION_NODES, v.shape[1], n_bands,
+                                                 lambda s: ~passing(*ritz_pairs(s), pair), {qs[0]: [v]})
+            energies, residuals = ritz_pairs(sectors)
+            exact = np.flatnonzero(~passing(energies, residuals, pair))
+        energies[exact], residuals[exact] = _edge_pairs(cfg, blocks, qs[exact], n_side, n_bands)
+        found = n_side, energies, float(residuals.max()), n_nodes, len(exact) if n_nodes else len(qs)
+        return found if passing(energies, residuals, pair).all() else None
     return None
 
 
@@ -277,9 +336,11 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> B
     ``paper_cos`` or at B_z = 0.  With ``certify=True`` the energies must
     agree with those of N+8 plane waves per side to 0.1 % relative, and so
     must the q-averaged doublet gap if ``n_bands >= 2``.  The energies of a
-    smaller basis N_s <= N - 8 whose edge residuals show that they do
-    (``_residual_solve``) are reported; else the N-basis ones, and an inertia
-    count of the N+8 matrix shows that they do without solving it.  Where
+    smaller basis N_s <= N - 8 whose residuals show that they do
+    (``_residual_solve``: Ritz pairs of a continuation in q, or eigenpairs
+    where those fail), with ``edge_residual_er`` the largest residual of a
+    pair zero-padded into any larger basis; else the N-basis ones, and an
+    inertia count of the N+8 matrix shows that they do without solving it.  Where
     the count cannot (a level drifts too far, a pivot is near singular, or
     a tolerance is near rounding), the N+8 energies are solved and compared.
 
@@ -299,8 +360,10 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> B
     pair = np.minimum(idx, -idx % cfg.n_q)
     solved = qs[: pair.max() + 1]
     found = _residual_solve(cfg, solved, pair, n_bands) if certify else None
-    n_solved, solved_energies, residual = found or (cfg.n_planewaves, _band_energies(cfg, solved, n_bands), np.nan)
-    log.info("bands: %d plane waves per side, largest edge residual %.2e E_R", n_solved, residual)
+    n_solved, solved_energies, residual, n_nodes, n_exact = found or (
+        cfg.n_planewaves, _band_energies(cfg, solved, n_bands), np.nan, 0, len(solved))
+    log.info("bands: %d plane waves per side, largest residual %.2e E_R, %d continuation nodes, %d q solved exactly",
+             n_solved, residual, n_nodes, n_exact)
     energies = solved_energies[pair]
     mean_gap = float(np.mean(energies[:, 1] - energies[:, 0])) if n_bands >= 2 else np.nan
     if certify and found is None and not _certified_by_inertia(cfg, solved, solved_energies, mean_gap):

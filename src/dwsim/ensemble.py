@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import fz_coefficient_diag, localized_doublet, q0_eigenpairs, q0_sectors, solve_q0
+from .bands import fz_coefficient_diag, localized_doublet, q0_eigenpairs, q0_sectors, ritz_continuation, solve_q0
 from .dynamics import output_times
 from .errors import ConvergenceError
 from .lattice import LatticeConfig
@@ -26,7 +26,6 @@ MAX_SKIP_FRACTION = 0.1
 RITZ_RESIDUAL_ER = 1e-10  # a Ritz pair with ||Hx - theta x|| above this is solved in full
 NODE_VECTORS = 3  # lowest eigenvectors kept per sector and node
 NODE_COUNTS = (9, 17, 33)  # Chebyshev-Lobatto nodes, nested: refining m nodes adds m - 1
-RANK_RTOL = 1e-14  # basis directions below this share of the largest singular value are dropped
 
 
 @dataclass(frozen=True)
@@ -90,30 +89,18 @@ def sample_intensity_factor(spec: EnsembleSpec, index: int) -> float:
 def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[list, int, float]:
     """``solve_q0(cfg_i, 2)`` at each U_1 of ``u1`` by eigenvector continuation, or None
     where a residual exceeds RITZ_RESIDUAL_ER; the node count; the largest residual."""
-    form, slope = q0_sectors(cfg), q0_sectors(cfg, du1=True).matrices
-    shift, node_vectors = u1 - cfg.u1_er, {}
-    for m in NODE_COUNTS:
-        nodes = np.sort(np.interp(np.cos(np.pi * np.arange(m) / (m - 1)), [-1.0, 1.0], [shift.min(), shift.max()]))
-        nodes = nodes[np.r_[True, nodes[1:] != nodes[:-1]]]  # np.unique's values, without importing numpy.ma
-        for x in set(nodes) - set(node_vectors):
-            node_vectors[x] = [np.linalg.eigh(h + x * b)[1][:, :NODE_VECTORS] for h, b in zip(form.matrices, slope)]
-        sectors = []
-        for i, (h, b) in enumerate(zip(form.matrices, slope)):
-            q, sv, _ = np.linalg.svd(np.hstack([node_vectors[x][i] for x in nodes]), full_matrices=False)
-            q = q[:, sv > RANK_RTOL * sv[0]]
-            hq, bq = h @ q, b @ q
-            theta, y = (a[..., :2] for a in np.linalg.eigh(q.T @ hq + shift[:, None, None] * (q.T @ bq)))
-            ritz = q @ y
-            residual = hq @ y + shift[:, None, None] * (bq @ y) - ritz * theta[:, None, :]
-            sectors.append((theta, ritz, np.linalg.norm(residual, axis=1)))
+    form = q0_sectors(cfg)
+
+    def doublet_residual(sectors) -> np.ndarray:  # the larger residual of the two lowest pairs over the sectors
         read = np.argsort(np.hstack([theta for theta, _, _ in sectors]), axis=1, kind="stable")[:, :2]
-        residual = np.take_along_axis(np.hstack([r for _, _, r in sectors]), read, axis=1).max(axis=1)
-        failed = residual > RITZ_RESIDUAL_ER
-        if not failed.any() or m - 1 > failed.sum():
-            break
-    pairs = [None if bad else q0_eigenpairs(form, [(t[j], x[j]) for t, x, _ in sectors], 2)
-             for j, bad in enumerate(failed)]
-    return pairs, len(nodes), float(residual.max())
+        return np.take_along_axis(np.hstack([r for _, _, r in sectors]), read, axis=1).max(axis=1)
+
+    sectors, n_nodes = ritz_continuation(form.matrices, q0_sectors(cfg, du1=True).matrices, u1 - cfg.u1_er,
+                                         NODE_COUNTS, NODE_VECTORS, 2, lambda s: doublet_residual(s) > RITZ_RESIDUAL_ER)
+    residual = doublet_residual(sectors)
+    pairs = [None if r > RITZ_RESIDUAL_ER else q0_eigenpairs(form, [(t[j], x[j]) for t, x, _ in sectors], 2)
+             for j, r in enumerate(residual)]
+    return pairs, n_nodes, float(residual.max())
 
 
 def _single_run(cfg_i: LatticeConfig, vals: np.ndarray, vecs: np.ndarray, t_us: np.ndarray) -> np.ndarray:
@@ -134,17 +121,15 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleRe
 
     Every sample gives the magnetization of its (|S> + |A>)/sqrt(2) in closed
     form from its own q=0 doublet (not a localized state at B_z != 0, where
-    that doublet is tilted).  H(0) is affine in U_1, so the NODE_VECTORS
-    lowest eigenvectors of each real sector at Chebyshev-Lobatto nodes over
-    the drawn U_1, orthonormalized by SVD without dependent directions, span
-    every sample's doublet.  Each Ritz pair read is certified by
-    ||Hx - theta x|| <= RITZ_RESIDUAL_ER; 9 nodes refine to 17 and 33 while
-    fewer new nodes than failing samples, and a sample still failing solves
-    H(0) in full.  Node count and largest residual are logged at INFO and
-    returned.  Samples that fail numerically (ConvergenceError, ValueError,
-    LinAlgError) are skipped with a logged diagnostic; more than 10 % skipped
-    raises RuntimeError; any other exception propagates.  The samples run
-    and sum in index order.
+    that doublet is tilted).  H(0) is affine in U_1, so ``ritz_continuation``
+    over the drawn U_1, from the NODE_VECTORS lowest eigenvectors of each real
+    sector at 9, 17 or 33 nodes, spans every sample's doublet.  Each Ritz pair
+    read is certified by ||Hx - theta x|| <= RITZ_RESIDUAL_ER, and a sample
+    still failing solves H(0) in full.  Node count and largest residual are
+    logged at INFO and returned.  Samples that fail numerically
+    (ConvergenceError, ValueError, LinAlgError) are skipped with a logged
+    diagnostic; more than 10 % skipped raises RuntimeError; any other
+    exception propagates.  The samples run and sum in index order.
     """
     t_us = output_times(spec.t_max_us, spec.dt_out_us)
     u1 = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)])

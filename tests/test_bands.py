@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import logging
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dwsim import LatticeConfig, cesium_f4, solve_bands, wannier_doublet
+from dwsim import LatticeConfig, bands, cesium_f4, solve_bands, wannier_doublet
 from dwsim.bands import (
     CERTIFY_EXTRA_PLANEWAVES,
     CERTIFY_RTOL,
@@ -499,6 +500,73 @@ def test_residual_path_skips_a_basis_smaller_than_n_bands():
     )
     sol = solve_bands(cfg, n_bands=40)
     assert sol.energies.shape == (1, 40) and sol.n_planewaves_solved == 16
+
+
+def _exact_per_q_solve(cfg, n_bands):
+    """solve_bands with every q of the residual path solved by its own eigh: a grid of
+    no more q than the first node count never takes the continuation."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bands, "CONTINUATION_NODES", (cfg.n_q,))
+        return solve_bands(cfg, n_bands=n_bands)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n_bands=st.sampled_from((2, 6)), **BOX)
+# eps = 0.050 E_R caps ||r_0|| + ||r_1|| at 5.0e-8 E_R, which 5 nodes miss (4.6e-7): the nodes refine
+@example(n_bands=2, u1=84.0, theta=80.0, bx=40.0, bz=0.0, phase="quadrature_sin", n_pw=8, f=4.0)
+def test_continuation_in_q_matches_the_exact_path(n_bands, u1, theta, bx, bz, phase, n_pw, f):
+    # At N = n_pw + 16 = 24..27 plane waves per side the residual path probes
+    # N_s = 8, 12 and 16.  The continuation's Ritz pairs certify the same N_s
+    # as one eigh per q, with the same energies, and their residuals bound the
+    # eigenpairs' edge residuals up to the rounding of either eigensolver's
+    # vectors (~eps ||H||).
+    cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw + 16, f, n_q=33)
+    sol, exact = solve_bands(cfg, n_bands=n_bands), _exact_per_q_solve(cfg, n_bands)
+    assert sol.n_planewaves_solved == exact.n_planewaves_solved
+    np.testing.assert_allclose(sol.energies, exact.energies, rtol=0, atol=1e-10)
+    assert np.isnan(sol.edge_residual_er) == np.isnan(exact.edge_residual_er)
+    assert not sol.edge_residual_er < exact.edge_residual_er - 1e-12
+
+
+def test_failed_continuation_falls_back_to_the_exact_path(monkeypatch, caplog):
+    # With every Ritz residual infinite, each q is solved by its own eigh at the
+    # probe's N_s: the solution is the exact path's, bit for bit.
+    cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0)
+    exact = _exact_per_q_solve(cfg, 2)
+    continuation = bands.ritz_continuation
+
+    def failing_continuation(*args, **kwargs):
+        sectors, n_nodes = continuation(*args, **kwargs)
+        return [(theta, ritz, np.full_like(r, np.inf)) for theta, ritz, r in sectors], n_nodes
+
+    monkeypatch.setattr(bands, "ritz_continuation", failing_continuation)
+    with caplog.at_level(logging.INFO, logger="dwsim"):
+        sol = solve_bands(cfg, n_bands=2)
+    assert "5 continuation nodes, 17 q solved exactly" in caplog.text
+    assert (sol.n_planewaves_solved, sol.edge_residual_er) == (exact.n_planewaves_solved, exact.edge_residual_er)
+    np.testing.assert_array_equal(sol.energies, exact.energies)
+    assert sol.epsilon_er == exact.epsilon_er
+
+
+def test_default_basis_band_solve_makes_its_known_eigensolves(monkeypatch):
+    # The probes at N_s = 8 (D = 153) and 12 (D = 225), the latter also the node
+    # q = -1, four more nodes at D = 225 and one stack of the 17 solved q projected
+    # on 5 x 12 node vectors; no eigh per q.
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _solver=solver, **kwargs):
+            calls[_name, np.shape(a), np.asarray(a).dtype.kind] += 1
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    solve_bands(LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0), n_bands=2)
+    assert dict(calls) == {
+        ("eigh", (153, 153), "f"): 1,
+        ("eigh", (225, 225), "f"): 5,
+        ("eigh", (17, 60, 60), "f"): 1,
+    }
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

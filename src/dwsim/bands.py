@@ -328,14 +328,14 @@ def _certified_by_inertia(cfg: LatticeConfig, qs, energies: np.ndarray, mean_gap
     return bool(np.all(delta > floor) and np.all(counts <= np.arange(energies.shape[1])))
 
 
-def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> BandSolution:
+def solve_bands(cfg: LatticeConfig, n_bands: int = 6) -> BandSolution:
     """Lowest band energies over the quasimomentum grid (energies only), the
     q-averaged doublet gap and the flatness, which logs a warning above 0.2.
 
     Each +-q pair of the grid is solved once, in real arithmetic under
-    ``paper_cos`` or at B_z = 0.  With ``certify=True`` the energies must
-    agree with those of N+8 plane waves per side to 0.1 % relative, and so
-    must the q-averaged doublet gap if ``n_bands >= 2``.  The energies of a
+    ``paper_cos`` or at B_z = 0.  The energies are certified: they agree
+    with those of N+8 plane waves per side to 0.1 % relative, and so does
+    the q-averaged doublet gap if ``n_bands >= 2``.  The energies of a
     smaller basis N_s <= N - 8 whose residuals show that they do
     (``_residual_solve``: Ritz pairs of a continuation in q, or eigenpairs
     where those fail), with ``edge_residual_er`` the largest residual of a
@@ -359,14 +359,14 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6, certify: bool = True) -> B
     idx = np.arange(cfg.n_q)
     pair = np.minimum(idx, -idx % cfg.n_q)
     solved = qs[: pair.max() + 1]
-    found = _residual_solve(cfg, solved, pair, n_bands) if certify else None
+    found = _residual_solve(cfg, solved, pair, n_bands)
     n_solved, solved_energies, residual, n_nodes, n_exact = found or (
         cfg.n_planewaves, _band_energies(cfg, solved, n_bands), np.nan, 0, len(solved))
     log.info("bands: %d plane waves per side, largest residual %.2e E_R, %d continuation nodes, %d q solved exactly",
              n_solved, residual, n_nodes, n_exact)
     energies = solved_energies[pair]
     mean_gap = float(np.mean(energies[:, 1] - energies[:, 0])) if n_bands >= 2 else np.nan
-    if certify and found is None and not _certified_by_inertia(cfg, solved, solved_energies, mean_gap):
+    if found is None and not _certified_by_inertia(cfg, solved, solved_energies, mean_gap):
         big_n = cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
         ref = _band_energies(cfg.replace(n_planewaves=big_n), solved, n_bands)[pair]
         drift = np.abs(energies - ref) / np.maximum(np.abs(ref), 1e-9)
@@ -510,9 +510,15 @@ def _fix_phase(psi_z: np.ndarray, j_anchor: int) -> complex:
 def wannier_doublet(cfg: LatticeConfig) -> WannierDoublet:
     """``localized_doublet`` of the q=0 ground doublet ``solve_q0(cfg, 2)``, with its
     premise checked: bands that are not flat over q = -1, -1/2, 0, 1/2 raise
-    ValueError, and a negative ``barrier_margin_er`` logs a warning."""
+    ValueError, and a negative ``barrier_margin_er`` logs a warning.
+
+    Raises
+    ------
+    ConvergenceError
+        If the certified ``solve_bands`` of that 4-point grid fails.
+    """
     vals, vecs = solve_q0(cfg, 2)
-    flat = solve_bands(cfg.replace(n_q=4), n_bands=2, certify=False).flatness.max()
+    flat = solve_bands(cfg.replace(n_q=4), n_bands=2).flatness.max()
     if not flat <= FLATNESS_WARN:  # a nan flatness (no gap) raises too
         raise ValueError(
             f"lowest bands not flat (flatness {flat:.3f} > {FLATNESS_WARN}); "

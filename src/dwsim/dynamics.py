@@ -114,7 +114,7 @@ def preparation_schedule(cfg: LatticeConfig, block: PrepareBlock) -> RampSchedul
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Time-indexed observables of one static propagation run.
+    """Time-indexed observables of one static propagation run; no state is kept.
 
     Projections p_l / p_r are onto the caller-supplied reference
     localized states; leakage = 1 - p_l - p_r."""
@@ -125,7 +125,6 @@ class TimeSeries:
     leakage: np.ndarray
     fz: np.ndarray
     p_m: np.ndarray
-    psi_final: np.ndarray
 
 
 def _as_coefficients(cfg: LatticeConfig, psi0: np.ndarray) -> np.ndarray:
@@ -155,7 +154,6 @@ def _observables(cfg: LatticeConfig, t_us, psi_t, doublet) -> TimeSeries:
         leakage=1.0 - p_l - p_r,
         fz=fz,
         p_m=p_m,
-        psi_final=psi_t[:, -1].copy(),
     )
 
 
@@ -166,11 +164,15 @@ def propagate_static(
     doublet: WannierDoublet,
 ) -> TimeSeries:
     """Evolve the q=0 coefficient vector psi0 under the static Bloch
-    Hamiltonian of ``cfg``, projecting on the localized states of ``doublet``.
-    """
+    Hamiltonian of ``cfg``, projecting on the localized states of ``doublet``: in the doublet's V = [|S>, |A>]
+    if ``doublet.cfg == cfg`` (at any B_z) and ||psi0 - V V^H psi0|| <= 1e-12, else in every eigenpair of
+    ``solve_q0(cfg)``.  The dropped component keeps its norm, so every state is then within 1e-12 of the full
+    evolution, up to a global phase exp(-i E_S t) no observable sees."""
     psi0 = _as_coefficients(cfg, psi0)
     t_us = np.asarray(t_us, dtype=float)
-    vals, vecs = solve_q0(cfg)
+    v = np.stack([doublet.coef_s, doublet.coef_a], axis=1)
+    in_doublet = doublet.cfg == cfg and np.linalg.norm(psi0 - v @ (v.conj().T @ psi0)) <= 1e-12
+    vals, vecs = (np.array([0.0, doublet.epsilon_er]), v) if in_doublet else solve_q0(cfg)
     w = cfg.units.rad_per_us_per_er()
     a = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(vals * w, t_us))  # (D, nt)

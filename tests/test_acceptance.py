@@ -168,7 +168,7 @@ def test_criterion_04_spectrum_vs_dynamics():
     t = np.linspace(0.0, 4000.0, 4001)
     series = propagate_static(cfg, wd.coef_l, t, doublet=wd)
     nu_dyn = dominant_frequency_hz(t, series.fz)
-    eps_band = solve_bands(cfg, n_bands=2, certify=False).epsilon_hz
+    eps_band = solve_bands(cfg, n_bands=2).epsilon_hz
     rel = abs(nu_dyn - eps_band) / eps_band
     ok = rel < 0.01
     report(
@@ -187,7 +187,7 @@ def test_criterion_05_two_level_behavior():
 
     nus = {}
     for b in (0.0, 10.0, 20.0, -10.0, -20.0):
-        sol = solve_bands(cfg.replace(bz_mg=b), n_bands=2, certify=False)
+        sol = solve_bands(cfg.replace(bz_mg=b), n_bands=2)
         nus[b] = sol.epsilon_hz
     asym = max(
         abs(nus[10.0] - nus[-10.0]) / nus[10.0],
@@ -221,7 +221,7 @@ def test_criterion_05_two_level_behavior():
 def test_criterion_06_scalar_limit():
     t0 = time.perf_counter()
     cfg = LatticeConfig(u1_er=84.0, theta_deg=0.0, bx_mg=0.0, bz_mg=0.0, n_planewaves=12, n_q=9)
-    sol = solve_bands(cfg, n_bands=18, certify=False)
+    sol = solve_bands(cfg, n_bands=18)
     spread = max(
         float(np.max(sol.energies[:, 0:9].max(axis=1) - sol.energies[:, 0:9].min(axis=1))),
         float(np.max(sol.energies[:, 9:18].max(axis=1) - sol.energies[:, 9:18].min(axis=1))),

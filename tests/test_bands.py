@@ -116,8 +116,7 @@ def test_variational_monotonicity(cfg):
     energies = []
     for n_pw in (10, 14, 18):
         c = cfg.replace(n_planewaves=n_pw, n_q=1)
-        sol = solve_bands(c, n_bands=4, certify=False)
-        energies.append(sol.energies[0])
+        energies.append(_band_energies(c, q_grid(c), 4)[0])
     for smaller, larger in zip(energies[1:], energies[:-1]):
         assert np.all(smaller <= larger + 1e-10)
 
@@ -174,7 +173,7 @@ def test_zgrid_round_trip(cfg, doublet):
 
 
 def test_doublet_splitting_basics(cfg):
-    sol = solve_bands(cfg, n_bands=2, certify=False)
+    sol = solve_bands(cfg, n_bands=2)
     assert sol.epsilon_er >= 0
     assert sol.epsilon_er == np.mean(sol.energies[:, 1] - sol.energies[:, 0])
     assert not sol.flatness_warning
@@ -182,15 +181,15 @@ def test_doublet_splitting_basics(cfg):
 
 
 def test_splitting_even_in_bz(cfg):
-    plus = solve_bands(cfg.replace(bz_mg=10.0), 2, certify=False)
-    minus = solve_bands(cfg.replace(bz_mg=-10.0), 2, certify=False)
+    plus = solve_bands(cfg.replace(bz_mg=10.0), 2)
+    minus = solve_bands(cfg.replace(bz_mg=-10.0), 2)
     assert abs(plus.epsilon_hz - minus.epsilon_hz) / plus.epsilon_hz < 1e-6
 
 
 def test_splitting_monotone_in_bx(cfg):
     eps = []
     for bx in (40.0, 70.0, 100.0, 125.0, 150.0):
-        sol = solve_bands(cfg.replace(bx_mg=bx, n_q=3), 2, certify=False)
+        sol = solve_bands(cfg.replace(bx_mg=bx, n_q=3), 2)
         eps.append(sol.epsilon_hz)
     assert all(a < b for a, b in zip(eps, eps[1:]))
 
@@ -198,7 +197,7 @@ def test_splitting_monotone_in_bx(cfg):
 def test_flatness_warning_for_shallow_lattice(caplog):
     cfg = LatticeConfig(u1_er=11.0, theta_deg=80.0, bx_mg=10.0, n_planewaves=10, n_q=9)
     with caplog.at_level(logging.WARNING, logger="dwsim"):
-        sol = solve_bands(cfg, 2, certify=False)
+        sol = solve_bands(cfg, 2)
     assert sol.flatness_warning
     assert "two-level reduction dubious" in caplog.text
 
@@ -391,14 +390,13 @@ def test_spectrum_even_in_q(q, u1, theta, bx, bz, phase, n_pw, f):
 @given(n_q=st.integers(1, 7), **BOX)
 def test_solve_bands_matches_unpaired_complex_solve(n_q, u1, theta, bx, bz, phase, n_pw, f):
     # The path is chosen from the config: complex exactly under
-    # quadrature_sin at B_z != 0.  Either way, the q-paired energies equal
-    # a complex solve at every grid point.
+    # quadrature_sin at B_z != 0.  Either way, the N-basis energies that
+    # solve_bands pairs over +-q equal a complex solve at every grid point.
     cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f, n_q)
     complex_path = phase == "quadrature_sin" and bz != 0.0
     assert np.iscomplexobj(_spin_blocks(cfg)[1]) == complex_path
-    sol = solve_bands(cfg, n_bands=6, certify=False)
     direct = [np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, q))[:6] for q in q_grid(cfg)]
-    np.testing.assert_allclose(sol.energies, direct, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(_band_energies(cfg, q_grid(cfg), 6), direct, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -475,21 +473,21 @@ def test_edge_residual_is_the_residual_in_a_larger_basis(q, u1, theta, bx, bz, p
 def test_default_basis_is_certified_by_a_smaller_basis(u1, caplog):
     # At the default N = 24 the edge residuals of N_s <= 16 plane waves per side
     # certify the energies, which then equal the N-basis ones to rounding; the
-    # N vs N+8 comparison of the uncertified solves stays the oracle.
+    # N vs N+8 comparison of the N-basis levels over the grid stays the oracle.
     cfg = LatticeConfig(u1_er=u1, theta_deg=80.0, bx_mg=85.0)
     big_n = cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
-    plain = solve_bands(cfg, n_bands=6, certify=False)
-    ref = solve_bands(cfg.replace(n_planewaves=big_n), n_bands=6, certify=False)
-    assert np.all(np.abs(plain.energies - ref.energies) <= CERTIFY_RTOL * np.abs(ref.energies))
-    assert abs(plain.epsilon_er - ref.epsilon_er) <= CERTIFY_RTOL * abs(ref.epsilon_er) + GAP_ROUNDING_ER
-    assert (plain.n_planewaves_solved, np.isnan(plain.edge_residual_er)) == (cfg.n_planewaves, True)
+    plain = _band_energies(cfg, q_grid(cfg), 6)
+    ref = _band_energies(cfg.replace(n_planewaves=big_n), q_grid(cfg), 6)
+    assert np.all(np.abs(plain - ref) <= CERTIFY_RTOL * np.abs(ref))
+    plain_gap, ref_gap = (np.mean(e[:, 1] - e[:, 0]) for e in (plain, ref))
+    assert abs(plain_gap - ref_gap) <= CERTIFY_RTOL * abs(ref_gap) + GAP_ROUNDING_ER
     for n_bands in (2, 6):
         with caplog.at_level(logging.INFO, logger="dwsim"):
             sol = solve_bands(cfg, n_bands=n_bands)
         assert sol.n_planewaves_solved <= cfg.n_planewaves - CERTIFY_EXTRA_PLANEWAVES
         assert sol.edge_residual_er <= 1e-6
         assert f"bands: {sol.n_planewaves_solved} plane waves per side" in caplog.text
-        np.testing.assert_allclose(sol.energies, plain.energies[:, :n_bands], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(sol.energies, plain[:, :n_bands], rtol=0, atol=1e-10)
 
 
 def test_residual_path_skips_a_basis_smaller_than_n_bands():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dwsim import ConfigError, LatticeConfig, cesium_f4, solve_bands, wannier_doublet
+from dwsim.bands import _band_energies, q_grid
 from dwsim.cli import main
 from dwsim.config import parse_config
 from dwsim.output import run_command, sweep_frequency
@@ -147,14 +148,14 @@ bz_ramp_us = 10
 """
 
 # (solver, array shape, dtype kind) -> calls at LIGHT_RUN.  wannier: the two
-# q = 0 parity blocks, the flatness guard's q = -1, -1/2, 0 stack, the 5-q
-# band solve and its inertia pivots.  rabi: the doublet's and the
-# propagator's q = 0 solves and the guard.  prepare: the m_F = +F chain,
-# the start state's solve, 60 ramp steps at dt = 0.5 us and 120 at dt/2,
-# 100 adiabaticity points (the last at B_z = 0, in parity blocks) and the
-# doublet with its guard.  ensemble: 9 continuation nodes, each two parity
-# blocks, and the 200 projected problems of 9 x 3 node vectors per block; no
-# sample falls back to its own solve.
+# q = 0 parity blocks, the flatness guard's q = -1, -1/2, 0 stack and its
+# inertia pivots, the 5-q band solve and its inertia pivots.  rabi: the
+# doublet's q = 0 solve, which the propagator reuses, and the guard.  prepare:
+# the m_F = +F chain, the start state's solve, 60 ramp steps at dt = 0.5 us
+# and 120 at dt/2, 100 adiabaticity points (the last at B_z = 0, in parity
+# blocks) and the doublet with its guard.  ensemble: 9 continuation nodes,
+# each two parity blocks, and the 200 projected problems of 9 x 3 node vectors
+# per block; no sample falls back to its own solve.
 EIGENSOLVES = {
     "ensemble": {
         ("eigh", (112, 112), "f"): 9,
@@ -167,23 +168,48 @@ EIGENSOLVES = {
         ("eigvalsh", (2, 225, 225), "f"): 1,
         ("eigvalsh", (3, 225, 225), "f"): 2,
         ("eigvalsh", (41, 5, 2, 9, 9), "f"): 1,
+        ("eigvalsh", (41, 3, 2, 9, 9), "f"): 1,
     },
     "rabi": {
-        ("eigh", (112, 112), "f"): 2,
-        ("eigh", (113, 113), "f"): 2,
+        ("eigh", (112, 112), "f"): 1,
+        ("eigh", (113, 113), "f"): 1,
         ("eigvalsh", (3, 225, 225), "f"): 1,
+        ("eigvalsh", (41, 3, 2, 9, 9), "f"): 1,
     },
     "prepare": {
         ("eigh", (112, 112), "f"): 2,
         ("eigh", (113, 113), "f"): 2,
         ("eigh", (225, 225), "f"): 280,
         ("eigvalsh", (3, 225, 225), "f"): 1,
+        ("eigvalsh", (41, 3, 2, 9, 9), "f"): 1,
+    },
+}
+
+# The same at the default config (N = 24, D = 441), where no solve runs at
+# D = 441.  Both commands solve the q = 0 parity blocks once and run the guard
+# on the residual path: the probes at N_s = 8 (D = 153) and 12 (D = 225), the
+# latter also q = -1, and q = -1/2, 0 at D = 225.  wannier adds the 33-point
+# band solve: its own probes, four more continuation nodes and one stack of
+# the 17 solved q projected on 5 x 12 node vectors.
+DEFAULT_EIGENSOLVES = {
+    "wannier": {
+        ("eigh", (153, 153), "f"): 2,
+        ("eigh", (220, 220), "f"): 1,
+        ("eigh", (221, 221), "f"): 1,
+        ("eigh", (225, 225), "f"): 8,
+        ("eigh", (17, 60, 60), "f"): 1,
+    },
+    "rabi": {
+        ("eigh", (153, 153), "f"): 1,
+        ("eigh", (220, 220), "f"): 1,
+        ("eigh", (221, 221), "f"): 1,
+        ("eigh", (225, 225), "f"): 3,
     },
 }
 
 
-@pytest.mark.parametrize("command", sorted(EIGENSOLVES))
-def test_commands_make_their_known_eigensolves(tmp_path, monkeypatch, command):
+def _eigensolves(tmp_path, monkeypatch, command: str, ini: str) -> dict:
+    """(solver, array shape, dtype kind) -> calls of one ``command`` run of ``ini``."""
     calls = collections.Counter()
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -193,8 +219,19 @@ def test_commands_make_their_known_eigensolves(tmp_path, monkeypatch, command):
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    run_command(command, parse_config(write(tmp_path, LIGHT_RUN)), out_dir=str(tmp_path / command))
-    assert dict(calls) == EIGENSOLVES[command]
+    run_command(command, parse_config(write(tmp_path, ini)), out_dir=str(tmp_path / command))
+    monkeypatch.undo()
+    return dict(calls)
+
+
+@pytest.mark.parametrize("command", sorted(EIGENSOLVES))
+def test_commands_make_their_known_eigensolves(tmp_path, monkeypatch, command):
+    assert _eigensolves(tmp_path, monkeypatch, command, LIGHT_RUN) == EIGENSOLVES[command]
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_EIGENSOLVES))
+def test_default_config_commands_make_their_known_eigensolves(tmp_path, monkeypatch, command):
+    assert _eigensolves(tmp_path, monkeypatch, command, MINIMAL) == DEFAULT_EIGENSOLVES[command]
 
 
 def test_byte_determinism_and_manifest(tmp_path, capsys):
@@ -240,7 +277,7 @@ def test_sweep_u1_scale(tmp_path):
     rows = sweep_frequency(cfg, "u1", [80.0, 90.0], u1_scale=1.04)
     for value, nu_hz, _flat, status in rows:
         assert status == "ok"
-        direct = solve_bands(cfg.replace(u1_er=value * 1.04), n_bands=2, certify=False)
+        direct = solve_bands(cfg.replace(u1_er=value * 1.04), n_bands=2)
         assert nu_hz == pytest.approx(direct.epsilon_hz, rel=1e-9)
 
 
@@ -268,7 +305,8 @@ def test_sweep_at_the_default_basis_flags_unconverged_point():
     cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_q=1)
     rows = sweep_frequency(cfg, "u1", [84.0, 20000.0])
     assert [r[3] for r in rows] == ["ok", "unconverged"]
-    assert rows[0][1] == pytest.approx(solve_bands(cfg, n_bands=2, certify=False).epsilon_hz, rel=1e-9)
+    energies = _band_energies(cfg, q_grid(cfg), 2)  # the N-basis levels
+    assert rows[0][1] == pytest.approx(cfg.units.er_to_hz(np.mean(energies[:, 1] - energies[:, 0])), rel=1e-9)
 
 
 def test_residual_path_sweep_is_jobs_neutral(tmp_path, capsys):

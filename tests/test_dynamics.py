@@ -3,6 +3,7 @@ import pytest
 
 from dwsim import (
     LatticeConfig,
+    cesium_f4,
     PrepareBlock,
     RampSchedule,
     Segment,
@@ -38,7 +39,7 @@ def test_rabi_oscillation_period(cfg, doublet):
     # norm and energy conservation, doublet closure
     np.testing.assert_allclose(series.p_m.sum(axis=1), 1.0, atol=1e-8)
     ham = assemble_bloch_hamiltonian(cfg, 0.0)
-    states = np.stack([propagate_static(cfg, doublet.coef_l, [t_k], doublet=doublet).psi_final for t_k in t[::100]])
+    states = np.stack([_state_at(cfg, doublet.coef_l, t_k) for t_k in t[::100]])
     energy = np.real(np.einsum("kd,kd->k", states.conj(), states @ ham.T))
     drift = np.abs(energy - energy[0]) / abs(energy[0])
     assert drift.max() < 1e-8
@@ -63,9 +64,11 @@ def test_quarter_and_half_period_states(cfg, doublet):
 
 
 def _state_at(cfg, psi0, t_us):
+    # the full spectral evolution in every eigenpair of H(0): a state (D,) at a
+    # time, or the states (D, nt) at an array of times
     vals, vecs = solve_q0(cfg)
-    w = cfg.units.rad_per_us_per_er()
-    return vecs @ (np.exp(-1j * vals * w * t_us) * (vecs.conj().T @ psi0))
+    phases = np.exp(-1j * cfg.units.rad_per_us_per_er() * np.multiply.outer(vals, t_us))
+    return vecs @ (phases.T * (vecs.conj().T @ psi0)).T
 
 
 def test_spectrum_vs_dynamics_frequency(cfg, doublet):
@@ -76,15 +79,55 @@ def test_spectrum_vs_dynamics_frequency(cfg, doublet):
 
 
 def test_density_snapshots(cfg, doublet):
-    # the propagated density stays normalized over the period; at t=0 it is
+    # the evolved density stays normalized over the period; at t=0 it is
     # the left state's, at T/2 the right state's
     period_us = 1e6 / doublet.epsilon_hz
     dz = cfg.period_m / len(doublet.z_m)
     for t_us, psi_ref, atol in ((0.0, doublet.psi_l, 1e-8), (period_us / 2, doublet.psi_r, 1e-3)):
-        series = propagate_static(cfg, doublet.coef_l, np.array([t_us]), doublet=doublet)
-        density = np.sum(np.abs(bloch_to_zgrid(cfg, series.psi_final)) ** 2, axis=1)
+        density = np.sum(np.abs(bloch_to_zgrid(cfg, _state_at(cfg, doublet.coef_l, t_us))) ** 2, axis=1)
         assert density.sum() * dz == pytest.approx(1.0, abs=1e-8)
         np.testing.assert_allclose(density, np.sum(np.abs(psi_ref) ** 2, axis=1), atol=atol)
+
+
+@pytest.mark.parametrize("g_f", [0.25, -0.25])
+@pytest.mark.parametrize("bz_mg", [0.0, 10.0])
+@pytest.mark.parametrize("phase", ["quadrature_sin", "paper_cos"])
+def test_doublet_path_equals_the_full_evolution(cfg, phase, bz_mg, g_f):
+    # |L> = (|S> + |A>)/sqrt(2) lies in the span of the doublet of H(cfg), at
+    # B_z != 0 too (where that doublet is tilted), so propagate_static evolves
+    # it in the doublet's two pairs; every observable equals that of the full
+    # evolution in all pairs of H(0), for either sign of g_F.
+    cfg = cfg.replace(fictitious_phase=phase, bz_mg=bz_mg, species=cesium_f4(g_f=g_f))
+    doublet = wannier_doublet(cfg)
+    t = np.linspace(0.0, 2e6 / doublet.epsilon_hz, 101)
+    series = propagate_static(cfg, doublet.coef_l, t, doublet)
+    full = _observables(cfg, t, _state_at(cfg, doublet.coef_l, t), doublet)
+    for name in ("p_l", "p_r", "fz", "p_m", "leakage"):
+        np.testing.assert_allclose(getattr(series, name), getattr(full, name), rtol=0, atol=1e-12)
+
+
+def test_full_path_outside_the_doublet(cfg, doublet, monkeypatch):
+    # The doublet's pairs serve only a psi0 in their span and a doublet of
+    # H(cfg) itself, at any B_z; otherwise every pair of solve_q0(cfg) is used.
+    calls = []
+
+    def counting_solve_q0(solve_cfg):
+        calls.append(solve_cfg)
+        return solve_q0(solve_cfg)
+
+    monkeypatch.setattr("dwsim.dynamics.solve_q0", counting_solve_q0)
+    t = np.linspace(0.0, 100.0, 11)
+    outside = doublet.coef_l.copy()
+    outside[0] += 1e-3
+    outside /= np.linalg.norm(outside)
+    tilted = cfg.replace(bz_mg=10.0)
+    tilted_doublet = wannier_doublet(tilted)
+    cases = ((cfg, doublet.coef_l, doublet, 0), (cfg, outside, doublet, 1), (tilted, doublet.coef_l, doublet, 1),
+             (tilted, tilted_doublet.coef_l, tilted_doublet, 0))
+    for run_cfg, psi0, run_doublet, n_solves in cases:
+        calls.clear()
+        propagate_static(run_cfg, psi0, t, run_doublet)
+        assert calls == [run_cfg] * n_solves
 
 
 def test_input_validation(cfg, doublet):

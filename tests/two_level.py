@@ -44,11 +44,11 @@ def two_level_model(cfg: LatticeConfig) -> TwoLevelModel:
     B_z = 0, 0.0431 at 10 mG and 0.0312 at 20 mG; at U_1 = 120 E_R it is
     at most 0.0028 over the same fields.
     """
-    eps_hz = solve_bands(cfg.replace(bz_mg=0.0), n_bands=2, certify=False).epsilon_hz
+    eps_hz = solve_bands(cfg.replace(bz_mg=0.0), n_bands=2).epsilon_hz
     if cfg.bz_mg == 0.0:
         nu_hz = eps_hz
     else:
-        nu_hz = solve_bands(cfg, n_bands=2, certify=False).epsilon_hz
+        nu_hz = solve_bands(cfg, n_bands=2).epsilon_hz
     clamped = False
     if nu_hz < eps_hz:
         if (eps_hz - nu_hz) / max(eps_hz, 1e-300) > 1e-9:

@@ -21,7 +21,7 @@ log = logging.getLogger("dwsim")
 MAX_DIMENSION = 10_000
 CERTIFY_EXTRA_PLANEWAVES = 8
 CERTIFY_RTOL = 1e-3
-RESIDUAL_PROBE_START, RESIDUAL_PROBE_STEP = 8, 4  # smaller bases N_s = 8, 12, ... per side
+RESIDUAL_PROBE_START, RESIDUAL_PROBE_STEP = 8, 4  # bases N_s = 8, 12, ..., then N, per side
 RESIDUAL_ER = 1e-6  # residual cap: E_R on an energy, relative on the doublet gap
 CONTINUATION_NODES = (5, 9, 17)  # Chebyshev-Lobatto nodes in q, nested: refining m nodes adds m - 1
 CONTINUATION_VECTORS = 12  # lowest eigenvectors kept per node, at least n_bands + 1
@@ -39,9 +39,10 @@ class BandSolution:
     ``epsilon_*`` is the q-averaged ground-doublet gap and ``flatness`` the
     per-band (max-min over q) width over it, both nan below 2 bands;
     ``flatness_warning`` flags a doublet flatness above 0.2.
-    ``n_planewaves_solved`` is the basis (plane waves per side) the energies come
-    from; ``edge_residual_er`` the largest residual certifying them, of a pair
-    zero-padded into any larger basis, else nan.
+    ``n_planewaves_solved`` is the basis N_s <= N (plane waves per side) the
+    energies come from; ``edge_residual_er`` the largest residual certifying
+    them, of a pair zero-padded into any larger basis, else nan (the N vs N+8
+    comparison certified them).
     """
 
     cfg: LatticeConfig
@@ -173,42 +174,6 @@ def _band_energies(cfg: LatticeConfig, qs, n_bands: int) -> np.ndarray:
     return energies
 
 
-def _inertia(cfg: LatticeConfig, qs, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number of eigenvalues of the N+8 Bloch matrix at qs[j] below sigma[j, k],
-    without forming the matrix, and the floor within which that count is exact.
-
-    Block LDL^H eliminates plane wave n = 0 first, then n = -(N+8)..-1, 1..N+8
-    as a chain in which the Schur complement of n = 0 links -1 to 1; by
-    Sylvester's law of inertia the count is that of negative pivot eigenvalues.
-    The floor, 100 eps (||H|| + max ||L|| ||D^-1 L||) over each pivot D and its
-    links L to later blocks, grows with a near-singular pivot (a singular one
-    raises LinAlgError).  A pivot is near singular where its leading block holds
-    a level of H with weight on its last plane wave, as the block n < 0 does at
-    q = 0 under a parity (the odd levels) and n < N+8 at q = +1 (an edge
-    level): hence n = 0 first, and q -> -|q|, as E(q) = E(-q)."""
-    onsite, raising = _spin_blocks(cfg)
-    d, m = len(onsite), cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
-    up = raising.conj().T  # the block from n to n+1
-    order = np.r_[0, -m:0, 1 : m + 1]
-    kinetic = (-np.abs(np.asarray(qs))[:, None] + 2.0 * order) ** 2 + potential_coefficients(cfg)[0]
-    pivots = onsite + (kinetic.T[:, :, None] - sigma)[..., None, None] * np.eye(d)
-    pivots = pivots.astype(np.result_type(onsite, raising))
-    links = np.concatenate([up, raising], axis=1)  # n = 0 to n = 1 and to n = -1
-    x = np.linalg.solve(pivots[0], links)
-    update = np.linalg.norm(links) * np.linalg.norm(x, axis=(-2, -1))
-    pivots[m] -= up @ x[..., d:]
-    pivots[m + 1] -= raising @ x[..., :d]
-    across = -up @ x[..., :d]  # the link from n = -1 to n = 1
-    for p in range(2, 2 * m + 1):
-        link = across if p == m + 1 else up
-        x = np.linalg.solve(pivots[p - 1], link)
-        update = np.maximum(update, np.linalg.norm(link, axis=(-2, -1)) * np.linalg.norm(x, axis=(-2, -1)))
-        pivots[p] -= link.conj().swapaxes(-1, -2) @ x
-    counts = np.count_nonzero(np.linalg.eigvalsh(pivots) < 0.0, axis=(0, -1))
-    norm_h = np.abs(kinetic).max() + np.linalg.norm(onsite) + 2.0 * np.linalg.norm(raising)
-    return counts, 100.0 * np.finfo(float).eps * (norm_h + update)
-
-
 def _drift_tolerance(energies: np.ndarray, mean_gap: float) -> np.ndarray:
     """delta_k: half the drift of each energy, and of the doublet gap, that the N vs N+8 check accepts."""
     rtol = CERTIFY_RTOL
@@ -269,12 +234,13 @@ def ritz_continuation(matrices, slopes, x, node_counts, n_vectors: int, n_ritz: 
 
 
 def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
-    """(N_s, energies, largest residual, node count, q solved exactly) at the first N_s = 8, 12, ..., N - 8 per side
-    whose pairs certify at qs[0], if they certify at every q: each ||r_k|| <= min(1e-6 E_R, delta_k) and, from two
-    bands, ||r_0|| + ||r_1|| <= 1e-6 |mean gap| + GAP_ROUNDING_ER; else None.  Past CONTINUATION_NODES[0] q, the
-    pairs come from ``ritz_continuation`` in q, H(q) - q^2 being affine in q, the probe's vectors as node qs[0];
-    a q they fail takes ``_edge_pairs``.  Ritz values lie at or above the N_s levels (Courant-Fischer), and those
-    at or above the N ones (Cauchy interlacing), so a certified grid passes the N vs N+8 check."""
+    """(N_s, energies, largest residual, node count, q solved exactly) at the first N_s = 8, 12, ... up to and
+    including N per side whose pairs certify at qs[0], if they certify at every q: each ||r_k|| <= min(1e-6 E_R,
+    delta_k) and, from two bands, ||r_0|| + ||r_1|| <= 1e-6 |mean gap| + GAP_ROUNDING_ER; else None.  Past
+    CONTINUATION_NODES[0] q, the pairs come from ``ritz_continuation`` in q, H(q) - q^2 being affine in q, the
+    probe's vectors as node qs[0]; a q they fail takes ``_edge_pairs``.  Ritz values lie at or above the N_s levels
+    (Courant-Fischer), and those at or above the N ones (Cauchy interlacing), so a certified grid passes the N vs
+    N+8 check."""
     blocks = _spin_blocks(cfg)
     raising, d = blocks[1], len(blocks[0])
 
@@ -289,7 +255,7 @@ def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
         theta, ritz, interior = sectors[0]
         return theta + qs[:, None] ** 2, np.hypot(interior, _edge_residuals(raising, ritz))
 
-    for n_side in range(RESIDUAL_PROBE_START, cfg.n_planewaves - CERTIFY_EXTRA_PLANEWAVES + 1, RESIDUAL_PROBE_STEP):
+    for n_side in [*range(RESIDUAL_PROBE_START, cfg.n_planewaves, RESIDUAL_PROBE_STEP), cfg.n_planewaves]:
         if (2 * n_side + 1) * d < n_bands:
             continue
         w, v = np.linalg.eigh(_bloch_matrix(cfg, *blocks, qs[0], n_side))
@@ -312,22 +278,6 @@ def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
     return None
 
 
-def _certified_by_inertia(cfg: LatticeConfig, qs, energies: np.ndarray, mean_gap: float) -> bool:
-    """Whether the N vs N+8 check of ``solve_bands`` provably passes.
-
-    The N-basis matrix is the central principal submatrix of the N+8 one,
-    so by Cauchy interlacing the k-th N+8 level lies at or below E_k.  If
-    at most k N+8 levels lie below E_k - delta_k, the level drops by at most
-    delta_k, half the drop the check accepts.  The other half covers the
-    count's rounding floor and both eigensolves' rounding."""
-    delta = _drift_tolerance(energies, mean_gap)
-    try:
-        counts, floor = _inertia(cfg, qs, energies - delta)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(delta > floor) and np.all(counts <= np.arange(energies.shape[1])))
-
-
 def solve_bands(cfg: LatticeConfig, n_bands: int = 6) -> BandSolution:
     """Lowest band energies over the quasimomentum grid (energies only), the
     q-averaged doublet gap and the flatness, which logs a warning above 0.2.
@@ -335,14 +285,12 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6) -> BandSolution:
     Each +-q pair of the grid is solved once, in real arithmetic under
     ``paper_cos`` or at B_z = 0.  The energies are certified: they agree
     with those of N+8 plane waves per side to 0.1 % relative, and so does
-    the q-averaged doublet gap if ``n_bands >= 2``.  The energies of a
-    smaller basis N_s <= N - 8 whose residuals show that they do
+    the q-averaged doublet gap if ``n_bands >= 2``.  The energies of the
+    first basis N_s <= N whose residuals show that they do
     (``_residual_solve``: Ritz pairs of a continuation in q, or eigenpairs
     where those fail), with ``edge_residual_er`` the largest residual of a
-    pair zero-padded into any larger basis; else the N-basis ones, and an
-    inertia count of the N+8 matrix shows that they do without solving it.  Where
-    the count cannot (a level drifts too far, a pivot is near singular, or
-    a tolerance is near rounding), the N+8 energies are solved and compared.
+    pair zero-padded into any larger basis; else the N-basis ones, once
+    the N+8 energies are solved and compared with them.
 
     Raises
     ------
@@ -366,7 +314,7 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6) -> BandSolution:
              n_solved, residual, n_nodes, n_exact)
     energies = solved_energies[pair]
     mean_gap = float(np.mean(energies[:, 1] - energies[:, 0])) if n_bands >= 2 else np.nan
-    if found is None and not _certified_by_inertia(cfg, solved, solved_energies, mean_gap):
+    if found is None:
         big_n = cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
         ref = _band_energies(cfg.replace(n_planewaves=big_n), solved, n_bands)[pair]
         drift = np.abs(energies - ref) / np.maximum(np.abs(ref), 1e-9)

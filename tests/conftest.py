@@ -4,9 +4,9 @@ import pytest
 from dwsim import LatticeConfig, wannier_doublet
 
 # Canonical operating point with a light but certified numerical basis;
-# solve_bands' certification against N+8 plane waves and the acceptance
-# oracle test both confirm 12 plane waves per side are converged for
-# U_1 <= 120 E_R.
+# solve_bands' certification (the edge residual of the 12-plane-wave pairs,
+# below 1e-6 E_R) and the acceptance oracle test both confirm 12 plane waves
+# per side are converged for U_1 <= 120 E_R.
 CANONICAL_KW = dict(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, bz_mg=0.0)
 
 

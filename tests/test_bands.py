@@ -16,7 +16,6 @@ from dwsim.bands import (
     _bloch_matrix,
     _edge_pairs,
     _fix_phase,
-    _inertia,
     _spin_basis,
     _spin_blocks,
     bloch_to_zgrid,
@@ -102,8 +101,8 @@ def test_certification_spots_unconverged_doublet_gap():
 def test_certification_keeps_its_tolerance_at_the_edge():
     # For F = 1/2 at U_1 = 400 E_R, theta = 45 deg, B_x = 50 mG with N = 8 the
     # gap drifts by 3e-5 and the energies by at most 2.4e-4 through band 4,
-    # which the inertia count certifies; band 5 drifts by 1.39e-3, just over
-    # the tolerance, and the N vs N+8 comparison reports it.
+    # which the N vs N+8 comparison accepts; band 5 drifts by 1.39e-3, just
+    # over the tolerance, and the comparison reports it.
     cfg = LatticeConfig(
         u1_er=400.0, theta_deg=45.0, bx_mg=50.0, n_planewaves=8, n_q=1, species=dataclasses.replace(cesium_f4(), f=0.5)
     )
@@ -399,51 +398,33 @@ def test_solve_bands_matches_unpaired_complex_solve(n_q, u1, theta, bx, bz, phas
     np.testing.assert_allclose(_band_energies(cfg, q_grid(cfg), 6), direct, rtol=0, atol=1e-9)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(
-    q=st.floats(-1.0, 1.0),
-    picks=st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 1.0)), min_size=1, max_size=4),
-    **BOX,
-)
-# sigma 1e-6 below the odd level E_2 at q = 0 under a parity, and below an
-# edge level at q = +1: eliminating n < 0 before n = 0, and q = +1 as given,
-# made the floors 1.0042e-6 and 1.1741e-6
-@example(q=0.0, picks=[(1, 1.0)], u1=13.0, theta=45.0, bx=5.0, bz=0.0, phase="paper_cos", n_pw=8, f=0.5)
-@example(q=1.0, picks=[(40, 1.0)], u1=13.0, theta=45.0, bx=5.0, bz=0.0, phase="paper_cos", n_pw=8, f=0.5)
-def test_inertia_count_equals_dense_count(q, picks, u1, theta, bx, bz, phase, n_pw, f):
-    # The block LDL^H count over the N+8 plane waves, real or complex, is the
-    # number of eigenvalues of the dense N+8 matrix below each sigma.  Every
-    # sigma lies in a gap, at least 1e-6 E_R from each eigenvalue.
-    cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f)
-    vals = np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg.replace(n_planewaves=n_pw + CERTIFY_EXTRA_PLANEWAVES), q))
-    gaps = np.diff(vals)
-    wide = np.flatnonzero(gaps > 2e-6)
-    ks = [wide[i % len(wide)] for i, _ in picks]
-    sigma = np.array([vals[k] + 1e-6 + t * (gaps[k] - 2e-6) for k, (_, t) in zip(ks, picks)])
-    counts, floor = _inertia(cfg, [q], sigma[None, :])
-    np.testing.assert_array_equal(counts[0], [np.count_nonzero(vals < s) for s in sigma])
-    assert np.all(floor < 1e-6)
+def _counting_solvers(monkeypatch) -> collections.Counter:
+    """(solver, array shape, dtype kind) -> calls of ``eigh`` and ``eigvalsh`` from here on."""
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _solver=solver, **kwargs):
+            calls[_name, np.shape(a), np.asarray(a).dtype.kind] += 1
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 def test_certified_solve_makes_no_enlarged_basis_eigensolve(cfg, monkeypatch):
-    # The inertia count certifies the canonical point, so every eigvalsh call
-    # is on N-basis matrices or on 9x9 pivots.  At D = 225 three q share a
-    # call; 13 grid points are 7 solved q, so the last call holds one.
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
+    # The residual path certifies the canonical point at N_s = N = 12: the
+    # N_s = 8 probe (D = 153) fails, the N_s = 12 probe is the node q = -1 of
+    # five at D = 225, and one stack projects the 7 solved q of 13 grid points
+    # on 5 x 12 node vectors.  Nothing is solved above D = 225.
     odd = cfg.replace(n_q=13)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    calls = _counting_solvers(monkeypatch)
     sol = solve_bands(odd, n_bands=6)
     monkeypatch.undo()
-    dim, spin_dim = (2 * cfg.n_planewaves + 1) * cfg.spin.dim, cfg.spin.dim
-    assert [s for s in calls if s[-1] != spin_dim] == [(3, dim, dim), (3, dim, dim), (1, dim, dim)]
-    assert any(s[-1] == spin_dim for s in calls)
-    direct = [eigvalsh(assemble_bloch_hamiltonian(odd, q))[:6] for q in q_grid(odd)]
+    dim = (2 * cfg.n_planewaves + 1) * cfg.spin.dim
+    assert dict(calls) == {("eigh", (153, 153), "f"): 1, ("eigh", (dim, dim), "f"): 5, ("eigh", (7, 60, 60), "f"): 1}
+    assert sol.n_planewaves_solved == cfg.n_planewaves
+    direct = [np.linalg.eigvalsh(assemble_bloch_hamiltonian(odd, q))[:6] for q in q_grid(odd)]
     np.testing.assert_allclose(sol.energies, direct, rtol=0, atol=1e-9)
 
 
@@ -490,9 +471,23 @@ def test_default_basis_is_certified_by_a_smaller_basis(u1, caplog):
         np.testing.assert_allclose(sol.energies, plain[:, :n_bands], rtol=0, atol=1e-10)
 
 
+def test_deep_default_basis_point_is_certified_by_its_residual():
+    # At U_1 = 300 E_R, B_x = 40 mG the doublet gap is 1.1e-6 E_R, which caps
+    # ||r_0|| + ||r_1|| at 1.1e-12 E_R + GAP_ROUNDING_ER; a basis of N_s <= N
+    # meets that, and its gap is the N-basis one within the residuals.
+    cfg = LatticeConfig(u1_er=300.0, theta_deg=80.0, bx_mg=40.0)
+    sol = solve_bands(cfg, 2)
+    assert sol.n_planewaves_solved <= cfg.n_planewaves
+    assert sol.edge_residual_er <= 1e-6
+    plain = _band_energies(cfg, q_grid(cfg), 2)
+    plain_gap = np.mean(plain[:, 1] - plain[:, 0])
+    assert abs(sol.epsilon_er - plain_gap) <= 2.0 * sol.edge_residual_er + GAP_ROUNDING_ER
+
+
 def test_residual_path_skips_a_basis_smaller_than_n_bands():
-    # For F = 1/2 at N = 16 the one smaller basis, N_s = 8, holds 34 levels:
-    # 40 bands are solved and certified in the N basis.
+    # For F = 1/2 at N = 16 the probe N_s = 8 holds 34 levels and is skipped,
+    # and N_s = 12 does not certify: 40 bands are solved and certified in the
+    # N basis.
     cfg = LatticeConfig(
         u1_er=20.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=16, n_q=1, species=dataclasses.replace(cesium_f4(), f=0.5)
     )
@@ -550,15 +545,7 @@ def test_default_basis_band_solve_makes_its_known_eigensolves(monkeypatch):
     # The probes at N_s = 8 (D = 153) and 12 (D = 225), the latter also the node
     # q = -1, four more nodes at D = 225 and one stack of the 17 solved q projected
     # on 5 x 12 node vectors; no eigh per q.
-    calls = collections.Counter()
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-
-        def counting(a, *args, _name=name, _solver=solver, **kwargs):
-            calls[_name, np.shape(a), np.asarray(a).dtype.kind] += 1
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    calls = _counting_solvers(monkeypatch)
     solve_bands(LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0), n_bands=2)
     assert dict(calls) == {
         ("eigh", (153, 153), "f"): 1,

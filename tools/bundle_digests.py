@@ -21,9 +21,14 @@ from.  A fourth pass runs ``bands``, ``wannier`` and a 3-point ``sweep``
 (B_x = 40, 70, 100 mG) at the default basis (n_planewaves = 24, n_q = 33,
 z_points = 512) under OUT_DIR/default_basis and prints their lines
 prefixed ``default_basis/``: band solves are certified by the residuals of
-a smaller basis of 8 <= N_s <= N - 8 plane waves per side, which the light
-basis leaves no room for.  Their eigenvector continuation in q refines its
+a basis of N_s = 12 < N plane waves per side, where the light basis
+certifies at N_s = N = 12.  Their eigenvector continuation in q refines its
 nodes at 40 mG, where the doublet gap is small, and not at 70 or 100 mG.
+With it, a 2-point ``sweep`` (B_x = 40 and 150 mG, the fewest a ``[sweep]``
+section takes) at U_1 = 300 E_R runs under OUT_DIR/default_basis/u1_300 and
+prints its lines prefixed ``default_basis/u1_300/``: there both points
+certify at N_s = 20, where the 1e-6 E_R doublet gap at 40 mG caps the
+residual near 1e-10 E_R.
 
 Bundle bytes depend on the BLAS thread count, so every command runs with
 one BLAS thread (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
@@ -100,6 +105,19 @@ stop = 100
 steps = 3
 """
 
+DEEP_DEFAULT_BASIS_CONFIG = """\
+[lattice]
+u1_er = 300
+theta_deg = 80
+bx_mg = 40
+
+[sweep]
+parameter = bx
+start = 40
+stop = 150
+steps = 2
+"""
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -138,6 +156,7 @@ def main(argv: list[str]) -> int:
         (out / "paper_cos", paper_cos, PAPER_COS_COMMANDS, "paper_cos/"),
         (out / "bz_10", bz_10, BZ_10_COMMANDS, "bz_10/"),
         (out / "default_basis", DEFAULT_BASIS_CONFIG, DEFAULT_BASIS_COMMANDS, "default_basis/"),
+        (out / "default_basis" / "u1_300", DEEP_DEFAULT_BASIS_CONFIG, ("sweep",), "default_basis/u1_300/"),
     )
     return 0 if all(run_pass(*spec, env) for spec in passes) else 1
 

@@ -4,7 +4,7 @@ Rabi dynamics, state-preparation ramps and ensemble dephasing."""
 
 __version__ = "0.1.0"
 
-from .constants import SpeciesConstants, UnitContext, cesium_f4
+from .constants import SpeciesConstants, cesium_f4
 from .spin import SpinOperators, make_spin_operators
 from .lattice import (
     LatticeConfig,
@@ -39,7 +39,6 @@ from .errors import ConfigError, ConvergenceError
 __all__ = [
     "__version__",
     "SpeciesConstants",
-    "UnitContext",
     "cesium_f4",
     "SpinOperators",
     "make_spin_operators",

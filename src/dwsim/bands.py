@@ -3,8 +3,9 @@ localized ground-doublet states.
 
 Basis convention: index i = p * (2F+1) + s encodes plane wave
 exp(i (q + 2 n k_L) z) with n = p - N, and spin m_F = s - F.  All
-Hamiltonians are in recoil units E_R, and every one is built by
-``_bloch_matrix`` from the on-site ``_zeeman_block`` and ``_raising_block``.
+Hamiltonians are in recoil units E_R, and every one is assembled by
+``_block_tridiagonal`` from the on-site ``_zeeman_block`` and ``_raising_block``:
+``_bloch_matrix`` over n = -N..N, ``q0_sectors`` over the half chain n = 0..N.
 """
 from __future__ import annotations
 
@@ -101,27 +102,33 @@ def _raising_block(cfg: LatticeConfig) -> np.ndarray:
     return (scalar * np.eye(cfg.spin.dim) + weight * fict_amp * cfg.spin.fz).astype(complex)
 
 
-def _bloch_matrix(cfg: LatticeConfig, onsite: np.ndarray, raising: np.ndarray, q: float, n_side: int) -> np.ndarray:
-    """Block-tridiagonal Bloch matrix over plane waves n = -n_side..n_side: ``onsite``
-    plus the kinetic (q + 2n)^2 + offset on diagonal blocks, ``raising`` from n to n+1."""
-    n_pw, dim = 2 * n_side + 1, len(onsite)
-    if n_pw * dim > MAX_DIMENSION:
-        raise ValueError(f"basis dimension {n_pw * dim} exceeds limit {MAX_DIMENSION}")
-    kinetic = (q + 2.0 * np.arange(-n_side, n_side + 1)) ** 2 + potential_coefficients(cfg)[0]
+def _block_tridiagonal(onsite: np.ndarray, raising: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Block-tridiagonal matrix over plane waves p = 0..len(diagonal) - 1: ``onsite``
+    plus ``diagonal[p]`` on diagonal block p, ``raising`` from p to p+1."""
+    n_pw, dim = len(diagonal), len(onsite)
     h = np.zeros((n_pw, dim, n_pw, dim), dtype=np.result_type(onsite, raising))
     p = np.arange(n_pw)
     h[p, :, p, :] = onsite
     h[p[1:], :, p[:-1], :] = raising
     h[p[:-1], :, p[1:], :] = raising.conj().T
     h = h.reshape(n_pw * dim, n_pw * dim)
-    h[np.diag_indices(n_pw * dim)] += np.repeat(kinetic, dim)
+    h[np.diag_indices(n_pw * dim)] += np.repeat(diagonal, dim)
     return h
+
+
+def _bloch_matrix(cfg: LatticeConfig, onsite: np.ndarray, raising: np.ndarray, q: float, n_side: int) -> np.ndarray:
+    """Bloch matrix over plane waves n = -n_side..n_side: ``_block_tridiagonal`` with
+    the kinetic (q + 2n)^2 + offset on the diagonal."""
+    if (2 * n_side + 1) * len(onsite) > MAX_DIMENSION:
+        raise ValueError(f"basis dimension {(2 * n_side + 1) * len(onsite)} exceeds limit {MAX_DIMENSION}")
+    kinetic = (q + 2.0 * np.arange(-n_side, n_side + 1)) ** 2 + potential_coefficients(cfg)[0]
+    return _block_tridiagonal(onsite, raising, kinetic)
 
 
 def _zeeman_block(cfg: LatticeConfig, bx_mg: float, bz_mg: float) -> np.ndarray:
     """On-site spin block of the uniform fields (B_x, B_z) in mG, in E_R; with
     rates in mG/us instead of fields it is the block of dH/dt."""
-    per_mg = cfg.units.zeeman_er_per_mg()
+    per_mg = cfg.species.zeeman_er_per_mg()
     return bx_mg * (per_mg * cfg.spin.fx) + bz_mg * (per_mg * cfg.spin.fz)
 
 
@@ -278,7 +285,7 @@ def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
     return None
 
 
-def solve_bands(cfg: LatticeConfig, n_bands: int = 6) -> BandSolution:
+def solve_bands(cfg: LatticeConfig, n_bands: int) -> BandSolution:
     """Lowest band energies over the quasimomentum grid (energies only), the
     q-averaged doublet gap and the flatness, which logs a warning above 0.2.
 
@@ -342,7 +349,7 @@ def solve_bands(cfg: LatticeConfig, n_bands: int = 6) -> BandSolution:
         q_over_kl=qs,
         energies=energies,
         epsilon_er=mean_gap,
-        epsilon_hz=cfg.units.er_to_hz(mean_gap),
+        epsilon_hz=cfg.species.er_to_hz(mean_gap),
         flatness=flatness,
         flatness_warning=bool(doublet_flatness > FLATNESS_WARN),
         n_planewaves_solved=n_solved,
@@ -364,8 +371,8 @@ class Q0Sectors:
 def q0_sectors(cfg: LatticeConfig, du1: bool = False) -> Q0Sectors:
     """H(0), or with ``du1`` dH(0)/dU_1, as real sectors: H(0) is affine in U_1, and
     H(U_1) = H(U_1') + (U_1 - U_1') dH(0)/dU_1 sector by sector.  H(0) commutes with a
-    parity (n, k) -> (-n, s_k k) in a real spin basis u, and each parity sigma is a real
-    block over n = 0..N keeping the n = 0 states with s_k = sigma, with sqrt(2) * raising
+    parity (n, k) -> (-n, s_k k) in a real spin basis u, and each parity sigma is the real
+    ``_block_tridiagonal`` over n = 0..N keeping the n = 0 states with s_k = sigma, with sqrt(2) * raising
     from n = 0 to 1.  Real ``_spin_blocks`` take u, s of ``_spin_basis``; complex ones are
     realified to [[Re, -Im], [Im, Re]], u = [I, iI], s = (+1, -1), where the parity is K P
     (conjugation, n -> -n; Dyson 1962) and sigma = +1 alone has H(0)'s spectrum.  Raises
@@ -383,13 +390,9 @@ def q0_sectors(cfg: LatticeConfig, du1: bool = False) -> Q0Sectors:
     if (2 * n + 1) * d > MAX_DIMENSION:
         raise ValueError(f"basis dimension {(2 * n + 1) * d} exceeds limit {MAX_DIMENSION}")
     offset = potential_coefficients(cfg.replace(u1_er=1.0) if du1 else cfg)[0]
-    half = np.zeros((n + 1, d, n + 1, d))  # plane waves n = 0..N
-    p = np.arange(n + 1)
-    half[p, :, p, :] = 0.0 if du1 else onsite
-    half[p[1:], :, p[:-1], :] = raising
-    half[p[:-1], :, p[1:], :] = raising.T
-    half = half.reshape((n + 1) * d, (n + 1) * d)
-    half[np.diag_indices(len(half))] += np.repeat(offset + (0.0 * p if du1 else (2.0 * p) ** 2), d)
+    p = np.arange(n + 1)  # plane waves n = 0..N
+    half = _block_tridiagonal(np.zeros_like(onsite) if du1 else onsite, raising,
+                              offset + (0.0 * p if du1 else (2.0 * p) ** 2))
     half[d : 2 * d, :d] *= np.sqrt(2.0)
     half[:d, d : 2 * d] *= np.sqrt(2.0)
     keeps = (np.concatenate([np.flatnonzero(s == sigma), np.arange(d, len(half))]) for sigma in sigmas)
@@ -524,7 +527,7 @@ def localized_doublet(cfg: LatticeConfig, vals: np.ndarray, vecs: np.ndarray) ->
         coef_l=coef_l,
         coef_r=coef_r,
         epsilon_er=eps_er,
-        epsilon_hz=cfg.units.er_to_hz(eps_er),
+        epsilon_hz=cfg.species.er_to_hz(eps_er),
         well_center_nm=geom["sigma_plus_z_m"] * 1e9,
         barrier_nm=geom["barrier_z_m"] * 1e9,
         centroid_l_nm=centroid(psi_l) * 1e9,

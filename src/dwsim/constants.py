@@ -80,6 +80,21 @@ class SpeciesConstants:
         """Recoil energy divided by h, in Hz."""
         return self.recoil_j / PLANCK_H
 
+    def er_to_hz(self, e_er: float) -> float:
+        return e_er * self.recoil_hz
+
+    def zeeman_er_per_mg(self) -> float:
+        """g_F mu_B * (1 mG) expressed in E_R, per unit m_F."""
+        return self.g_f * BOHR_MAGNETON * MILLIGAUSS_TO_TESLA / self.recoil_j
+
+    def mg_to_er(self, b_mg: float) -> float:
+        """Zeeman energy g_F mu_B B in E_R (per unit m_F) for B in mG."""
+        return b_mg * self.zeeman_er_per_mg()
+
+    def rad_per_us_per_er(self) -> float:
+        """Angular frequency of one E_R, in rad/us (phase accumulation rate)."""
+        return self.recoil_j / HBAR * 1e-6
+
 
 def cesium_f4(g_f: float = 0.25) -> SpeciesConstants:
     """Cs in the 6S_1/2 F=4 manifold, lattice light near the D2 line.
@@ -94,29 +109,3 @@ def cesium_f4(g_f: float = 0.25) -> SpeciesConstants:
         f=4.0,
         name="cs133_f4",
     )
-
-
-@dataclass(frozen=True)
-class UnitContext:
-    """Conversion helpers bound to one species.
-
-    All conversions are exact arithmetic on the stored constants.
-    """
-
-    species: SpeciesConstants
-
-    def er_to_hz(self, e_er: float) -> float:
-        return e_er * self.species.recoil_hz
-
-    def zeeman_er_per_mg(self) -> float:
-        """g_F mu_B * (1 mG) expressed in E_R, per unit m_F."""
-        return self.species.g_f * BOHR_MAGNETON * MILLIGAUSS_TO_TESLA / self.species.recoil_j
-
-    def mg_to_er(self, b_mg: float) -> float:
-        """Zeeman energy g_F mu_B B in E_R (per unit m_F) for B in mG."""
-        return b_mg * self.zeeman_er_per_mg()
-
-    def rad_per_us_per_er(self) -> float:
-        """Angular frequency of one E_R, in rad/us (phase accumulation rate)."""
-        return self.species.recoil_j / HBAR * 1e-6
-

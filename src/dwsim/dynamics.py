@@ -173,7 +173,7 @@ def propagate_static(
     v = np.stack([doublet.coef_s, doublet.coef_a], axis=1)
     in_doublet = doublet.cfg == cfg and np.linalg.norm(psi0 - v @ (v.conj().T @ psi0)) <= 1e-12
     vals, vecs = (np.array([0.0, doublet.epsilon_er]), v) if in_doublet else solve_q0(cfg)
-    w = cfg.units.rad_per_us_per_er()
+    w = cfg.species.rad_per_us_per_er()
     a = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(vals * w, t_us))  # (D, nt)
     psi_t = vecs @ (phases * a[:, None])
@@ -194,7 +194,7 @@ def _schedule_steps(schedule: RampSchedule, dt_us: float):
 
 def _run_steps(cfg, steps, psi):
     """Step psi through ``steps`` and return the final state."""
-    w = cfg.units.rad_per_us_per_er()
+    w = cfg.species.rad_per_us_per_er()
     for h, bx, bz in steps:
         vals, vecs = solve_q0(cfg.replace(bx_mg=bx, bz_mg=bz))
         psi = vecs @ (np.exp(-1j * vals * w * h) * (vecs.conj().T @ psi))
@@ -279,7 +279,7 @@ class AdiabaticityReport:
 def adiabaticity_report(cfg: LatticeConfig, schedule: RampSchedule, epsilon_hz: float) -> AdiabaticityReport:
     """Spectra and rate figures at ADIABATICITY_POINTS instants of each
     segment; a segment is sudden against the doublet splitting ``epsilon_hz``."""
-    w = cfg.units.rad_per_us_per_er()
+    w = cfg.species.rad_per_us_per_er()
     dim = cfg.spin.dim
 
     seg_reports = []

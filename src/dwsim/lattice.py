@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .constants import SpeciesConstants, UnitContext, cesium_f4
+from .constants import SpeciesConstants, cesium_f4
 from .spin import SpinOperators, make_spin_operators
 
 FICTITIOUS_PHASES = ("quadrature_sin", "paper_cos")
@@ -54,10 +54,6 @@ class LatticeConfig:
             raise ValueError(f"z_points must be >= 64, got {self.z_points}")
         if self.n_q < 1:
             raise ValueError(f"n_q must be >= 1, got {self.n_q}")
-
-    @property
-    def units(self) -> UnitContext:
-        return UnitContext(self.species)
 
     @property
     def spin(self) -> SpinOperators:
@@ -126,8 +122,7 @@ def _reduced_phase(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndarray | 
 def _effective_field(cfg: LatticeConfig, z_m: np.ndarray | float) -> tuple[float, np.ndarray | float]:
     """Field (beta_x, b_z(z)) coupling to (F_x, F_z), in E_R per unit m_F,
     with b_z = c_f(z) + beta_z."""
-    units = cfg.units
-    return units.mg_to_er(cfg.bx_mg), fictitious_zeeman_er(cfg, z_m) + units.mg_to_er(cfg.bz_mg)
+    return cfg.species.mg_to_er(cfg.bx_mg), fictitious_zeeman_er(cfg, z_m) + cfg.species.mg_to_er(cfg.bz_mg)
 
 
 def diabatic_curves(cfg: LatticeConfig, z_m: np.ndarray) -> np.ndarray:

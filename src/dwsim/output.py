@@ -88,11 +88,7 @@ def _finish_bundle(directory: str, command: str, run_cfg: RunConfig, files: list
 
 
 def sweep_frequency(
-    cfg: LatticeConfig,
-    parameter: str,
-    values,
-    u1_scale: float = 1.0,
-    jobs: int = 1,
+    cfg: LatticeConfig, parameter: str, values, u1_scale: float, jobs: int
 ) -> list[tuple[float, float, float, str]]:
     """Ground-doublet splitting over one parameter axis; U_1, swept or not,
     is scaled by ``u1_scale``.
@@ -129,10 +125,7 @@ def _cmd_potentials(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
         + [f"adiabatic_{k + 1}" for k in range(dim)]
         + [f"diabatic_m{m - f_int:+g}" for m in range(dim)]
     )
-    rows = [
-        [curves.z_nm[j]] + list(curves.adiabatic[:, j]) + list(curves.diabatic[:, j])
-        for j in range(len(curves.z_nm))
-    ]
+    rows = zip(curves.z_nm, *curves.adiabatic, *curves.diabatic)
     write_csv(os.path.join(directory, "potentials.csv"), header, rows, run_cfg.output.precision)
     return ["potentials.csv"]
 
@@ -140,7 +133,7 @@ def _cmd_potentials(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
 def _cmd_bands(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     sol = solve_bands(run_cfg.lattice, n_bands=6)
     header = ["q_over_kL"] + [f"E{b + 1}" for b in range(6)]
-    rows = [[sol.q_over_kl[k]] + list(sol.energies[k]) for k in range(len(sol.q_over_kl))]
+    rows = zip(sol.q_over_kl, *sol.energies.T)
     write_csv(os.path.join(directory, "bands.csv"), header, rows, run_cfg.output.precision)
     return ["bands.csv"]
 
@@ -155,12 +148,7 @@ def _cmd_wannier(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     for tag in ("s", "a", "l", "r"):
         header += [f"{tag}_m{m - f_int:+g}" for m in range(dim)]
     dens = [np.abs(getattr(wd, f"psi_{tag}")) ** 2 for tag in ("s", "a", "l", "r")]
-    rows = []
-    for j in range(len(wd.z_m)):
-        row = [wd.z_m[j] * 1e9]
-        for block in dens:
-            row += list(block[j])
-        rows.append(row)
+    rows = zip(wd.z_m * 1e9, *np.hstack(dens).T)
     write_csv(os.path.join(directory, "wannier.csv"), header, rows, run_cfg.output.precision)
     write_json(
         os.path.join(directory, "doublet.json"),
@@ -190,11 +178,7 @@ def _cmd_rabi(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     dim = cfg.spin.dim
     f_int = cfg.species.f
     header = ["t_us", "pL", "pR", "leakage", "fz"] + [f"p_m{m - f_int:+g}" for m in range(dim)]
-    rows = [
-        [series.t_us[k], series.p_l[k], series.p_r[k], series.leakage[k], series.fz[k]]
-        + list(series.p_m[k])
-        for k in range(len(series.t_us))
-    ]
+    rows = zip(series.t_us, series.p_l, series.p_r, series.leakage, series.fz, *series.p_m.T)
     write_csv(os.path.join(directory, "rabi.csv"), header, rows, run_cfg.output.precision)
     return ["rabi.csv"]
 
@@ -235,7 +219,7 @@ def _cmd_ensemble(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     write_csv(
         os.path.join(directory, "ensemble.csv"),
         ["t_us", "mean_fz"],
-        [[result.t_us[k], result.mean_fz[k]] for k in range(len(result.t_us))],
+        zip(result.t_us, result.mean_fz),
         run_cfg.output.precision,
     )
     write_json(os.path.join(directory, "fit.json"), _fit_payload(fit) | {

@@ -17,10 +17,10 @@ from dwsim.lattice import LatticeConfig, fictitious_zeeman_er, potential_coeffic
 def potential_matrix(cfg: LatticeConfig, z_m: np.ndarray | float) -> np.ndarray:
     """Hermitian potential matrix U(z) in E_R: (2F+1)x(2F+1) for a scalar
     z, stacked to shape (len(z), 2F+1, 2F+1) for an array of positions."""
-    ops, units = cfg.spin, cfg.units
+    ops, species = cfg.spin, cfg.species
     u_j = np.asarray(scalar_potential_er(cfg, z_m))[..., None, None]
-    b_z = np.asarray(fictitious_zeeman_er(cfg, z_m) + units.mg_to_er(cfg.bz_mg))[..., None, None]
-    mat = u_j * np.eye(ops.dim) + b_z * ops.fz + units.mg_to_er(cfg.bx_mg) * ops.fx
+    b_z = np.asarray(fictitious_zeeman_er(cfg, z_m) + species.mg_to_er(cfg.bz_mg))[..., None, None]
+    mat = u_j * np.eye(ops.dim) + b_z * ops.fz + species.mg_to_er(cfg.bx_mg) * ops.fx
     return mat.astype(complex)
 
 
@@ -34,11 +34,11 @@ def assemble_bloch_hamiltonian(cfg: LatticeConfig, q_over_kl: float) -> np.ndarr
     ``potential_coefficients`` is given as its weight already.
     """
     offset, scalar, fictitious = potential_coefficients(cfg)
-    ops, units = cfg.spin, cfg.units
+    ops, species = cfg.spin, cfg.species
     n = np.arange(-cfg.n_planewaves, cfg.n_planewaves + 1)
     spatial = 0.5 if cfg.fictitious_phase == "paper_cos" else 0.5 / 1j
     raising = scalar * np.eye(ops.dim) + spatial * fictitious * ops.fz
-    zeeman = units.mg_to_er(cfg.bx_mg) * ops.fx + units.mg_to_er(cfg.bz_mg) * ops.fz
+    zeeman = species.mg_to_er(cfg.bx_mg) * ops.fx + species.mg_to_er(cfg.bz_mg) * ops.fz
     return (
         np.kron(np.diag((q_over_kl + 2.0 * n) ** 2 + offset), np.eye(ops.dim))
         + np.kron(np.eye(len(n)), zeeman)

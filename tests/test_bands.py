@@ -284,11 +284,11 @@ def test_two_level_model(cfg):
 
 def test_delta_locally_linear(cfg, doublet):
     # first-order perturbation oracle: slope = (<R|Fz|R> - <L|Fz|L>) * zeeman/mG
-    units = cfg.units
+    species = cfg.species
     fz = np.tile(np.arange(-4.0, 5.0), 2 * cfg.n_planewaves + 1)
     zl = float(np.sum(fz * np.abs(doublet.coef_l) ** 2))
     zr = float(np.sum(fz * np.abs(doublet.coef_r) ** 2))
-    slope_oracle = abs(zr - zl) * units.er_to_hz(units.mg_to_er(1.0))
+    slope_oracle = abs(zr - zl) * species.er_to_hz(species.mg_to_er(1.0))
     bzs = np.array([-5.0, -2.5, 2.5, 5.0])
     deltas = np.array([two_level_model(cfg.replace(bz_mg=b)).delta_hz for b in bzs])
     coeffs = np.polyfit(bzs, deltas, 1)
@@ -303,7 +303,7 @@ def test_bloch_hamiltonian_linear_in_fields(cfg):
     # the fields enter only through the on-site Zeeman block of every plane wave
     fields = assemble_bloch_hamiltonian(cfg.replace(bx_mg=37.0, bz_mg=-11.0), 0.0)
     bare = assemble_bloch_hamiltonian(cfg.replace(bx_mg=0.0, bz_mg=0.0), 0.0)
-    zeeman = cfg.units.zeeman_er_per_mg() * (37.0 * cfg.spin.fx - 11.0 * cfg.spin.fz)
+    zeeman = cfg.species.zeeman_er_per_mg() * (37.0 * cfg.spin.fx - 11.0 * cfg.spin.fz)
     expected = np.kron(np.eye(2 * cfg.n_planewaves + 1), zeeman)
     np.testing.assert_allclose(fields - bare, expected, rtol=0, atol=1e-12)
 
@@ -594,3 +594,26 @@ def test_parity_commutes_with_real_h0(u1, theta, bx, bz, phase, n_pw, f):
     assert ham.dtype == np.float64
     parity = np.kron(np.flipud(np.eye(2 * n_pw + 1)), np.diag(_spin_basis(cfg)[1]))
     assert np.linalg.norm(parity @ ham @ parity - ham) <= 1e-12 * np.linalg.norm(ham)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**BOX)
+def test_q0_sectors_are_parity_blocks_of_the_bloch_matrix(u1, theta, bx, bz, phase, n_pw, f):
+    # Sector sigma of H(0) is P^T H P over the parity-sigma states: the n = 0
+    # states with s_k = sigma, then (|n, k> + sigma s_k |-n, k>)/sqrt(2) for
+    # n = 1..N, in the order q0_sectors keeps them.
+    cfg = _box_cfg(u1, theta, bx, bz if phase == "paper_cos" else 0.0, phase, n_pw, f)
+    ham = _bloch_matrix(cfg, *_spin_blocks(cfg), 0.0, n_pw)
+    form = q0_sectors(cfg)
+    d = len(form.s)
+    assert form.sigmas == (1.0, -1.0)
+    for sigma, sector in zip(form.sigmas, form.matrices):
+        centre = np.flatnonzero(form.s == sigma)
+        p = np.zeros((2 * n_pw + 1, d, len(centre) + n_pw * d))
+        p[n_pw, centre, np.arange(len(centre))] = 1.0
+        for n in range(1, n_pw + 1):
+            columns = len(centre) + (n - 1) * d + np.arange(d)
+            p[n_pw + n, np.arange(d), columns] = 1.0 / np.sqrt(2.0)
+            p[n_pw - n, np.arange(d), columns] = sigma * form.s / np.sqrt(2.0)
+        p = p.reshape(len(ham), -1)
+        np.testing.assert_allclose(sector, p.T @ ham @ p, rtol=0, atol=1e-14 * np.linalg.norm(ham, 2))

@@ -272,7 +272,7 @@ def test_sweep_jobs_neutral_and_symmetric(tmp_path, capsys):
 
 def test_sweep_u1_scale(tmp_path):
     cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=10, n_q=3)
-    rows = sweep_frequency(cfg, "u1", [80.0, 90.0], u1_scale=1.04)
+    rows = sweep_frequency(cfg, "u1", [80.0, 90.0], 1.04, 1)
     for value, nu_hz, _flat, status in rows:
         assert status == "ok"
         direct = solve_bands(cfg.replace(u1_er=value * 1.04), n_bands=2)
@@ -281,16 +281,16 @@ def test_sweep_u1_scale(tmp_path):
 
 def test_single_point_sweep_matches_direct():
     cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=10, n_q=3)
-    rows = sweep_frequency(cfg, "bx", [85.0])
+    rows = sweep_frequency(cfg, "bx", [85.0], 1.0, 1)
     direct = solve_bands(cfg, n_bands=2)
     assert rows[0][1] == pytest.approx(direct.epsilon_hz, rel=1e-12)
     with pytest.raises(ValueError, match="unknown sweep parameter"):
-        sweep_frequency(cfg, "detuning", [1.0])
+        sweep_frequency(cfg, "detuning", [1.0], 1.0, 1)
 
 
 def test_sweep_flags_unconverged_point_and_continues():
     cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=8, n_q=1)
-    rows = sweep_frequency(cfg, "u1", [84.0, 20000.0])
+    rows = sweep_frequency(cfg, "u1", [84.0, 20000.0], 1.0, 1)
     by_value = {r[0]: r for r in rows}
     assert by_value[84.0][3] == "ok"
     assert by_value[20000.0][3] == "unconverged"
@@ -301,10 +301,10 @@ def test_sweep_at_the_default_basis_flags_unconverged_point():
     # U_1 = 84 is certified by the edge residual of a smaller basis, U_1 = 20000
     # by none, and the N vs N+8 comparison flags it.
     cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_q=1)
-    rows = sweep_frequency(cfg, "u1", [84.0, 20000.0])
+    rows = sweep_frequency(cfg, "u1", [84.0, 20000.0], 1.0, 1)
     assert [r[3] for r in rows] == ["ok", "unconverged"]
     energies = _band_energies(cfg, q_grid(cfg), 2)  # the N-basis levels
-    assert rows[0][1] == pytest.approx(cfg.units.er_to_hz(np.mean(energies[:, 1] - energies[:, 0])), rel=1e-9)
+    assert rows[0][1] == pytest.approx(cfg.species.er_to_hz(np.mean(energies[:, 1] - energies[:, 0])), rel=1e-9)
 
 
 def test_residual_path_sweep_is_jobs_neutral(tmp_path, capsys):

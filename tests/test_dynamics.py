@@ -67,7 +67,7 @@ def _state_at(cfg, psi0, t_us):
     # the full spectral evolution in every eigenpair of H(0): a state (D,) at a
     # time, or the states (D, nt) at an array of times
     vals, vecs = solve_q0(cfg)
-    phases = np.exp(-1j * cfg.units.rad_per_us_per_er() * np.multiply.outer(vals, t_us))
+    phases = np.exp(-1j * cfg.species.rad_per_us_per_er() * np.multiply.outer(vals, t_us))
     return vecs @ (phases.T * (vecs.conj().T @ psi0)).T
 
 
@@ -214,7 +214,7 @@ def test_ramp_step_matches_matrix_exponential(cfg, doublet):
     h_us, bz = 0.5, -100.0
     psi = _run_steps(cfg, [(h_us, cfg.bx_mg, bz)], doublet.coef_l)
     ham = assemble_bloch_hamiltonian(cfg.replace(bz_mg=bz), 0.0)
-    exact = expm(-1j * cfg.units.rad_per_us_per_er() * h_us * ham) @ doublet.coef_l
+    exact = expm(-1j * cfg.species.rad_per_us_per_er() * h_us * ham) @ doublet.coef_l
     np.testing.assert_allclose(psi, exact, rtol=0, atol=1e-12)
 
 
@@ -258,7 +258,7 @@ def test_turnoff_sits_in_the_adiabaticity_window(prep_cfg):
     # against the vibrational time h/E_gap to the next band
     doublet = wannier_doublet(prep_cfg)
     vals, _ = solve_q0(prep_cfg)
-    gap_hz = prep_cfg.units.er_to_hz(float(vals[2] - vals[1]))
+    gap_hz = prep_cfg.species.er_to_hz(float(vals[2] - vals[1]))
     turnoff_s = 70e-6
     assert turnoff_s < 1.0 / (2.0 * doublet.epsilon_hz)
     assert turnoff_s > 1.0 / gap_hz
@@ -297,11 +297,11 @@ def test_slow_turnoff_follows_into_symmetric_state(strong_cfg):
     # Landau-Zener oracle: the detuning sweeps at |d delta/dt| =
     # slope * |bz_hold| / T; adiabatic following needs
     # 2 pi (eps/2)^2 / rate >> 1.  Choose T for exponent ~ 3.
-    units = strong_cfg.units
+    species = strong_cfg.species
     fz = np.tile(np.arange(-4.0, 5.0), 2 * strong_cfg.n_planewaves + 1)
     zl = float(np.sum(fz * np.abs(doublet.coef_l) ** 2))
     zr = float(np.sum(fz * np.abs(doublet.coef_r) ** 2))
-    slope_hz_per_mg = abs(zr - zl) * units.er_to_hz(units.mg_to_er(1.0))
+    slope_hz_per_mg = abs(zr - zl) * species.er_to_hz(species.mg_to_er(1.0))
     bz_hold = -20.0
     rate_target = 2 * np.pi * (eps_hz / 2) ** 2 / 3.0
     duration = abs(bz_hold) * slope_hz_per_mg / rate_target * 1e6  # us
@@ -337,11 +337,11 @@ def test_adiabaticity_figures_match_dense_rate_operator():
     cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=8, n_q=1)
     schedule = preparation_schedule(cfg, PrepareBlock())
     report = adiabaticity_report(cfg, schedule, wannier_doublet(cfg).epsilon_hz)
-    w = cfg.units.rad_per_us_per_er()
+    w = cfg.species.rad_per_us_per_er()
     eye = np.eye(2 * cfg.n_planewaves + 1)
     for seg, seg_report in zip(schedule.segments, report.segments):
         rx, rz = seg.rates_per_us
-        h_dot = w * cfg.units.zeeman_er_per_mg() * (rx * np.kron(eye, cfg.spin.fx) + rz * np.kron(eye, cfg.spin.fz))
+        h_dot = w * cfg.species.zeeman_er_per_mg() * (rx * np.kron(eye, cfg.spin.fx) + rz * np.kron(eye, cfg.spin.fz))
         foms = np.zeros(3)
         for t in np.linspace(0.0, seg.duration_us, ADIABATICITY_POINTS):
             bx, bz = seg.fields_at(t)

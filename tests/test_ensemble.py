@@ -162,6 +162,6 @@ def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
         fz_diag = fz_coefficient_diag(cfg_i)
         s, a = doublet.coef_s, doublet.coef_a
         f_ss, f_aa, f_sa = (np.vdot(x, fz_diag * y) for x, y in ((s, s), (a, a), (s, a)))
-        omega = doublet.epsilon_er * cfg_i.units.rad_per_us_per_er()
+        omega = doublet.epsilon_er * cfg_i.species.rad_per_us_per_er()
         total += 0.5 * (f_ss + f_aa).real + np.real(f_sa * np.exp(-1j * omega * t_us))
     np.testing.assert_array_equal(result.mean_fz, total / spec.n_samples)

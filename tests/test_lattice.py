@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwsim import LatticeConfig, adiabatic_curves, cesium_f4, diabatic_curves
-from dwsim.constants import UnitContext
 from dwsim.lattice import (
     FICTITIOUS_PHASES,
     _strict_local_minima,
@@ -52,9 +51,8 @@ def test_fictitious_coefficient_paper_cos():
 
 def test_theta_zero_kills_fictitious_field():
     cfg = canonical(theta_deg=0.0, bx_mg=20.0, bz_mg=5.0)
-    units = UnitContext(cfg.species)
     z = 0.37 * cfg.period_m
-    expected = scalar_potential_er(cfg, z) * np.eye(9) + units.mg_to_er(20.0) * cfg.spin.fx + units.mg_to_er(5.0) * cfg.spin.fz
+    expected = scalar_potential_er(cfg, z) * np.eye(9) + cfg.species.mg_to_er(20.0) * cfg.spin.fx + cfg.species.mg_to_er(5.0) * cfg.spin.fz
     np.testing.assert_allclose(potential_matrix(cfg, z), expected, atol=1e-12)
 
 
@@ -190,10 +188,9 @@ def test_adiabatic_degenerate_point():
 def test_adiabatic_quantization_along_x():
     # where the longitudinal field vanishes, eigenvalues are U_J + beta_x * m
     cfg = canonical(fictitious_phase="paper_cos")
-    units = UnitContext(cfg.species)
     z = cfg.period_m / 4.0  # cos(2 k_L z) = 0
     vals = np.linalg.eigvalsh(potential_matrix(cfg, z))
-    expected = scalar_potential_er(cfg, z) + units.mg_to_er(85.0) * np.arange(-4.0, 5.0)
+    expected = scalar_potential_er(cfg, z) + cfg.species.mg_to_er(85.0) * np.arange(-4.0, 5.0)
     np.testing.assert_allclose(vals, expected, atol=1e-9)
 
 

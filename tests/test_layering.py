@@ -25,8 +25,8 @@ def imported_dwsim_modules(path: Path) -> set[str]:
 
 def test_no_module_calls_the_reference_hamiltonian():
     # tests/reference_hamiltonian.py holds the tests' reference functions;
-    # the package builds every Hamiltonian with bands._bloch_matrix and
-    # neither defines nor calls them
+    # the package assembles every Hamiltonian with bands._block_tridiagonal
+    # and neither defines nor calls them
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef):

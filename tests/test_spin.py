@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dwsim import SpeciesConstants, UnitContext, cesium_f4, make_spin_operators
+from dwsim import SpeciesConstants, cesium_f4, make_spin_operators
 from dwsim.constants import BOHR_MAGNETON, HBAR, PLANCK_H
 
 
@@ -81,16 +81,15 @@ def test_recoil_scaling():
 
 def test_zeeman_energy():
     species = cesium_f4()
-    units = UnitContext(species)
-    assert units.mg_to_er(0.0) == 0.0
+    assert species.mg_to_er(0.0) == 0.0
     # 1 G at g_F = 1/4: direct constant arithmetic oracle
     per_gauss_hz = 0.25 * BOHR_MAGNETON * 1e-4 / PLANCK_H
     assert per_gauss_hz == pytest.approx(349.9e3, rel=1e-3)
-    got_hz = units.er_to_hz(units.mg_to_er(1000.0))
+    got_hz = species.er_to_hz(species.mg_to_er(1000.0))
     assert got_hz == pytest.approx(per_gauss_hz, rel=1e-12)
     # the canonical transverse field in recoil units
-    assert units.mg_to_er(85.0) == pytest.approx(14.4, rel=5e-3)
-    assert units.er_to_hz(units.mg_to_er(85.0)) == pytest.approx(29.74e3, rel=1e-3)
+    assert species.mg_to_er(85.0) == pytest.approx(14.4, rel=5e-3)
+    assert species.er_to_hz(species.mg_to_er(85.0)) == pytest.approx(29.74e3, rel=1e-3)
 
 
 def test_species_validation():

@@ -436,12 +436,6 @@ def bloch_to_zgrid(cfg: LatticeConfig, coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=0) * (n_pts / np.sqrt(cfg.period_m))
 
 
-def fz_coefficient_diag(cfg: LatticeConfig) -> np.ndarray:
-    """Diagonal of the F_z operator in the coefficient basis."""
-    m = cfg.spin.m_values
-    return np.tile(m, 2 * cfg.n_planewaves + 1)
-
-
 PHASE_FIX_FLOOR = 1e-6
 
 

@@ -14,18 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import (
-    WannierDoublet,
-    _zeeman_block,
-    fz_coefficient_diag,
-    solve_q0,
-    wannier_doublet,
-)
+from .bands import WannierDoublet, _zeeman_block, solve_q0, wannier_doublet
 from .errors import ConvergenceError
 from .lattice import LatticeConfig
 
 STEP_DOUBLING_TOL = 1e-6
 MAX_HALVINGS = 8
+TAIL_WEIGHT = 1e-24  # weight of psi0 left out of a static evolution, so each state is within 1e-12
 ADIABATICITY_POINTS = 50  # instantaneous spectra sampled per ramp segment
 SUDDEN_THRESHOLD = 0.5  # duration * epsilon below this counts as sudden
 ADIABATIC_THRESHOLD = 0.1  # ground-to-excited rate figure below this counts as adiabatic
@@ -139,45 +134,32 @@ def _as_coefficients(cfg: LatticeConfig, psi0: np.ndarray) -> np.ndarray:
     return psi0
 
 
-def _observables(cfg: LatticeConfig, t_us, psi_t, doublet) -> TimeSeries:
-    """Assemble a TimeSeries from states psi_t of shape (D, nt)."""
-    dim = cfg.spin.dim
-    p_l = np.abs(doublet.coef_l.conj() @ psi_t) ** 2
-    p_r = np.abs(doublet.coef_r.conj() @ psi_t) ** 2
-    dens = np.abs(psi_t) ** 2
-    fz = fz_coefficient_diag(cfg) @ dens
-    p_m = dens.reshape(-1, dim, dens.shape[1]).sum(axis=0).T
-    return TimeSeries(
-        t_us=np.asarray(t_us, dtype=float),
-        p_l=p_l,
-        p_r=p_r,
-        leakage=1.0 - p_l - p_r,
-        fz=fz,
-        p_m=p_m,
-    )
-
-
 def propagate_static(
     cfg: LatticeConfig,
     psi0: np.ndarray,
     t_us: np.ndarray,
     doublet: WannierDoublet,
 ) -> TimeSeries:
-    """Evolve the q=0 coefficient vector psi0 under the static Bloch
-    Hamiltonian of ``cfg``, projecting on the localized states of ``doublet``: in the doublet's V = [|S>, |A>]
-    if ``doublet.cfg == cfg`` (at any B_z) and ||psi0 - V V^H psi0|| <= 1e-12, else in every eigenpair of
-    ``solve_q0(cfg)``.  The dropped component keeps its norm, so every state is then within 1e-12 of the full
-    evolution, up to a global phase exp(-i E_S t) no observable sees."""
+    """Evolve the q=0 coefficient vector psi0 under the static Bloch Hamiltonian of ``cfg``, projecting on the
+    localized states of ``doublet``.  The pairs are the doublet's V = [|S>, |A>] if ``doublet.cfg == cfg`` (at any
+    B_z) and ||psi0 - V V^H psi0|| <= 1e-12, else every eigenpair of ``solve_q0(cfg)``; of those, the fewest lowest
+    k whose tail weight sum_{j>=k} |a_j|^2 of a = V^H psi0 is at most TAIL_WEIGHT are kept.  So every state is
+    within 1e-12 of the full evolution, up to a global phase exp(-i E_S t) no observable sees.  No state is formed:
+    with c(t) = exp(-i E t) a over the k pairs, p_m = Re(c^H V_m^H V_m c) for the rows V_m of spin component m,
+    fz = sum_m m p_m, and p_l, p_r = |<L|V c|^2, |<R|V c|^2."""
     psi0 = _as_coefficients(cfg, psi0)
     t_us = np.asarray(t_us, dtype=float)
     v = np.stack([doublet.coef_s, doublet.coef_a], axis=1)
     in_doublet = doublet.cfg == cfg and np.linalg.norm(psi0 - v @ (v.conj().T @ psi0)) <= 1e-12
     vals, vecs = (np.array([0.0, doublet.epsilon_er]), v) if in_doublet else solve_q0(cfg)
-    w = cfg.species.rad_per_us_per_er()
     a = vecs.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(vals * w, t_us))  # (D, nt)
-    psi_t = vecs @ (phases * a[:, None])
-    return _observables(cfg, t_us, psi_t, doublet)
+    k = int(np.count_nonzero(np.cumsum(np.abs(a[::-1]) ** 2) > TAIL_WEIGHT))  # tail weights, reversed
+    vecs = vecs[:, :k]
+    c = np.exp(-1j * np.outer(vals[:k] * cfg.species.rad_per_us_per_er(), t_us)) * a[:k, None]  # (k, nt)
+    rows = vecs.reshape(-1, cfg.spin.dim, k).transpose(1, 0, 2)  # V_m, (dim, n_pw, k)
+    p_m = np.sum(c.conj() * ((rows.conj().transpose(0, 2, 1) @ rows) @ c), axis=1).real.T
+    p_l, p_r = (np.abs((coef.conj() @ vecs) @ c) ** 2 for coef in (doublet.coef_l, doublet.coef_r))
+    return TimeSeries(t_us=t_us, p_l=p_l, p_r=p_r, leakage=1.0 - p_l - p_r, fz=p_m @ cfg.spin.m_values, p_m=p_m)
 
 
 def _schedule_steps(schedule: RampSchedule, dt_us: float):
@@ -363,12 +345,11 @@ def prepare_ground_l(cfg: LatticeConfig, block: PrepareBlock) -> PreparationResu
 
     doublet = wannier_doublet(cfg.replace(bz_mg=0.0))
     psi, dt, cert_infid = propagate_ramp(cfg, schedule, psi0, block.dt_us)
-    end_us = sum(seg.duration_us for seg in schedule.segments)
-    final = _observables(cfg, [end_us], psi[:, None], doublet)
+    p_l, p_r = (float(np.abs(coef.conj() @ psi) ** 2) for coef in (doublet.coef_l, doublet.coef_r))
     return PreparationResult(
-        fidelity_l=float(final.p_l[0]),
-        p_r=float(final.p_r[0]),
-        doublet_population=float(final.p_l[0] + final.p_r[0]),
+        fidelity_l=p_l,
+        p_r=p_r,
+        doublet_population=p_l + p_r,
         initial_stretched_population=band0_top,
         dt_us=dt,
         step_doubling_infidelity=cert_infid,

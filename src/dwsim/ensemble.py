@@ -3,8 +3,9 @@
 Each atom sees its own single-beam light shift drawn around the nominal
 value; the ensemble-averaged magnetization of identical localized-state
 Rabi runs then dephases on a timescale set by the frequency spread.
-Each sample's <F_z>(t) is closed-form in the sample's own q=0 doublet,
-found by certified eigenvector continuation in U_1.
+Each sample is the ``rabi`` experiment at its own U_1: its B_z = 0 |L>,
+found by certified eigenvector continuation in U_1, evolved by
+``propagate_static``.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import fz_coefficient_diag, localized_doublet, q0_eigenpairs, q0_sectors, ritz_continuation, solve_q0
-from .dynamics import output_times
+from .bands import localized_doublet, q0_eigenpairs, q0_sectors, ritz_continuation, solve_q0
+from .dynamics import output_times, propagate_static
 from .errors import ConvergenceError
 from .lattice import LatticeConfig
 
@@ -103,44 +104,36 @@ def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[list, int, float
     return pairs, n_nodes, float(residual.max())
 
 
-def _single_run(cfg_i: LatticeConfig, vals: np.ndarray, vecs: np.ndarray, t_us: np.ndarray) -> np.ndarray:
-    """<F_z>(t) of |L> = (|S> + |A>)/sqrt(2) in the q=0 doublet ``vals``, ``vecs`` of ``cfg_i``:
-    (F_SS + F_AA)/2 + Re(F_SA exp(-i omega t)), hbar omega = E_A - E_S."""
-    doublet = localized_doublet(cfg_i, vals, vecs)
-    fz_diag = fz_coefficient_diag(cfg_i)
-    s, a = doublet.coef_s, doublet.coef_a
-    f_ss, f_aa, f_sa = (np.vdot(x, fz_diag * y) for x, y in ((s, s), (a, a), (s, a)))
-    omega = doublet.epsilon_er * cfg_i.species.rad_per_us_per_er()
-    fz = 0.5 * (f_ss + f_aa).real + np.real(f_sa * np.exp(-1j * omega * t_us))
-    return fz
-
-
 def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleResult:
     """Mean <F_z>(t) over localized-state Rabi runs of the ensemble ``spec``
     drawn around ``cfg``, on the spec's output time grid.
 
-    Every sample gives the magnetization of its (|S> + |A>)/sqrt(2) in closed
-    form from its own q=0 doublet (not a localized state at B_z != 0, where
-    that doublet is tilted).  H(0) is affine in U_1, so ``ritz_continuation``
-    over the drawn U_1, from the NODE_VECTORS lowest eigenvectors of each real
-    sector at 9, 17 or 33 nodes, spans every sample's doublet.  Each Ritz pair
-    read is certified by ||Hx - theta x|| <= RITZ_RESIDUAL_ER, and a sample
-    still failing solves H(0) in full.  Node count and largest residual are
-    logged at INFO and returned.  Samples that fail numerically
-    (ConvergenceError, ValueError, LinAlgError) are skipped with a logged
-    diagnostic; more than 10 % skipped raises RuntimeError; any other
+    Every sample i runs the experiment ``rabi`` runs at its own U_1: the
+    B_z = 0 |L_i> of its doublet, evolved under H_i(B_z) by
+    ``propagate_static``.  H(0) at B_z = 0 is affine in U_1, so
+    ``ritz_continuation`` over the drawn U_1, from the NODE_VECTORS lowest
+    eigenvectors of each real sector at 9, 17 or 33 nodes, spans every
+    sample's doublet.  Each Ritz pair read is certified by
+    ||Hx - theta x|| <= RITZ_RESIDUAL_ER, and a sample still failing solves
+    its B_z = 0 H(0) in full.  At B_z = 0, |L_i> evolves in its own doublet;
+    at B_z != 0, in the lowest pairs of its own full ``solve_q0``.  Node count
+    and largest residual are logged at INFO and returned.  Samples that fail
+    numerically (ConvergenceError, ValueError, LinAlgError) are skipped with a
+    logged diagnostic; more than 10 % skipped raises RuntimeError; any other
     exception propagates.  The samples run and sum in index order.
     """
     t_us = output_times(spec.t_max_us, spec.dt_out_us)
     u1 = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)])
-    pairs, n_nodes, max_residual = _ritz_doublets(cfg, u1)
+    untilted = cfg.replace(bz_mg=0.0)
+    pairs, n_nodes, max_residual = _ritz_doublets(untilted, u1)
     log.info("ensemble: %d nodes, largest Ritz residual %.2e E_R, %d samples solved in full",
              n_nodes, max_residual, sum(p is None for p in pairs))
     total, n_skipped = np.zeros(len(t_us)), 0
     for i, pair in enumerate(pairs):
         try:
-            cfg_i = cfg.replace(u1_er=float(u1[i]))
-            total += _single_run(cfg_i, *(solve_q0(cfg_i, 2) if pair is None else pair), t_us)
+            untilted_i = untilted.replace(u1_er=float(u1[i]))
+            doublet = localized_doublet(untilted_i, *(solve_q0(untilted_i, 2) if pair is None else pair))
+            total += propagate_static(cfg.replace(u1_er=float(u1[i])), doublet.coef_l, t_us, doublet).fz
         except (ConvergenceError, ValueError, np.linalg.LinAlgError):
             log.exception("ensemble sample %d failed; skipping", i)
             u1[i] = np.nan

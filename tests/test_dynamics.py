@@ -15,7 +15,7 @@ from dwsim import (
     wannier_doublet,
 )
 from dwsim.bands import bloch_to_zgrid, localized_doublet, solve_q0
-from dwsim.dynamics import ADIABATICITY_POINTS, _observables, _run_steps, _schedule_steps
+from dwsim.dynamics import ADIABATICITY_POINTS, TimeSeries, _run_steps, _schedule_steps
 from reference_hamiltonian import assemble_bloch_hamiltonian
 from spectrum import dominant_frequency_hz
 
@@ -71,6 +71,17 @@ def _state_at(cfg, psi0, t_us):
     return vecs @ (phases.T * (vecs.conj().T @ psi0)).T
 
 
+def _observables(cfg, t_us, psi_t, doublet):
+    # the observables of the states psi_t (D, nt), formed from the states
+    # themselves: the reference for propagate_static, which forms none
+    p_l = np.abs(doublet.coef_l.conj() @ psi_t) ** 2
+    p_r = np.abs(doublet.coef_r.conj() @ psi_t) ** 2
+    dens = np.abs(psi_t) ** 2
+    fz = np.tile(cfg.spin.m_values, 2 * cfg.n_planewaves + 1) @ dens
+    p_m = dens.reshape(-1, cfg.spin.dim, dens.shape[1]).sum(axis=0).T
+    return TimeSeries(np.asarray(t_us, dtype=float), p_l, p_r, 1.0 - p_l - p_r, fz, p_m)
+
+
 def test_spectrum_vs_dynamics_frequency(cfg, doublet):
     t = np.linspace(0.0, 4000.0, 4001)
     series = propagate_static(cfg, doublet.coef_l, t, doublet=doublet)
@@ -90,20 +101,30 @@ def test_density_snapshots(cfg, doublet):
 
 
 @pytest.mark.parametrize("g_f", [0.25, -0.25])
-@pytest.mark.parametrize("bz_mg", [0.0, 10.0])
+@pytest.mark.parametrize("bz_mg", [0.0, 10.0, 20.0])
 @pytest.mark.parametrize("phase", ["quadrature_sin", "paper_cos"])
 def test_doublet_path_equals_the_full_evolution(cfg, phase, bz_mg, g_f):
-    # |L> = (|S> + |A>)/sqrt(2) lies in the span of the doublet of H(cfg), at
-    # B_z != 0 too (where that doublet is tilted), so propagate_static evolves
-    # it in the doublet's two pairs; every observable equals that of the full
-    # evolution in all pairs of H(0), for either sign of g_F.
+    # Every observable of propagate_static equals that of the full evolution
+    # in all pairs of H(0), for either sign of g_F, from three starts:
+    # - |L> = (|S> + |A>)/sqrt(2) of the doublet of H(cfg), at B_z != 0 too
+    #   (where that doublet is tilted): the doublet's two pairs;
+    # - the B_z = 0 |L> that rabi evolves, at B_z != 0: the lowest pairs of
+    #   solve_q0(cfg) up to the tail weight;
+    # - a random normalized psi0: all D pairs.
     cfg = cfg.replace(fictitious_phase=phase, bz_mg=bz_mg, species=cesium_f4(g_f=g_f))
-    doublet = wannier_doublet(cfg)
-    t = np.linspace(0.0, 2e6 / doublet.epsilon_hz, 101)
-    series = propagate_static(cfg, doublet.coef_l, t, doublet)
-    full = _observables(cfg, t, _state_at(cfg, doublet.coef_l, t), doublet)
-    for name in ("p_l", "p_r", "fz", "p_m", "leakage"):
-        np.testing.assert_allclose(getattr(series, name), getattr(full, name), rtol=0, atol=1e-12)
+    untilted = wannier_doublet(cfg.replace(bz_mg=0.0))
+    t = np.linspace(0.0, 2e6 / untilted.epsilon_hz, 101)
+    rng = np.random.default_rng(7)
+    random = rng.standard_normal(len(untilted.coef_l)) + 1j * rng.standard_normal(len(untilted.coef_l))
+    starts = [(untilted.coef_l, untilted), (random / np.linalg.norm(random), untilted)]
+    if bz_mg != 0.0:
+        tilted = wannier_doublet(cfg)
+        starts.append((tilted.coef_l, tilted))
+    for psi0, doublet in starts:
+        series = propagate_static(cfg, psi0, t, doublet)
+        full = _observables(cfg, t, _state_at(cfg, psi0, t), doublet)
+        for name in ("p_l", "p_r", "fz", "p_m", "leakage"):
+            np.testing.assert_allclose(getattr(series, name), getattr(full, name), rtol=0, atol=1e-12)
 
 
 def test_full_path_outside_the_doublet(cfg, doublet, monkeypatch):

@@ -4,11 +4,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from dwsim import LatticeConfig, cesium_f4, fit_damped_sinusoid, wannier_doublet
 from dwsim import ensemble
-from dwsim.bands import fz_coefficient_diag, localized_doublet, q0_sectors, solve_q0
-from dwsim.dynamics import _observables, output_times
+from dwsim.bands import localized_doublet, q0_sectors, solve_q0
+from dwsim.dynamics import output_times, propagate_static
 from dwsim.ensemble import GAUSS_TRUNCATION, EnsembleSpec, ensemble_magnetization, sample_intensity_factor
+from dwsim.lattice import double_well_geometry
 from test_bands import BOX, _box_cfg
-from test_dynamics import _state_at
+from test_dynamics import _observables, _state_at
 
 
 @pytest.fixture(scope="module")
@@ -45,20 +46,37 @@ def test_sampling_deterministic_and_truncated(cfg):
     assert not np.array_equal(a, u)
 
 
+def rabi_fz(cfg, t_us):
+    """<F_z>(t) of the rabi experiment, by the oracle: the B_z = 0 |L> of
+    wannier_doublet evolved in every eigenpair of H(0) at the B_z of cfg."""
+    doublet = wannier_doublet(cfg.replace(bz_mg=0.0))
+    return _observables(cfg, t_us, _state_at(cfg, doublet.coef_l, t_us), doublet).fz
+
+
 @pytest.mark.parametrize("g_f", [0.25, -0.25])
-@pytest.mark.parametrize("bz_mg", [0.0, 10.0])
+@pytest.mark.parametrize("bz_mg", [0.0, 10.0, 20.0])
 def test_zero_spread_equals_single_run(cfg, tgrid, bz_mg, g_f):
-    # the closed-form samples must follow the full propagation's sign
-    # conventions with and without a bias field, for either sign of g_F: the
-    # reference evolves |L> in every eigenpair of H(0)
+    # every sample runs rabi's experiment, with and without a bias field and
+    # for either sign of g_F: its B_z = 0 |L> evolved under H(B_z)
     cfg = cfg.replace(bz_mg=bz_mg, species=cesium_f4(g_f=g_f))
-    doublet = wannier_doublet(cfg)
     spec = EnsembleSpec(spread=0.0, n_samples=3, seed=1, **GRID)
     result = ensemble_magnetization(cfg, spec)
-    single = _observables(cfg, tgrid, _state_at(cfg, doublet.coef_l, tgrid), doublet)
-    np.testing.assert_allclose(result.mean_fz, single.fz, atol=1e-10)
+    np.testing.assert_allclose(result.mean_fz, rabi_fz(cfg, tgrid), atol=1e-10)
     assert result.n_skipped == 0
     np.testing.assert_allclose(result.sample_u1_er, cfg.u1_er, atol=1e-12)
+
+
+def test_a_draw_without_a_tilted_double_well_still_runs(cfg):
+    # At 20 mG the tilted potential of a draw 2.6 sigma low has lost a well;
+    # its sample starts from its B_z = 0 doublet, which has two, and runs.
+    cfg = cfg.replace(bz_mg=20.0)
+    spec = EnsembleSpec(n_samples=1, seed=316, **SHORT_GRID)
+    cfg_0 = cfg.replace(u1_er=cfg.u1_er * sample_intensity_factor(spec, 0))
+    with pytest.raises(ValueError, match="expected a double well"):
+        double_well_geometry(cfg_0)
+    result = ensemble_magnetization(cfg, spec)
+    assert result.n_skipped == 0
+    np.testing.assert_allclose(result.mean_fz, rabi_fz(cfg_0, result.t_us), atol=1e-10)
 
 
 def test_frequency_consistency(cfg):
@@ -81,16 +99,15 @@ def test_all_samples_failing_raises():
 def test_programming_error_in_a_sample_propagates(cfg, monkeypatch):
     # only numerical failures count as skipped samples; a bug in one
     # sample out of ten (within the 10 % skip budget) must still surface
-    single_run = ensemble._single_run
     spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
     u1_3 = cfg.u1_er * sample_intensity_factor(spec, 3)
 
-    def broken_once(cfg_i, vals, vecs, t_us):
+    def broken_once(cfg_i, psi0, t_us, doublet):
         if cfg_i.u1_er == u1_3:
             raise TypeError("bug in sample code")
-        return single_run(cfg_i, vals, vecs, t_us)
+        return propagate_static(cfg_i, psi0, t_us, doublet)
 
-    monkeypatch.setattr(ensemble, "_single_run", broken_once)
+    monkeypatch.setattr(ensemble, "propagate_static", broken_once)
     with pytest.raises(TypeError):
         ensemble_magnetization(cfg, spec)
 
@@ -128,7 +145,7 @@ def test_continuation_matches_per_sample_solves(share, distribution, n_samples, 
     if u1s.min() == u1s.max():
         assert n_nodes == 1
     assert (residual <= ensemble.RITZ_RESIDUAL_ER) == all(p is not None for p in pairs)
-    fz_diag = fz_coefficient_diag(cfg)
+    fz_diag = np.tile(cfg.spin.m_values, 2 * cfg.n_planewaves + 1)
     for u1_i, pair in zip(u1s, pairs):
         if pair is None:
             continue
@@ -148,8 +165,8 @@ def test_continuation_matches_per_sample_solves(share, distribution, n_samples, 
 
 
 def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
-    # With no residual small enough every sample takes the full solve, which
-    # is the closed form of each sample's own localized_doublet, bit for bit.
+    # With no residual small enough every sample takes the full solve: the
+    # propagate_static run of each sample's own localized_doublet, bit for bit.
     monkeypatch.setattr(ensemble, "RITZ_RESIDUAL_ER", 0.0)
     spec = EnsembleSpec(spread=0.05, n_samples=6, seed=8, **SHORT_GRID)
     result = ensemble_magnetization(cfg, spec)
@@ -159,9 +176,5 @@ def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
     for i in range(spec.n_samples):
         cfg_i = cfg.replace(u1_er=cfg.u1_er * sample_intensity_factor(spec, i))
         doublet = localized_doublet(cfg_i, *solve_q0(cfg_i, 2))
-        fz_diag = fz_coefficient_diag(cfg_i)
-        s, a = doublet.coef_s, doublet.coef_a
-        f_ss, f_aa, f_sa = (np.vdot(x, fz_diag * y) for x, y in ((s, s), (a, a), (s, a)))
-        omega = doublet.epsilon_er * cfg_i.species.rad_per_us_per_er()
-        total += 0.5 * (f_ss + f_aa).real + np.real(f_sa * np.exp(-1j * omega * t_us))
+        total += propagate_static(cfg_i, doublet.coef_l, t_us, doublet).fz
     np.testing.assert_array_equal(result.mean_fz, total / spec.n_samples)

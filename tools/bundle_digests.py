@@ -16,8 +16,9 @@ phase-dependent geometry is covered too.  A third pass runs ``rabi`` and
 ``ensemble`` at B_z = 10 mG under OUT_DIR/bz_10 and prints their lines
 prefixed ``bz_10/``: with the default ``quadrature_sin`` phase that field
 takes the q = 0 solves off the m_F parity blocks, which no other command
-but ``prepare`` does, and it tilts the doublet each ensemble sample starts
-from.  A fourth pass runs ``bands``, ``wannier`` and a 3-point ``sweep``
+but ``prepare`` does, and it makes each ensemble sample, like ``rabi``,
+evolve its B_z = 0 |L> in the lowest pairs of its full q = 0 spectrum.
+A fourth pass runs ``bands``, ``wannier`` and a 3-point ``sweep``
 (B_x = 40, 70, 100 mG) at the default basis (n_planewaves = 24, n_q = 33,
 z_points = 512) under OUT_DIR/default_basis and prints their lines
 prefixed ``default_basis/``: band solves are certified by the residuals of

@@ -157,7 +157,8 @@ def propagate_static(
     vecs = vecs[:, :k]
     c = np.exp(-1j * np.outer(vals[:k] * cfg.species.rad_per_us_per_er(), t_us)) * a[:k, None]  # (k, nt)
     rows = vecs.reshape(-1, cfg.spin.dim, k).transpose(1, 0, 2)  # V_m, (dim, n_pw, k)
-    p_m = np.sum(c.conj() * ((rows.conj().transpose(0, 2, 1) @ rows) @ c), axis=1).real.T
+    gram_c = (rows.conj().transpose(0, 2, 1) @ rows) @ c  # V_m^H V_m c, (dim, k, nt)
+    p_m = (c.real * gram_c.real + c.imag * gram_c.imag).sum(axis=1).T
     p_l, p_r = (np.abs((coef.conj() @ vecs) @ c) ** 2 for coef in (doublet.coef_l, doublet.coef_r))
     return TimeSeries(t_us=t_us, p_l=p_l, p_r=p_r, leakage=1.0 - p_l - p_r, fz=p_m @ cfg.spin.m_values, p_m=p_m)
 

@@ -23,7 +23,6 @@ from .dynamics import (
     AdiabaticityReport,
     PrepareBlock,
     PreparationResult,
-    RampSchedule,
     Segment,
     TimeSeries,
     adiabaticity_report,
@@ -52,7 +51,6 @@ __all__ = [
     "solve_bands",
     "wannier_doublet",
     "Segment",
-    "RampSchedule",
     "TimeSeries",
     "AdiabaticityReport",
     "PreparationResult",

@@ -37,22 +37,18 @@ class BandSolution:
     """Band energies over a quasimomentum grid; no Bloch spinors are kept.
 
     energies[k, b] is the b-th ascending band energy (E_R) at q_grid[k].
-    ``epsilon_*`` is the q-averaged ground-doublet gap and ``flatness`` the
-    per-band (max-min over q) width over it, both nan below 2 bands;
-    ``flatness_warning`` flags a doublet flatness above 0.2.
+    ``epsilon_hz`` is the q-averaged ground-doublet gap and ``flatness`` the
+    per-band (max-min over q) width over it, both nan below 2 bands.
     ``n_planewaves_solved`` is the basis N_s <= N (plane waves per side) the
     energies come from; ``edge_residual_er`` the largest residual certifying
     them, of a pair zero-padded into any larger basis, else nan (the N vs N+8
     comparison certified them).
     """
 
-    cfg: LatticeConfig
     q_over_kl: np.ndarray
     energies: np.ndarray
-    epsilon_er: float
     epsilon_hz: float
     flatness: np.ndarray
-    flatness_warning: bool
     n_planewaves_solved: int
     edge_residual_er: float
 
@@ -62,8 +58,10 @@ class WannierDoublet:
     """Ground-doublet states of one double well, on a spatial grid.
 
     psi_s/psi_a are the q=0 Bloch spinors of the two lowest bands
-    (symmetric/antisymmetric combination), psi_l/psi_r their localized
-    superpositions (S +/- A)/sqrt(2) with centroid(L) < centroid(R).
+    (symmetric/antisymmetric combination), psi_l/psi_r their superpositions
+    (S +/- A)/sqrt(2), with the sign of |A> putting centroid(L) left of the
+    barrier.  Nothing checks that |R> lies right of it: under paper_cos both
+    centroids coincide (ROADMAP item 8).
     coef_* are the same states in the plane-wave coefficient basis.
     ``epsilon_*`` is the q=0 doublet gap.  ``overlap_lr`` is the spatial
     overlap integral of |L> and |R> over one period,
@@ -345,13 +343,10 @@ def solve_bands(cfg: LatticeConfig, n_bands: int) -> BandSolution:
     if doublet_flatness > FLATNESS_WARN:
         log.warning("doublet flatness %.3f exceeds %.2f; two-level reduction dubious", doublet_flatness, FLATNESS_WARN)
     return BandSolution(
-        cfg=cfg,
         q_over_kl=qs,
         energies=energies,
-        epsilon_er=mean_gap,
         epsilon_hz=cfg.species.er_to_hz(mean_gap),
         flatness=flatness,
-        flatness_warning=bool(doublet_flatness > FLATNESS_WARN),
         n_planewaves_solved=n_solved,
         edge_residual_er=residual,
     )
@@ -481,8 +476,8 @@ def localized_doublet(cfg: LatticeConfig, vals: np.ndarray, vecs: np.ndarray) ->
     of H(0), as ``solve_q0(cfg, 2)`` returns them, without checking that they are
     a localized doublet.  Global phases: the largest spin component of each state
     at the sigma+ well center is made real positive, then the sign of |A> is chosen
-    so that (|S>+|A>)/sqrt(2) sits left of the barrier.  This makes |L> the left,
-    predominantly m_F > 0, localized state."""
+    so that the centroid of |L> = (|S>+|A>)/sqrt(2) lies left of the barrier.  That
+    is the only check: the centroid of |R> may lie on the same side (ROADMAP item 8)."""
     eps_er = float(vals[1] - vals[0])
 
     geom = double_well_geometry(cfg)

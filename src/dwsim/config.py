@@ -106,7 +106,7 @@ def _section_defaults() -> dict[str, dict]:
     }
     species = cesium_f4()
     defaults["lattice"].update(
-        species=species.name,
+        species="cs133_f4",
         g_f=species.g_f,
         mass_u=CS133_MASS_U,
         wavelength_nm=CS133_WAVELENGTH_NM,
@@ -141,7 +141,7 @@ def _lattice_arguments(values: dict) -> dict:
     mass_kg = mass_u * ATOMIC_MASS
     wavelength_m = wavelength_nm * 1e-9
     if mass_kg != species.mass_kg or wavelength_m != species.wavelength_m:
-        species = replace(species, mass_kg=mass_kg, wavelength_m=wavelength_m, name="cs133_f4_custom")
+        species = replace(species, mass_kg=mass_kg, wavelength_m=wavelength_m)
     return {k: v for k, v in values.items() if k not in _SPECIES_KEYS} | {"species": species}
 
 

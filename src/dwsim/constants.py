@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .spin import make_spin_operators
+
 # CODATA values (12 significant digits where known to that precision).
 PLANCK_H = 6.62607015e-34  # J s (exact)
 HBAR = 1.05457181765e-34  # J s
@@ -49,16 +51,13 @@ class SpeciesConstants:
     wavelength_m: float
     g_f: float
     f: float
-    name: str = "custom"
 
     def __post_init__(self) -> None:
         if self.mass_kg <= 0:
             raise ValueError(f"mass_kg must be positive, got {self.mass_kg}")
         if self.wavelength_m <= 0:
             raise ValueError(f"wavelength_m must be positive, got {self.wavelength_m}")
-        twofp1 = 2 * self.f + 1
-        if self.f < 0.5 or abs(twofp1 - round(twofp1)) > 1e-12:
-            raise ValueError(f"F must be a half-integer >= 1/2, got {self.f}")
+        make_spin_operators(self.f)  # raises ValueError unless F is a half-integer >= 1/2
 
     @property
     def k_l(self) -> float:
@@ -107,5 +106,4 @@ def cesium_f4(g_f: float = 0.25) -> SpeciesConstants:
         wavelength_m=CS133_WAVELENGTH_NM * 1e-9,
         g_f=g_f,
         f=4.0,
-        name="cs133_f4",
     )

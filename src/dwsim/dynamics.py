@@ -20,7 +20,7 @@ from .lattice import LatticeConfig
 
 STEP_DOUBLING_TOL = 1e-6
 MAX_HALVINGS = 8
-TAIL_WEIGHT = 1e-24  # weight of psi0 left out of a static evolution, so each state is within 1e-12
+TAIL_WEIGHT = 1e-24  # weight of |L> left out of a static evolution, so each state is within 1e-12
 ADIABATICITY_POINTS = 50  # instantaneous spectra sampled per ramp segment
 SUDDEN_THRESHOLD = 0.5  # duration * epsilon below this counts as sudden
 ADIABATIC_THRESHOLD = 0.1  # ground-to-excited rate figure below this counts as adiabatic
@@ -76,21 +76,7 @@ class Segment:
         )
 
 
-@dataclass(frozen=True)
-class RampSchedule:
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("schedule needs at least one segment")
-
-    @property
-    def start_fields_mg(self) -> tuple[float, float]:
-        first = self.segments[0]
-        return first.bx_start_mg, first.bz_start_mg
-
-
-def preparation_schedule(cfg: LatticeConfig, block: PrepareBlock) -> RampSchedule:
+def preparation_schedule(cfg: LatticeConfig, block: PrepareBlock) -> tuple[Segment, Segment]:
     """Two-stage protocol of ``block``: ramp B_x on while a large holding
     B_z pins the stretched spin state, then ramp B_z to the config value.
 
@@ -99,11 +85,9 @@ def preparation_schedule(cfg: LatticeConfig, block: PrepareBlock) -> RampSchedul
     the fictitious-field amplitude so the longitudinal field never
     changes sign across the lattice period.
     """
-    return RampSchedule(
-        segments=(
-            Segment(block.bx_ramp_us, 0.0, cfg.bx_mg, block.bz_start_mg, block.bz_start_mg),
-            Segment(block.bz_ramp_us, cfg.bx_mg, cfg.bx_mg, block.bz_start_mg, cfg.bz_mg),
-        )
+    return (
+        Segment(block.bx_ramp_us, 0.0, cfg.bx_mg, block.bz_start_mg, block.bz_start_mg),
+        Segment(block.bz_ramp_us, cfg.bx_mg, cfg.bx_mg, block.bz_start_mg, cfg.bz_mg),
     )
 
 
@@ -111,8 +95,8 @@ def preparation_schedule(cfg: LatticeConfig, block: PrepareBlock) -> RampSchedul
 class TimeSeries:
     """Time-indexed observables of one static propagation run; no state is kept.
 
-    Projections p_l / p_r are onto the caller-supplied reference
-    localized states; leakage = 1 - p_l - p_r."""
+    Projections p_l / p_r are onto the localized states of the doublet
+    the run starts from; leakage = 1 - p_l - p_r."""
 
     t_us: np.ndarray
     p_l: np.ndarray
@@ -134,25 +118,19 @@ def _as_coefficients(cfg: LatticeConfig, psi0: np.ndarray) -> np.ndarray:
     return psi0
 
 
-def propagate_static(
-    cfg: LatticeConfig,
-    psi0: np.ndarray,
-    t_us: np.ndarray,
-    doublet: WannierDoublet,
-) -> TimeSeries:
-    """Evolve the q=0 coefficient vector psi0 under the static Bloch Hamiltonian of ``cfg``, projecting on the
-    localized states of ``doublet``.  The pairs are the doublet's V = [|S>, |A>] if ``doublet.cfg == cfg`` (at any
-    B_z) and ||psi0 - V V^H psi0|| <= 1e-12, else every eigenpair of ``solve_q0(cfg)``; of those, the fewest lowest
-    k whose tail weight sum_{j>=k} |a_j|^2 of a = V^H psi0 is at most TAIL_WEIGHT are kept.  So every state is
-    within 1e-12 of the full evolution, up to a global phase exp(-i E_S t) no observable sees.  No state is formed:
-    with c(t) = exp(-i E t) a over the k pairs, p_m = Re(c^H V_m^H V_m c) for the rows V_m of spin component m,
-    fz = sum_m m p_m, and p_l, p_r = |<L|V c|^2, |<R|V c|^2."""
-    psi0 = _as_coefficients(cfg, psi0)
+def propagate_static(cfg: LatticeConfig, t_us: np.ndarray, doublet: WannierDoublet) -> TimeSeries:
+    """Evolve the doublet's |L> under the static q=0 Bloch Hamiltonian of ``cfg``, projecting on its |L> and |R>.
+    The pairs are the doublet's V = [|S>, |A>] if ``doublet.cfg == cfg`` (at any B_z), else every eigenpair of
+    ``solve_q0(cfg)``; of those, the fewest lowest k whose tail weight sum_{j>=k} |a_j|^2 of a = V^H |L> is at most
+    TAIL_WEIGHT are kept.  So every state is within 1e-12 of the full evolution, up to a global phase exp(-i E_S t)
+    no observable sees.  No state is formed: with c(t) = exp(-i E t) a over the k pairs, p_m = Re(c^H V_m^H V_m c)
+    for the rows V_m of spin component m, fz = sum_m m p_m, and p_l, p_r = |<L|V c|^2, |<R|V c|^2.  A doublet of
+    another basis size raises ValueError."""
+    coef_l = _as_coefficients(cfg, doublet.coef_l)
     t_us = np.asarray(t_us, dtype=float)
     v = np.stack([doublet.coef_s, doublet.coef_a], axis=1)
-    in_doublet = doublet.cfg == cfg and np.linalg.norm(psi0 - v @ (v.conj().T @ psi0)) <= 1e-12
-    vals, vecs = (np.array([0.0, doublet.epsilon_er]), v) if in_doublet else solve_q0(cfg)
-    a = vecs.conj().T @ psi0
+    vals, vecs = (np.array([0.0, doublet.epsilon_er]), v) if doublet.cfg == cfg else solve_q0(cfg)
+    a = vecs.conj().T @ coef_l
     k = int(np.count_nonzero(np.cumsum(np.abs(a[::-1]) ** 2) > TAIL_WEIGHT))  # tail weights, reversed
     vecs = vecs[:, :k]
     c = np.exp(-1j * np.outer(vals[:k] * cfg.species.rad_per_us_per_er(), t_us)) * a[:k, None]  # (k, nt)
@@ -163,10 +141,10 @@ def propagate_static(
     return TimeSeries(t_us=t_us, p_l=p_l, p_r=p_r, leakage=1.0 - p_l - p_r, fz=p_m @ cfg.spin.m_values, p_m=p_m)
 
 
-def _schedule_steps(schedule: RampSchedule, dt_us: float):
+def _schedule_steps(schedule: tuple[Segment, ...], dt_us: float):
     """Return (h, bx_mid, bz_mid) for every step over all segments."""
     steps = []
-    for seg in schedule.segments:
+    for seg in schedule:
         n = max(1, math.ceil(seg.duration_us / dt_us))
         h = seg.duration_us / n
         for k in range(n):
@@ -186,7 +164,7 @@ def _run_steps(cfg, steps, psi):
 
 def propagate_ramp(
     cfg: LatticeConfig,
-    schedule: RampSchedule,
+    schedule: tuple[Segment, ...],
     psi0: np.ndarray,
     dt_us: float,
 ) -> tuple[np.ndarray, float, float]:
@@ -259,7 +237,7 @@ class AdiabaticityReport:
     adiabatic_threshold: float = ADIABATIC_THRESHOLD
 
 
-def adiabaticity_report(cfg: LatticeConfig, schedule: RampSchedule, epsilon_hz: float) -> AdiabaticityReport:
+def adiabaticity_report(cfg: LatticeConfig, schedule: tuple[Segment, ...], epsilon_hz: float) -> AdiabaticityReport:
     """Spectra and rate figures at ADIABATICITY_POINTS instants of each
     segment; a segment is sudden against the doublet splitting ``epsilon_hz``."""
     w = cfg.species.rad_per_us_per_er()
@@ -268,7 +246,7 @@ def adiabaticity_report(cfg: LatticeConfig, schedule: RampSchedule, epsilon_hz: 
     seg_reports = []
     overall_min_gap = np.inf
     gap_at_end = np.nan
-    for seg in schedule.segments:
+    for seg in schedule:
         rx, rz = seg.rates_per_us
         # dH/dt is the same on-site block in every plane wave (rad/us^2)
         h_dot = _zeeman_block(cfg, rx, rz) * w
@@ -332,8 +310,7 @@ def prepare_ground_l(cfg: LatticeConfig, block: PrepareBlock) -> PreparationResu
     and a ValueError is raised.
     """
     schedule = preparation_schedule(cfg, block)
-    bx0, bz0 = schedule.start_fields_mg
-    _, vecs = solve_q0(cfg.replace(bx_mg=bx0, bz_mg=bz0), 1)
+    _, vecs = solve_q0(cfg.replace(bx_mg=schedule[0].bx_start_mg, bz_mg=schedule[0].bz_start_mg), 1)
     psi0 = vecs[:, 0]
     dim = cfg.spin.dim
     band0_top = float(np.sum(np.abs(psi0.reshape(-1, dim)[:, dim - 1]) ** 2))

@@ -59,12 +59,11 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Sample-mean magnetization with per-sample provenance, the continuation's
+    """Sample-mean magnetization, the number of skipped samples, the continuation's
     node count and the largest residual (E_R) of a Ritz pair it read."""
 
     t_us: np.ndarray
     mean_fz: np.ndarray
-    sample_u1_er: np.ndarray
     n_skipped: int
     n_nodes: int
     max_residual_er: float
@@ -133,10 +132,9 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleRe
         try:
             untilted_i = untilted.replace(u1_er=float(u1[i]))
             doublet = localized_doublet(untilted_i, *(solve_q0(untilted_i, 2) if pair is None else pair))
-            total += propagate_static(cfg.replace(u1_er=float(u1[i])), doublet.coef_l, t_us, doublet).fz
+            total += propagate_static(cfg.replace(u1_er=float(u1[i])), t_us, doublet).fz
         except (ConvergenceError, ValueError, np.linalg.LinAlgError):
             log.exception("ensemble sample %d failed; skipping", i)
-            u1[i] = np.nan
             n_skipped += 1
     if n_skipped > MAX_SKIP_FRACTION * spec.n_samples:
         raise RuntimeError(
@@ -146,7 +144,6 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleRe
     return EnsembleResult(
         t_us=t_us,
         mean_fz=total / (spec.n_samples - n_skipped),
-        sample_u1_er=u1,
         n_skipped=n_skipped,
         n_nodes=n_nodes,
         max_residual_er=max_residual,

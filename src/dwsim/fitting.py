@@ -28,10 +28,8 @@ class DampedSinusoidFit:
 
     ``tau_us`` is 1/decay_rate_per_us, +inf when the fitted rate is not
     positive (undamped or growing data); the rate itself carries the
-    honest sign.  ``stderr`` maps parameter names to 1-sigma errors from
-    the residual covariance; ``covariance`` is the full 5x5 matrix in
-    the order (amplitude, frequency_per_us, decay_rate_per_us,
-    phase_rad, offset).
+    honest sign.  ``stderr`` maps parameter names to 1-sigma errors, the
+    square roots of the diagonal of sigma^2 (J^T J)^-1 at the optimum.
     """
 
     amplitude: float
@@ -43,7 +41,6 @@ class DampedSinusoidFit:
     residual_rms: float
     n_iterations: int
     stderr: dict
-    covariance: np.ndarray
 
 
 def _model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -238,5 +235,4 @@ def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
             "phase_rad": float(err[3]),
             "offset": float(err[4]),
         },
-        covariance=cov,
     )

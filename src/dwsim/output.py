@@ -32,7 +32,6 @@ COMMANDS = ("potentials", "bands", "wannier", "rabi", "prepare", "sweep", "ensem
 
 @dataclass(frozen=True)
 class OutputBundle:
-    directory: str
     files: dict
     manifest_path: str
 
@@ -81,7 +80,6 @@ def _finish_bundle(directory: str, command: str, run_cfg: RunConfig, files: list
     manifest_path = os.path.join(directory, "manifest.json")
     write_json(manifest_path, manifest)
     return OutputBundle(
-        directory=directory,
         files={name: os.path.join(directory, name) for name in files},
         manifest_path=manifest_path,
     )
@@ -174,7 +172,7 @@ def _cmd_rabi(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     cfg = run_cfg.lattice
     doublet = wannier_doublet(cfg.replace(bz_mg=0.0))
     t = output_times(run_cfg.rabi.t_max_us, run_cfg.rabi.dt_out_us)
-    series = propagate_static(cfg, doublet.coef_l, t, doublet=doublet)
+    series = propagate_static(cfg, t, doublet)
     dim = cfg.spin.dim
     f_int = cfg.species.f
     header = ["t_us", "pL", "pR", "leakage", "fz"] + [f"p_m{m - f_int:+g}" for m in range(dim)]
@@ -232,9 +230,8 @@ def _cmd_ensemble(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
 
 
 def _fit_payload(fit) -> dict:
-    """The fit's fields without the covariance matrix; an infinite tau is null."""
+    """The fit's fields; an infinite tau is null."""
     payload = dataclasses.asdict(fit)
-    del payload["covariance"]
     if not np.isfinite(fit.tau_us):
         payload["tau_us"] = None
     return payload

@@ -79,7 +79,7 @@ def two_level_deviation(cfg, wd):
     the B_z = 0 state |L> of ``wd`` is propagated in ``cfg``."""
     model = two_level_model(cfg)
     t = np.linspace(0.0, 1.5e6 / model.omega_hz, 400)
-    series = propagate_static(cfg, wd.coef_l, t, doublet=wd)
+    series = propagate_static(cfg, t, wd)
     analytic = (model.epsilon_hz**2 / model.omega_hz**2) * np.sin(np.pi * model.omega_hz * t * 1e-6) ** 2
     return float(np.max(np.abs(series.p_r - analytic)))
 
@@ -166,7 +166,7 @@ def test_criterion_04_spectrum_vs_dynamics():
     cfg = canonical_cfg()
     wd = wannier_doublet(cfg)
     t = np.linspace(0.0, 4000.0, 4001)
-    series = propagate_static(cfg, wd.coef_l, t, doublet=wd)
+    series = propagate_static(cfg, t, wd)
     nu_dyn = dominant_frequency_hz(t, series.fz)
     eps_band = solve_bands(cfg, n_bands=2).epsilon_hz
     rel = abs(nu_dyn - eps_band) / eps_band

@@ -173,9 +173,9 @@ def test_zgrid_round_trip(cfg, doublet):
 
 def test_doublet_splitting_basics(cfg):
     sol = solve_bands(cfg, n_bands=2)
-    assert sol.epsilon_er >= 0
-    assert sol.epsilon_er == np.mean(sol.energies[:, 1] - sol.energies[:, 0])
-    assert not sol.flatness_warning
+    assert sol.epsilon_hz >= 0
+    assert sol.epsilon_hz == cfg.species.er_to_hz(np.mean(sol.energies[:, 1] - sol.energies[:, 0]))
+    assert sol.flatness[:2].max() <= bands.FLATNESS_WARN
     assert sol.epsilon_hz == pytest.approx(3517.0, rel=2e-3)
 
 
@@ -196,8 +196,7 @@ def test_splitting_monotone_in_bx(cfg):
 def test_flatness_warning_for_shallow_lattice(caplog):
     cfg = LatticeConfig(u1_er=11.0, theta_deg=80.0, bx_mg=10.0, n_planewaves=10, n_q=9)
     with caplog.at_level(logging.WARNING, logger="dwsim"):
-        sol = solve_bands(cfg, 2)
-    assert sol.flatness_warning
+        solve_bands(cfg, 2)
     assert "two-level reduction dubious" in caplog.text
 
 
@@ -481,7 +480,7 @@ def test_deep_default_basis_point_is_certified_by_its_residual():
     assert sol.edge_residual_er <= 1e-6
     plain = _band_energies(cfg, q_grid(cfg), 2)
     plain_gap = np.mean(plain[:, 1] - plain[:, 0])
-    assert abs(sol.epsilon_er - plain_gap) <= 2.0 * sol.edge_residual_er + GAP_ROUNDING_ER
+    assert abs(np.mean(sol.energies[:, 1] - sol.energies[:, 0]) - plain_gap) <= 2.0 * sol.edge_residual_er + GAP_ROUNDING_ER
 
 
 def test_residual_path_skips_a_basis_smaller_than_n_bands():
@@ -538,7 +537,7 @@ def test_failed_continuation_falls_back_to_the_exact_path(monkeypatch, caplog):
     assert "5 continuation nodes, 17 q solved exactly" in caplog.text
     assert (sol.n_planewaves_solved, sol.edge_residual_er) == (exact.n_planewaves_solved, exact.edge_residual_er)
     np.testing.assert_array_equal(sol.energies, exact.energies)
-    assert sol.epsilon_er == exact.epsilon_er
+    assert sol.epsilon_hz == exact.epsilon_hz
 
 
 def test_default_basis_band_solve_makes_its_known_eigensolves(monkeypatch):

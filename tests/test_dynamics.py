@@ -5,7 +5,6 @@ from dwsim import (
     LatticeConfig,
     cesium_f4,
     PrepareBlock,
-    RampSchedule,
     Segment,
     adiabaticity_report,
     prepare_ground_l,
@@ -16,13 +15,14 @@ from dwsim import (
 )
 from dwsim.bands import bloch_to_zgrid, localized_doublet, solve_q0
 from dwsim.dynamics import ADIABATICITY_POINTS, TimeSeries, _run_steps, _schedule_steps
+from fourier_oracle import static_observables
 from reference_hamiltonian import assemble_bloch_hamiltonian
 from spectrum import dominant_frequency_hz
 
 
 def test_stationary_symmetric_state(cfg, doublet):
     t = np.linspace(0.0, 800.0, 81)
-    series = propagate_static(cfg, doublet.coef_s, t, doublet=doublet)
+    series = _observables(cfg, t, _state_at(cfg, doublet.coef_s, t), doublet)
     np.testing.assert_allclose(series.p_l, 0.5, atol=1e-8)
     np.testing.assert_allclose(series.p_r, 0.5, atol=1e-8)
 
@@ -30,7 +30,7 @@ def test_stationary_symmetric_state(cfg, doublet):
 def test_rabi_oscillation_period(cfg, doublet):
     eps_hz = doublet.epsilon_hz
     t = np.linspace(0.0, 1.2e6 / eps_hz, 600)
-    series = propagate_static(cfg, doublet.coef_l, t, doublet=doublet)
+    series = propagate_static(cfg, t, doublet)
     analytic = np.sin(np.pi * eps_hz * t * 1e-6) ** 2
     np.testing.assert_allclose(series.p_r, analytic, atol=1e-4)
     # first maximum of P_R at t = 1/(2 eps)
@@ -55,7 +55,7 @@ def test_quarter_and_half_period_states(cfg, doublet):
     # sign); at T/2 the state is |R>.
     eps_hz = doublet.epsilon_hz
     period_us = 1e6 / eps_hz
-    series = propagate_static(cfg, doublet.coef_l, np.array([0.0, period_us / 4, period_us / 2]), doublet=doublet)
+    series = propagate_static(cfg, np.array([0.0, period_us / 4, period_us / 2]), doublet)
     psi_quarter = _state_at(cfg, doublet.coef_l, period_us / 4)
     sup = (doublet.coef_l + 1j * doublet.coef_r) / np.sqrt(2.0)
     assert np.abs(np.vdot(sup, psi_quarter)) ** 2 > 0.99
@@ -84,7 +84,7 @@ def _observables(cfg, t_us, psi_t, doublet):
 
 def test_spectrum_vs_dynamics_frequency(cfg, doublet):
     t = np.linspace(0.0, 4000.0, 4001)
-    series = propagate_static(cfg, doublet.coef_l, t, doublet=doublet)
+    series = propagate_static(cfg, t, doublet)
     nu = dominant_frequency_hz(t, series.fz)
     assert abs(nu - doublet.epsilon_hz) / doublet.epsilon_hz < 0.01
 
@@ -105,31 +105,38 @@ def test_density_snapshots(cfg, doublet):
 @pytest.mark.parametrize("phase", ["quadrature_sin", "paper_cos"])
 def test_doublet_path_equals_the_full_evolution(cfg, phase, bz_mg, g_f):
     # Every observable of propagate_static equals that of the full evolution
-    # in all pairs of H(0), for either sign of g_F, from three starts:
-    # - |L> = (|S> + |A>)/sqrt(2) of the doublet of H(cfg), at B_z != 0 too
-    #   (where that doublet is tilted): the doublet's two pairs;
-    # - the B_z = 0 |L> that rabi evolves, at B_z != 0: the lowest pairs of
-    #   solve_q0(cfg) up to the tail weight;
-    # - a random normalized psi0: all D pairs.
+    # in all pairs of H(0), for either sign of g_F, from two doublets:
+    # - the B_z = 0 doublet that rabi evolves: at B_z = 0 its two pairs, at
+    #   B_z != 0 the lowest pairs of solve_q0(cfg) up to the tail weight;
+    # - at B_z != 0, the doublet of H(cfg) itself (tilted): its two pairs.
     cfg = cfg.replace(fictitious_phase=phase, bz_mg=bz_mg, species=cesium_f4(g_f=g_f))
     untilted = wannier_doublet(cfg.replace(bz_mg=0.0))
     t = np.linspace(0.0, 2e6 / untilted.epsilon_hz, 101)
-    rng = np.random.default_rng(7)
-    random = rng.standard_normal(len(untilted.coef_l)) + 1j * rng.standard_normal(len(untilted.coef_l))
-    starts = [(untilted.coef_l, untilted), (random / np.linalg.norm(random), untilted)]
-    if bz_mg != 0.0:
-        tilted = wannier_doublet(cfg)
-        starts.append((tilted.coef_l, tilted))
-    for psi0, doublet in starts:
-        series = propagate_static(cfg, psi0, t, doublet)
-        full = _observables(cfg, t, _state_at(cfg, psi0, t), doublet)
+    doublets = [untilted] if bz_mg == 0.0 else [untilted, wannier_doublet(cfg)]
+    for doublet in doublets:
+        series = propagate_static(cfg, t, doublet)
+        full = _observables(cfg, t, _state_at(cfg, doublet.coef_l, t), doublet)
         for name in ("p_l", "p_r", "fz", "p_m", "leakage"):
             np.testing.assert_allclose(getattr(series, name), getattr(full, name), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("bz_mg", [0.0, 10.0])
+@pytest.mark.parametrize("phase", ["quadrature_sin", "paper_cos"])
+def test_static_run_matches_the_fourier_grid_oracle(cfg, phase, bz_mg):
+    # rabi's experiment, the B_z = 0 |L> evolved under H(B_z), against a
+    # propagator on 64 grid points of one period that shares no code with bands
+    cfg = cfg.replace(fictitious_phase=phase, bz_mg=bz_mg)
+    doublet = wannier_doublet(cfg.replace(bz_mg=0.0))
+    t = np.linspace(0.0, 2000.0, 101)
+    series = propagate_static(cfg, t, doublet)
+    p_l, p_r, fz = static_observables(cfg, doublet.coef_l, doublet.coef_r, t, n_points=64)
+    for got, want in ((series.p_l, p_l), (series.p_r, p_r), (series.fz, fz)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
 def test_full_path_outside_the_doublet(cfg, doublet, monkeypatch):
-    # The doublet's pairs serve only a psi0 in their span and a doublet of
-    # H(cfg) itself, at any B_z; otherwise every pair of solve_q0(cfg) is used.
+    # The doublet's pairs serve only a doublet of H(cfg) itself, at any B_z;
+    # otherwise every pair of solve_q0(cfg) is used.
     calls = []
 
     def counting_solve_q0(solve_cfg):
@@ -138,46 +145,37 @@ def test_full_path_outside_the_doublet(cfg, doublet, monkeypatch):
 
     monkeypatch.setattr("dwsim.dynamics.solve_q0", counting_solve_q0)
     t = np.linspace(0.0, 100.0, 11)
-    outside = doublet.coef_l.copy()
-    outside[0] += 1e-3
-    outside /= np.linalg.norm(outside)
     tilted = cfg.replace(bz_mg=10.0)
     tilted_doublet = wannier_doublet(tilted)
-    cases = ((cfg, doublet.coef_l, doublet, 0), (cfg, outside, doublet, 1), (tilted, doublet.coef_l, doublet, 1),
-             (tilted, tilted_doublet.coef_l, tilted_doublet, 0))
-    for run_cfg, psi0, run_doublet, n_solves in cases:
+    for run_cfg, run_doublet, n_solves in ((cfg, doublet, 0), (tilted, doublet, 1), (tilted, tilted_doublet, 0)):
         calls.clear()
-        propagate_static(run_cfg, psi0, t, run_doublet)
+        propagate_static(run_cfg, t, run_doublet)
         assert calls == [run_cfg] * n_solves
 
 
 def test_input_validation(cfg, doublet):
-    with pytest.raises(ValueError):
-        propagate_static(cfg, doublet.coef_l[:10], np.linspace(0, 1, 5), doublet)
-    with pytest.raises(ValueError):
-        propagate_static(cfg, 2.0 * doublet.coef_l, np.linspace(0, 1, 5), doublet)
-    with pytest.raises(ValueError):  # a grid wavefunction is not a coefficient vector
-        propagate_static(cfg, doublet.psi_l, np.linspace(0, 1, 5), doublet)
+    with pytest.raises(ValueError):  # a doublet of another basis size
+        propagate_static(cfg.replace(n_planewaves=10), np.linspace(0, 1, 5), doublet)
     with pytest.raises(ValueError):
         Segment(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_near_zero_duration_is_identity(cfg, doublet):
-    schedule = RampSchedule((Segment(1e-9, cfg.bx_mg, cfg.bx_mg, 0.0, 0.0),))
+    schedule = (Segment(1e-9, cfg.bx_mg, cfg.bx_mg, 0.0, 0.0),)
     psi = _run_steps(cfg, _schedule_steps(schedule, 1.0), doublet.coef_l)
     assert np.abs(np.vdot(psi, doublet.coef_l)) ** 2 > 1.0 - 1e-12
 
 
 def test_constant_schedule_matches_static(cfg, doublet):
     duration = 40.0
-    schedule = RampSchedule((Segment(duration, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
+    schedule = (Segment(duration, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),)
     steps = _schedule_steps(schedule, 2.0)
     # the ramp's state after the first k steps, at several k
     ends = (0, 1, 7, 13, len(steps))
     times = [sum(h for h, _, _ in steps[:k]) for k in ends]
     states = np.stack([_run_steps(cfg, steps[:k], doublet.coef_l) for k in ends], axis=1)
     ramp = _observables(cfg, times, states, doublet)
-    static = propagate_static(cfg, doublet.coef_l, times, doublet=doublet)
+    static = propagate_static(cfg, times, doublet)
     np.testing.assert_allclose(ramp.p_l, static.p_l, atol=1e-8)
     np.testing.assert_allclose(ramp.p_r, static.p_r, atol=1e-8)
     np.testing.assert_allclose(ramp.fz, static.fz, atol=1e-8)
@@ -187,7 +185,7 @@ def test_constant_schedule_matches_static(cfg, doublet):
 def test_certified_ramp_keeps_the_accepted_pass(cfg, doublet, monkeypatch):
     # certification runs dt and dt/2 once each (n + 2n step solves of H(0))
     # and returns the final state of the accepted dt pass
-    schedule = RampSchedule((Segment(40.0, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
+    schedule = (Segment(40.0, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),)
     n_steps = 20
     calls = []
 
@@ -216,10 +214,10 @@ def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, mon
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    propagate_static(cfg.replace(bz_mg=10.0), doublet.coef_l, np.linspace(0.0, 100.0, 11), doublet=doublet)
-    ramp = RampSchedule((Segment(3.0, cfg.bx_mg, cfg.bx_mg, -100.0, 10.0),))
+    propagate_static(cfg.replace(bz_mg=10.0), np.linspace(0.0, 100.0, 11), doublet)
+    ramp = (Segment(3.0, cfg.bx_mg, cfg.bx_mg, -100.0, 10.0),)
     _run_steps(cfg, _schedule_steps(ramp, 1.0), doublet.coef_l)
-    hold = RampSchedule((Segment(10.0, 0.0, cfg.bx_mg, -100.0, -100.0),))
+    hold = (Segment(10.0, 0.0, cfg.bx_mg, -100.0, -100.0),)
     adiabaticity_report(cfg.replace(bz_mg=-100.0), hold, doublet.epsilon_hz)
     monkeypatch.undo()
     dim = (2 * cfg.n_planewaves + 1) * cfg.spin.dim
@@ -240,11 +238,9 @@ def test_ramp_step_matches_matrix_exponential(cfg, doublet):
 
 
 def test_time_reversal(cfg, doublet):
-    schedule = RampSchedule(
-        (
-            Segment(30.0, 0.0, cfg.bx_mg, -100.0, -100.0),
-            Segment(20.0, cfg.bx_mg, cfg.bx_mg, -100.0, 0.0),
-        )
+    schedule = (
+        Segment(30.0, 0.0, cfg.bx_mg, -100.0, -100.0),
+        Segment(20.0, cfg.bx_mg, cfg.bx_mg, -100.0, 0.0),
     )
     steps = _schedule_steps(schedule, 0.5)
     fwd = _run_steps(cfg, steps, doublet.coef_l)
@@ -303,7 +299,7 @@ def _turnoff_run(cfg, bz_hold, duration_us, dt_us):
     the B_z = 0 doublet."""
     _, v0 = np.linalg.eigh(assemble_bloch_hamiltonian(cfg.replace(bz_mg=bz_hold), 0.0))
     psi0 = v0[:, 0]
-    schedule = RampSchedule((Segment(duration_us, cfg.bx_mg, cfg.bx_mg, bz_hold, 0.0),))
+    schedule = (Segment(duration_us, cfg.bx_mg, cfg.bx_mg, bz_hold, 0.0),)
     doublet = localized_doublet(cfg, *solve_q0(cfg, 2))
     return _run_steps(cfg, _schedule_steps(schedule, dt_us), psi0), doublet
 
@@ -345,7 +341,7 @@ def test_fast_turnoff_leaks_more(strong_cfg):
 
 
 def test_adiabaticity_report_constant_schedule(cfg, doublet):
-    schedule = RampSchedule((Segment(50.0, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),))
+    schedule = (Segment(50.0, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),)
     report = adiabaticity_report(cfg, schedule, doublet.epsilon_hz)
     seg = report.segments[0]
     assert seg.fom_internal == 0.0
@@ -360,7 +356,7 @@ def test_adiabaticity_figures_match_dense_rate_operator():
     report = adiabaticity_report(cfg, schedule, wannier_doublet(cfg).epsilon_hz)
     w = cfg.species.rad_per_us_per_er()
     eye = np.eye(2 * cfg.n_planewaves + 1)
-    for seg, seg_report in zip(schedule.segments, report.segments):
+    for seg, seg_report in zip(schedule, report.segments):
         rx, rz = seg.rates_per_us
         h_dot = w * cfg.species.zeeman_er_per_mg() * (rx * np.kron(eye, cfg.spin.fx) + rz * np.kron(eye, cfg.spin.fz))
         foms = np.zeros(3)
@@ -380,7 +376,7 @@ def test_start_solve_holds_the_stretched_ground_state(cfg):
     # is 0 there, so F_z commutes with H(0) and that vector is the ground
     # state of the m_F = +F sub-block
     schedule = preparation_schedule(cfg, PrepareBlock())
-    bx0, bz0 = schedule.start_fields_mg
+    bx0, bz0 = schedule[0].bx_start_mg, schedule[0].bz_start_mg
     assert bx0 == 0.0
     start = cfg.replace(bx_mg=bx0, bz_mg=bz0)
     psi0 = solve_q0(start, 1)[1][:, 0]

@@ -63,7 +63,6 @@ def test_zero_spread_equals_single_run(cfg, tgrid, bz_mg, g_f):
     result = ensemble_magnetization(cfg, spec)
     np.testing.assert_allclose(result.mean_fz, rabi_fz(cfg, tgrid), atol=1e-10)
     assert result.n_skipped == 0
-    np.testing.assert_allclose(result.sample_u1_er, cfg.u1_er, atol=1e-12)
 
 
 def test_a_draw_without_a_tilted_double_well_still_runs(cfg):
@@ -102,10 +101,10 @@ def test_programming_error_in_a_sample_propagates(cfg, monkeypatch):
     spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
     u1_3 = cfg.u1_er * sample_intensity_factor(spec, 3)
 
-    def broken_once(cfg_i, psi0, t_us, doublet):
+    def broken_once(cfg_i, t_us, doublet):
         if cfg_i.u1_er == u1_3:
             raise TypeError("bug in sample code")
-        return propagate_static(cfg_i, psi0, t_us, doublet)
+        return propagate_static(cfg_i, t_us, doublet)
 
     monkeypatch.setattr(ensemble, "propagate_static", broken_once)
     with pytest.raises(TypeError):
@@ -176,5 +175,5 @@ def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
     for i in range(spec.n_samples):
         cfg_i = cfg.replace(u1_er=cfg.u1_er * sample_intensity_factor(spec, i))
         doublet = localized_doublet(cfg_i, *solve_q0(cfg_i, 2))
-        total += propagate_static(cfg_i, doublet.coef_l, t_us, doublet).fz
+        total += propagate_static(cfg_i, t_us, doublet).fz
     np.testing.assert_array_equal(result.mean_fz, total / spec.n_samples)

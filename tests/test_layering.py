@@ -41,3 +41,36 @@ def test_no_module_calls_the_reference_hamiltonian():
 def test_library_modules_do_not_import_the_cli_layers():
     for name in LIBRARY:
         assert not imported_dwsim_modules(SRC / f"{name}.py") & CLI_LAYERS, name
+
+
+def references_outside_own_definition(tree: ast.AST) -> set[str]:
+    """Names a module refers to (loads, attributes, imports), each counted only
+    outside the def or class of that same name."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name):
+            found.update({node.id} - enclosing)
+        elif isinstance(node, ast.Attribute):
+            found.update({node.attr} - enclosing)
+        elif isinstance(node, ast.ImportFrom):
+            found.update({a.name for a in node.names} - enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_exported_name_is_read_by_a_module():
+    # A name is public only if the package itself reads it: a name that
+    # only the tests use is not exported.
+    import dwsim
+
+    referenced = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            referenced |= references_outside_own_definition(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(dwsim.__all__) - referenced) == []

@@ -6,13 +6,7 @@ __version__ = "0.1.0"
 
 from .constants import SpeciesConstants, cesium_f4
 from .spin import SpinOperators, make_spin_operators
-from .lattice import (
-    LatticeConfig,
-    PotentialCurves,
-    adiabatic_curves,
-    diabatic_curves,
-    potential_curves,
-)
+from .lattice import LatticeConfig, adiabatic_curves, diabatic_curves
 from .bands import (
     BandSolution,
     WannierDoublet,
@@ -42,8 +36,6 @@ __all__ = [
     "SpinOperators",
     "make_spin_operators",
     "LatticeConfig",
-    "PotentialCurves",
-    "potential_curves",
     "diabatic_curves",
     "adiabatic_curves",
     "BandSolution",

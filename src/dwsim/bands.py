@@ -163,20 +163,11 @@ def _spin_blocks(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _band_energies(cfg: LatticeConfig, qs, n_bands: int) -> np.ndarray:
-    """Lowest ``n_bands`` energies at each q, without eigenvectors.  Each
-    ``eigvalsh`` solves k = 500 // D + 1 q, stacked in one reused buffer:
-    numpy 2.4 holds the GIL through an ``eigvalsh`` of <= 500 eigenvalues."""
+    """Lowest ``n_bands`` energies at each q, without eigenvectors: one ``eigvalsh`` per q."""
     onsite, raising = _spin_blocks(cfg)
-    dim = (2 * cfg.n_planewaves + 1) * len(onsite)
-    per_call = 500 // dim + 1
-    stack = np.empty((per_call, dim, dim), dtype=np.result_type(onsite, raising))
-    energies = np.empty((len(qs), n_bands))
-    for j in range(0, len(qs), per_call):
-        chunk = qs[j : j + per_call]
-        for i, q in enumerate(chunk):
-            stack[i] = _bloch_matrix(cfg, onsite, raising, q, cfg.n_planewaves)
-        energies[j : j + per_call] = np.linalg.eigvalsh(stack[: len(chunk)])[:, :n_bands]
-    return energies
+    return np.array([
+        np.linalg.eigvalsh(_bloch_matrix(cfg, onsite, raising, q, cfg.n_planewaves))[:n_bands] for q in qs
+    ])
 
 
 def _drift_tolerance(energies: np.ndarray, mean_gap: float) -> np.ndarray:

@@ -46,16 +46,15 @@ def main(argv: list[str] | None = None) -> int:
                 ensemble=dataclasses.replace(run_cfg.ensemble, seed=args.seed),
             )
             run_cfg.resolved["ensemble"]["seed"] = args.seed
-        bundle = run_command(args.command, run_cfg, jobs=args.jobs, out_dir=args.out)
+        paths = run_command(args.command, run_cfg, jobs=args.jobs, out_dir=args.out)
     except ConfigError as exc:
         print(f"dwsim: config error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
         print(f"dwsim: numerical failure: {exc}", file=sys.stderr)
         return 3
-    for _, path in sorted(bundle.files.items()):
+    for path in paths:
         print(path)
-    print(bundle.manifest_path)
     return 0
 
 

@@ -120,16 +120,17 @@ def _as_coefficients(cfg: LatticeConfig, psi0: np.ndarray) -> np.ndarray:
 
 def propagate_static(cfg: LatticeConfig, t_us: np.ndarray, doublet: WannierDoublet) -> TimeSeries:
     """Evolve the doublet's |L> under the static q=0 Bloch Hamiltonian of ``cfg``, projecting on its |L> and |R>.
-    The pairs are the doublet's V = [|S>, |A>] if ``doublet.cfg == cfg`` (at any B_z), else every eigenpair of
-    ``solve_q0(cfg)``; of those, the fewest lowest k whose tail weight sum_{j>=k} |a_j|^2 of a = V^H |L> is at most
-    TAIL_WEIGHT are kept.  So every state is within 1e-12 of the full evolution, up to a global phase exp(-i E_S t)
-    no observable sees.  No state is formed: with c(t) = exp(-i E t) a over the k pairs, p_m = Re(c^H V_m^H V_m c)
-    for the rows V_m of spin component m, fz = sum_m m p_m, and p_l, p_r = |<L|V c|^2, |<R|V c|^2.  A doublet of
-    another basis size raises ValueError."""
+    The pairs are the doublet's V = [|S>, |A>] if ``doublet.cfg`` is ``cfg`` (at any B_z) up to ``n_q`` and
+    ``z_points``, which do not enter H(0), else every eigenpair of ``solve_q0(cfg)``; of those, the fewest lowest k
+    whose tail weight sum_{j>=k} |a_j|^2 of a = V^H |L> is at most TAIL_WEIGHT are kept.  So every state is within
+    1e-12 of the full evolution, up to a global phase exp(-i E_S t) no observable sees.  No state is formed: with
+    c(t) = exp(-i E t) a over the k pairs, p_m = Re(c^H V_m^H V_m c) for the rows V_m of spin component m,
+    fz = sum_m m p_m, and p_l, p_r = |<L|V c|^2, |<R|V c|^2.  A doublet of another basis size raises ValueError."""
     coef_l = _as_coefficients(cfg, doublet.coef_l)
     t_us = np.asarray(t_us, dtype=float)
     v = np.stack([doublet.coef_s, doublet.coef_a], axis=1)
-    vals, vecs = (np.array([0.0, doublet.epsilon_er]), v) if doublet.cfg == cfg else solve_q0(cfg)
+    own = doublet.cfg.replace(n_q=cfg.n_q, z_points=cfg.z_points) == cfg
+    vals, vecs = (np.array([0.0, doublet.epsilon_er]), v) if own else solve_q0(cfg)
     a = vecs.conj().T @ coef_l
     k = int(np.count_nonzero(np.cumsum(np.abs(a[::-1]) ** 2) > TAIL_WEIGHT))  # tail weights, reversed
     vecs = vecs[:, :k]

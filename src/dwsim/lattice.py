@@ -71,21 +71,6 @@ class LatticeConfig:
         return replace(self, **kw)
 
 
-@dataclass(frozen=True)
-class PotentialCurves:
-    """Diabatic and adiabatic potential curves over one period.
-
-    ``diabatic[k]`` is the diagonal element for m_F = k - F;
-    ``adiabatic[k]`` is the eigenvalue curve U_J + (k - F)|b| of
-    ``adiabatic_curves``, so curve 0 is the lowest.
-    Units: z in nm, energies in E_R.
-    """
-
-    z_nm: np.ndarray
-    diabatic: np.ndarray
-    adiabatic: np.ndarray
-
-
 def potential_coefficients(cfg: LatticeConfig) -> tuple[float, float, float]:
     """Coefficients of U(z) in E_R: the offset 4 U_1/3, the weight
     (2 U_1/3) cos(theta) of each of exp(+-2 i k_L z) in U_J (half its
@@ -150,16 +135,6 @@ def adiabatic_curves(cfg: LatticeConfig, z_m: np.ndarray) -> np.ndarray:
     else:
         r = b_z if b_z[0] >= 0 else -b_z
     return scalar_potential_er(cfg, z_m)[None, :] + cfg.spin.m_values[:, None] * r[None, :]
-
-
-def potential_curves(cfg: LatticeConfig) -> PotentialCurves:
-    """Bundle diabatic and adiabatic curves on the config's grid."""
-    z_m = cfg.z_grid_m()
-    return PotentialCurves(
-        z_nm=z_m * 1e9,
-        diabatic=diabatic_curves(cfg, z_m),
-        adiabatic=adiabatic_curves(cfg, z_m),
-    )
 
 
 def _strict_local_minima(curve: np.ndarray) -> np.ndarray:

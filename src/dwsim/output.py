@@ -14,7 +14,6 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,15 +24,7 @@ from .dynamics import output_times, prepare_ground_l, propagate_static
 from .ensemble import ensemble_magnetization
 from .errors import ConfigError, ConvergenceError
 from .fitting import MIN_SAMPLES, fit_damped_sinusoid, uniform_step
-from .lattice import LatticeConfig, potential_curves
-
-COMMANDS = ("potentials", "bands", "wannier", "rabi", "prepare", "sweep", "ensemble", "fit")
-
-
-@dataclass(frozen=True)
-class OutputBundle:
-    files: dict
-    manifest_path: str
+from .lattice import LatticeConfig, adiabatic_curves, diabatic_curves
 
 
 def _fmt(value, precision: int) -> str:
@@ -68,23 +59,6 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _finish_bundle(directory: str, command: str, run_cfg: RunConfig, files: list[str]) -> OutputBundle:
-    checksums = {name: _sha256(os.path.join(directory, name)) for name in sorted(files)}
-    manifest = {
-        "version": f"dwsim {__version__}",
-        "command": command,
-        "basis_order": "m_F = -F..+F ascending",
-        "config": run_cfg.resolved,
-        "files": checksums,
-    }
-    manifest_path = os.path.join(directory, "manifest.json")
-    write_json(manifest_path, manifest)
-    return OutputBundle(
-        files={name: os.path.join(directory, name) for name in files},
-        manifest_path=manifest_path,
-    )
-
-
 def sweep_frequency(
     cfg: LatticeConfig, parameter: str, values, u1_scale: float, jobs: int
 ) -> list[tuple[float, float, float, str]]:
@@ -113,44 +87,42 @@ def sweep_frequency(
         return list(pool.map(point, values))
 
 
-def _cmd_potentials(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
+def _m_columns(cfg: LatticeConfig, prefix: str) -> list[str]:
+    """Column names ``{prefix}m-F`` .. ``{prefix}m+F``, one per spin component in basis order."""
+    return [f"{prefix}m{m:+g}" for m in cfg.spin.m_values]
+
+
+def _cmd_potentials(run_cfg: RunConfig, jobs: int) -> dict:
     cfg = run_cfg.lattice
-    curves = potential_curves(cfg)
-    dim = cfg.spin.dim
-    f_int = cfg.species.f
+    z_m = cfg.z_grid_m()
     header = (
         ["z_nm"]
-        + [f"adiabatic_{k + 1}" for k in range(dim)]
-        + [f"diabatic_m{m - f_int:+g}" for m in range(dim)]
+        + [f"adiabatic_{k + 1}" for k in range(cfg.spin.dim)]
+        + _m_columns(cfg, "diabatic_")
     )
-    rows = zip(curves.z_nm, *curves.adiabatic, *curves.diabatic)
-    write_csv(os.path.join(directory, "potentials.csv"), header, rows, run_cfg.output.precision)
-    return ["potentials.csv"]
+    rows = zip(z_m * 1e9, *adiabatic_curves(cfg, z_m), *diabatic_curves(cfg, z_m))
+    return {"potentials.csv": (header, rows)}
 
 
-def _cmd_bands(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
+def _cmd_bands(run_cfg: RunConfig, jobs: int) -> dict:
     sol = solve_bands(run_cfg.lattice, n_bands=6)
     header = ["q_over_kL"] + [f"E{b + 1}" for b in range(6)]
     rows = zip(sol.q_over_kl, *sol.energies.T)
-    write_csv(os.path.join(directory, "bands.csv"), header, rows, run_cfg.output.precision)
-    return ["bands.csv"]
+    return {"bands.csv": (header, rows)}
 
 
-def _cmd_wannier(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
+def _cmd_wannier(run_cfg: RunConfig, jobs: int) -> dict:
     cfg = run_cfg.lattice
     wd = wannier_doublet(cfg)
     sol = solve_bands(cfg, n_bands=2)
-    dim = cfg.spin.dim
-    f_int = cfg.species.f
     header = ["z_nm"]
     for tag in ("s", "a", "l", "r"):
-        header += [f"{tag}_m{m - f_int:+g}" for m in range(dim)]
+        header += _m_columns(cfg, f"{tag}_")
     dens = [np.abs(getattr(wd, f"psi_{tag}")) ** 2 for tag in ("s", "a", "l", "r")]
     rows = zip(wd.z_m * 1e9, *np.hstack(dens).T)
-    write_csv(os.path.join(directory, "wannier.csv"), header, rows, run_cfg.output.precision)
-    write_json(
-        os.path.join(directory, "doublet.json"),
-        {
+    return {
+        "wannier.csv": (header, rows),
+        "doublet.json": {
             "epsilon_hz": wd.epsilon_hz,
             "epsilon_er": wd.epsilon_er,
             "epsilon_q_averaged_hz": sol.epsilon_hz,
@@ -164,28 +136,23 @@ def _cmd_wannier(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
             "flatness": sol.flatness.tolist(),
             "basis_order": "m_F = -F..+F ascending",
         },
-    )
-    return ["wannier.csv", "doublet.json"]
+    }
 
 
-def _cmd_rabi(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
+def _cmd_rabi(run_cfg: RunConfig, jobs: int) -> dict:
     cfg = run_cfg.lattice
     doublet = wannier_doublet(cfg.replace(bz_mg=0.0))
     t = output_times(run_cfg.rabi.t_max_us, run_cfg.rabi.dt_out_us)
     series = propagate_static(cfg, t, doublet)
-    dim = cfg.spin.dim
-    f_int = cfg.species.f
-    header = ["t_us", "pL", "pR", "leakage", "fz"] + [f"p_m{m - f_int:+g}" for m in range(dim)]
+    header = ["t_us", "pL", "pR", "leakage", "fz"] + _m_columns(cfg, "p_")
     rows = zip(series.t_us, series.p_l, series.p_r, series.leakage, series.fz, *series.p_m.T)
-    write_csv(os.path.join(directory, "rabi.csv"), header, rows, run_cfg.output.precision)
-    return ["rabi.csv"]
+    return {"rabi.csv": (header, rows)}
 
 
-def _cmd_prepare(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
+def _cmd_prepare(run_cfg: RunConfig, jobs: int) -> dict:
     result = prepare_ground_l(run_cfg.lattice, run_cfg.prepare)
-    write_json(
-        os.path.join(directory, "prep.json"),
-        {
+    return {
+        "prep.json": {
             "fidelity_l": result.fidelity_l,
             "p_r": result.p_r,
             "doublet_population": result.doublet_population,
@@ -194,39 +161,32 @@ def _cmd_prepare(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
             "step_doubling_infidelity": result.step_doubling_infidelity,
             "adiabaticity": dataclasses.asdict(result.report),
         },
-    )
-    return ["prep.json"]
+    }
 
 
-def _cmd_sweep(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
+def _cmd_sweep(run_cfg: RunConfig, jobs: int) -> dict:
     block = run_cfg.sweep
     values = np.linspace(block.start, block.stop, block.steps)
     rows = sweep_frequency(run_cfg.lattice, block.parameter, values, block.u1_scale, jobs)
-    header = ["param_value", "nu_hz", "flatness", "status"]
-    write_csv(os.path.join(directory, "sweep.csv"), header, rows, run_cfg.output.precision)
-    return ["sweep.csv"]
+    return {"sweep.csv": (["param_value", "nu_hz", "flatness", "status"], rows)}
 
 
-def _cmd_ensemble(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
+def _cmd_ensemble(run_cfg: RunConfig, jobs: int) -> dict:
     spec = run_cfg.ensemble
     n_times = len(output_times(spec.t_max_us, spec.dt_out_us))
     if n_times < MIN_SAMPLES:
         raise ConfigError(f"[ensemble] time grid has {n_times} output times, the fit needs at least {MIN_SAMPLES}")
     result = ensemble_magnetization(run_cfg.lattice, spec)
     fit = fit_damped_sinusoid(result.t_us, result.mean_fz)
-    write_csv(
-        os.path.join(directory, "ensemble.csv"),
-        ["t_us", "mean_fz"],
-        zip(result.t_us, result.mean_fz),
-        run_cfg.output.precision,
-    )
-    write_json(os.path.join(directory, "fit.json"), _fit_payload(fit) | {
-        "n_samples": spec.n_samples,
-        "n_skipped": result.n_skipped,
-        "seed": spec.seed,
-        "spread": spec.spread,
-    })
-    return ["ensemble.csv", "fit.json"]
+    return {
+        "ensemble.csv": (["t_us", "mean_fz"], zip(result.t_us, result.mean_fz)),
+        "fit.json": _fit_payload(fit) | {
+            "n_samples": spec.n_samples,
+            "n_skipped": result.n_skipped,
+            "seed": spec.seed,
+            "spread": spec.spread,
+        },
+    }
 
 
 def _fit_payload(fit) -> dict:
@@ -237,7 +197,7 @@ def _fit_payload(fit) -> dict:
     return payload
 
 
-def _cmd_fit(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
+def _cmd_fit(run_cfg: RunConfig, jobs: int) -> dict:
     block = run_cfg.fit
     if not block.input:
         raise ConfigError("the fit command needs [fit] input = <csv path>")
@@ -263,8 +223,7 @@ def _cmd_fit(run_cfg: RunConfig, directory: str, jobs: int) -> list[str]:
     except ValueError as exc:
         raise ConfigError(f"{block.input}: column {block.t_column!r}: {exc}") from None
     fit = fit_damped_sinusoid(np.asarray(t), np.asarray(y))
-    write_json(os.path.join(directory, "fit.json"), _fit_payload(fit) | {"input": block.input})
-    return ["fit.json"]
+    return {"fit.json": _fit_payload(fit) | {"input": block.input}}
 
 
 def _csv_number(path: str, line: int, record: dict, column: str) -> float:
@@ -289,13 +248,34 @@ _DISPATCH = {
     "ensemble": _cmd_ensemble,
     "fit": _cmd_fit,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
-def run_command(command: str, run_cfg: RunConfig, jobs: int = 1, out_dir: str | None = None) -> OutputBundle:
-    """Execute one CLI command and emit its output bundle."""
+def run_command(command: str, run_cfg: RunConfig, jobs: int = 1, out_dir: str | None = None) -> list[str]:
+    """Execute one CLI command and write its bundle: the files the command
+    returns, in name order (a dict as JSON, a (header, rows) pair as CSV
+    at ``[output] precision``), then ``manifest.json`` with their SHA-256.
+    A command writes nothing itself, so one that raises leaves no data
+    file.  Returns the written paths, the manifest's last."""
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
     directory = out_dir if out_dir is not None else run_cfg.output.directory
     os.makedirs(directory, exist_ok=True)
-    files = _DISPATCH[command](run_cfg, directory, jobs)
-    return _finish_bundle(directory, command, run_cfg, files)
+    files = _DISPATCH[command](run_cfg, jobs)
+    paths = []
+    for name, content in sorted(files.items()):
+        path = os.path.join(directory, name)
+        if isinstance(content, dict):
+            write_json(path, content)
+        else:
+            write_csv(path, *content, run_cfg.output.precision)
+        paths.append(path)
+    manifest_path = os.path.join(directory, "manifest.json")
+    write_json(manifest_path, {
+        "version": f"dwsim {__version__}",
+        "command": command,
+        "basis_order": "m_F = -F..+F ascending",
+        "config": run_cfg.resolved,
+        "files": {os.path.basename(path): _sha256(path) for path in paths},
+    })
+    return paths + [manifest_path]

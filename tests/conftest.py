@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,19 @@ def doublet(cfg):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch) -> collections.Counter:
+    """(solver, array shape, dtype kind) -> calls of ``np.linalg.eigh`` and
+    ``eigvalsh`` from the test's start until ``monkeypatch.undo()``."""
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _solver=solver, **kwargs):
+            calls[_name, np.shape(a), np.asarray(a).dtype.kind] += 1
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls

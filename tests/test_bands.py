@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import logging
 import math
@@ -397,31 +396,16 @@ def test_solve_bands_matches_unpaired_complex_solve(n_q, u1, theta, bx, bz, phas
     np.testing.assert_allclose(_band_energies(cfg, q_grid(cfg), 6), direct, rtol=0, atol=1e-9)
 
 
-def _counting_solvers(monkeypatch) -> collections.Counter:
-    """(solver, array shape, dtype kind) -> calls of ``eigh`` and ``eigvalsh`` from here on."""
-    calls = collections.Counter()
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-
-        def counting(a, *args, _name=name, _solver=solver, **kwargs):
-            calls[_name, np.shape(a), np.asarray(a).dtype.kind] += 1
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
-
-
-def test_certified_solve_makes_no_enlarged_basis_eigensolve(cfg, monkeypatch):
+def test_certified_solve_makes_no_enlarged_basis_eigensolve(cfg, monkeypatch, eigensolves):
     # The residual path certifies the canonical point at N_s = N = 12: the
     # N_s = 8 probe (D = 153) fails, the N_s = 12 probe is the node q = -1 of
     # five at D = 225, and one stack projects the 7 solved q of 13 grid points
     # on 5 x 12 node vectors.  Nothing is solved above D = 225.
     odd = cfg.replace(n_q=13)
-    calls = _counting_solvers(monkeypatch)
     sol = solve_bands(odd, n_bands=6)
     monkeypatch.undo()
     dim = (2 * cfg.n_planewaves + 1) * cfg.spin.dim
-    assert dict(calls) == {("eigh", (153, 153), "f"): 1, ("eigh", (dim, dim), "f"): 5, ("eigh", (7, 60, 60), "f"): 1}
+    assert dict(eigensolves) == {("eigh", (153, 153), "f"): 1, ("eigh", (dim, dim), "f"): 5, ("eigh", (7, 60, 60), "f"): 1}
     assert sol.n_planewaves_solved == cfg.n_planewaves
     direct = [np.linalg.eigvalsh(assemble_bloch_hamiltonian(odd, q))[:6] for q in q_grid(odd)]
     np.testing.assert_allclose(sol.energies, direct, rtol=0, atol=1e-9)
@@ -540,13 +524,12 @@ def test_failed_continuation_falls_back_to_the_exact_path(monkeypatch, caplog):
     assert sol.epsilon_hz == exact.epsilon_hz
 
 
-def test_default_basis_band_solve_makes_its_known_eigensolves(monkeypatch):
+def test_default_basis_band_solve_makes_its_known_eigensolves(eigensolves):
     # The probes at N_s = 8 (D = 153) and 12 (D = 225), the latter also the node
     # q = -1, four more nodes at D = 225 and one stack of the 17 solved q projected
     # on 5 x 12 node vectors; no eigh per q.
-    calls = _counting_solvers(monkeypatch)
     solve_bands(LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0), n_bands=2)
-    assert dict(calls) == {
+    assert dict(eigensolves) == {
         ("eigh", (153, 153), "f"): 1,
         ("eigh", (225, 225), "f"): 5,
         ("eigh", (17, 60, 60), "f"): 1,

@@ -1,4 +1,3 @@
-import collections
 import json
 import os
 import re
@@ -126,6 +125,13 @@ def test_failed_run_leaves_no_data_file(tmp_path, capsys):
         assert os.listdir(out) == []
 
 
+def test_cli_prints_the_data_files_then_the_manifest(tmp_path, capsys):
+    out = tmp_path / "w"
+    assert main(["wannier", "--config", write(tmp_path, LIGHT_RUN), "--out", str(out)]) == 0
+    paths = [str(out / name) for name in ("doublet.json", "wannier.csv", "manifest.json")]
+    assert capsys.readouterr().out == "".join(f"{path}\n" for path in paths)
+
+
 def test_gaussian_spread_keeps_every_u1_positive(tmp_path):
     # a gaussian factor 1 + spread x, |x| <= 3, reaches U_1 <= 0 from spread 1/3 on
     with pytest.raises(ConfigError, match="gaussian spread"):
@@ -206,33 +212,24 @@ DEFAULT_EIGENSOLVES = {
 }
 
 
-def _eigensolves(tmp_path, monkeypatch, command: str, ini: str) -> dict:
+def _eigensolves(tmp_path, monkeypatch, eigensolves, command: str, ini: str) -> dict:
     """(solver, array shape, dtype kind) -> calls of one ``command`` run of ``ini``."""
-    calls = collections.Counter()
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-
-        def counting(a, *args, _name=name, _solver=solver, **kwargs):
-            calls[_name, np.shape(a), np.asarray(a).dtype.kind] += 1
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
     run_command(command, parse_config(write(tmp_path, ini)), out_dir=str(tmp_path / command))
     monkeypatch.undo()
-    return dict(calls)
+    return dict(eigensolves)
 
 
 @pytest.mark.parametrize("command", sorted(EIGENSOLVES))
-def test_commands_make_their_known_eigensolves(tmp_path, monkeypatch, command):
-    assert _eigensolves(tmp_path, monkeypatch, command, LIGHT_RUN) == EIGENSOLVES[command]
+def test_commands_make_their_known_eigensolves(tmp_path, monkeypatch, eigensolves, command):
+    assert _eigensolves(tmp_path, monkeypatch, eigensolves, command, LIGHT_RUN) == EIGENSOLVES[command]
 
 
 @pytest.mark.parametrize("command", sorted(DEFAULT_EIGENSOLVES))
-def test_default_config_commands_make_their_known_eigensolves(tmp_path, monkeypatch, command):
-    assert _eigensolves(tmp_path, monkeypatch, command, MINIMAL) == DEFAULT_EIGENSOLVES[command]
+def test_default_config_commands_make_their_known_eigensolves(tmp_path, monkeypatch, eigensolves, command):
+    assert _eigensolves(tmp_path, monkeypatch, eigensolves, command, MINIMAL) == DEFAULT_EIGENSOLVES[command]
 
 
-def test_tilted_ensemble_makes_its_known_eigensolves(tmp_path, monkeypatch):
+def test_tilted_ensemble_makes_its_known_eigensolves(tmp_path, monkeypatch, eigensolves):
     # At B_z = 10 mG the continuation still runs at B_z = 0: 9 nodes, each two
     # parity blocks, and per block the 3 projected problems of 9 x 3 node
     # vectors (a spread this wide keeps all 27 independent, 800 times above
@@ -240,7 +237,7 @@ def test_tilted_ensemble_makes_its_known_eigensolves(tmp_path, monkeypatch):
     # pairs of its one complex-realified q = 0 sector.
     ensemble = "\n[ensemble]\nn_samples = 3\nspread = 0.3\nseed = 1\n"
     ini = LIGHT_RUN.replace("[lattice]\n", "[lattice]\nbz_mg = 10\n") + ensemble
-    assert _eigensolves(tmp_path, monkeypatch, "ensemble", ini) == {
+    assert _eigensolves(tmp_path, monkeypatch, eigensolves, "ensemble", ini) == {
         ("eigh", (112, 112), "f"): 9,
         ("eigh", (113, 113), "f"): 9,
         ("eigh", (3, 27, 27), "f"): 2,

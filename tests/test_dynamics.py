@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,8 +137,9 @@ def test_static_run_matches_the_fourier_grid_oracle(cfg, phase, bz_mg):
 
 
 def test_full_path_outside_the_doublet(cfg, doublet, monkeypatch):
-    # The doublet's pairs serve only a doublet of H(cfg) itself, at any B_z;
-    # otherwise every pair of solve_q0(cfg) is used.
+    # The doublet's pairs serve only a doublet of H(cfg) itself, at any B_z and
+    # any n_q or z_points, which do not enter H(0); otherwise every pair of
+    # solve_q0(cfg) is used.
     calls = []
 
     def counting_solve_q0(solve_cfg):
@@ -147,10 +150,16 @@ def test_full_path_outside_the_doublet(cfg, doublet, monkeypatch):
     t = np.linspace(0.0, 100.0, 11)
     tilted = cfg.replace(bz_mg=10.0)
     tilted_doublet = wannier_doublet(tilted)
-    for run_cfg, run_doublet, n_solves in ((cfg, doublet, 0), (tilted, doublet, 1), (tilted, tilted_doublet, 0)):
+    regridded = cfg.replace(n_q=33, z_points=512)
+    for run_cfg, run_doublet, n_solves in (
+        (cfg, doublet, 0), (tilted, doublet, 1), (tilted, tilted_doublet, 0), (regridded, doublet, 0)
+    ):
         calls.clear()
         propagate_static(run_cfg, t, run_doublet)
         assert calls == [run_cfg] * n_solves
+    same, regridded_run = propagate_static(cfg, t, doublet), propagate_static(regridded, t, doublet)
+    for field in dataclasses.fields(TimeSeries):
+        np.testing.assert_array_equal(getattr(regridded_run, field.name), getattr(same, field.name))
 
 
 def test_input_validation(cfg, doublet):
@@ -202,18 +211,10 @@ def test_certified_ramp_keeps_the_accepted_pass(cfg, doublet, monkeypatch):
     np.testing.assert_array_equal(psi, _run_steps(cfg, _schedule_steps(schedule, dt_us), doublet.coef_l))
 
 
-def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, monkeypatch):
+def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, monkeypatch, eigensolves):
     # H(0) is real at every phase and field (conjugation times n -> -n is a
     # symmetry squaring to +1), so static runs, ramp steps and adiabaticity
     # samples at B_z != 0 solve one real D x D block, not the complex H(0).
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-
-        def counting(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-            calls.append((np.asarray(a).dtype, np.shape(a)))
-            return _solve(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
     propagate_static(cfg.replace(bz_mg=10.0), np.linspace(0.0, 100.0, 11), doublet)
     ramp = (Segment(3.0, cfg.bx_mg, cfg.bx_mg, -100.0, 10.0),)
     _run_steps(cfg, _schedule_steps(ramp, 1.0), doublet.coef_l)
@@ -221,10 +222,10 @@ def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, mon
     adiabaticity_report(cfg.replace(bz_mg=-100.0), hold, doublet.epsilon_hz)
     monkeypatch.undo()
     dim = (2 * cfg.n_planewaves + 1) * cfg.spin.dim
-    assert [shape for dtype, shape in calls if dtype.kind == "c" and shape[-1] == dim] == []
+    assert [shape for _, shape, kind in eigensolves if kind == "c" and shape[-1] == dim] == []
     # 1 static + 3 ramp steps + the report's samples, each a single real block
-    assert len(calls) == 1 + 3 + ADIABATICITY_POINTS
-    assert sum(shape == (dim, dim) for _, shape in calls) == 1 + 3 + ADIABATICITY_POINTS
+    assert sum(eigensolves.values()) == 1 + 3 + ADIABATICITY_POINTS
+    assert sum(n for (_, shape, _), n in eigensolves.items() if shape == (dim, dim)) == 1 + 3 + ADIABATICITY_POINTS
 
 
 def test_ramp_step_matches_matrix_exponential(cfg, doublet):

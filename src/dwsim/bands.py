@@ -481,18 +481,19 @@ def localized_doublet(cfg: LatticeConfig, vals: np.ndarray, vecs: np.ndarray) ->
     ph_s, ph_a = _fix_phase(psi_s, j_anchor), _fix_phase(psi_a, j_anchor)
     coef_s, coef_a, psi_s, psi_a = vecs[:, 0] * ph_s, vecs[:, 1] * ph_a, psi_s * ph_s, psi_a * ph_a
 
-    def centroid(psi: np.ndarray) -> float:
-        return float(np.sum(z_m * np.sum(np.abs(psi) ** 2, axis=1)) * dz)
-
-    if centroid((psi_s + psi_a) / np.sqrt(2.0)) > geom["barrier_z_m"]:
-        coef_a, psi_a = -coef_a, -psi_a
     psi_l = (psi_s + psi_a) / np.sqrt(2.0)
     psi_r = (psi_s - psi_a) / np.sqrt(2.0)
     coef_l = (coef_s + coef_a) / np.sqrt(2.0)
     coef_r = (coef_s - coef_a) / np.sqrt(2.0)
-
     rho_l = np.sum(np.abs(psi_l) ** 2, axis=1)
     rho_r = np.sum(np.abs(psi_r) ** 2, axis=1)
+    centroid_l = float(np.sum(z_m * rho_l) * dz)
+    centroid_r = float(np.sum(z_m * rho_r) * dz)
+    if centroid_l > geom["barrier_z_m"]:
+        # flipping |A> swaps L and R exactly: s + (-a) and s - a round alike
+        coef_a, psi_a = -coef_a, -psi_a
+        psi_l, psi_r, coef_l, coef_r = psi_r, psi_l, coef_r, coef_l
+        rho_l, rho_r, centroid_l, centroid_r = rho_r, rho_l, centroid_r, centroid_l
     overlap = float(np.sum(np.sqrt(rho_l * rho_r)) * dz)
 
     return WannierDoublet(
@@ -510,8 +511,8 @@ def localized_doublet(cfg: LatticeConfig, vals: np.ndarray, vecs: np.ndarray) ->
         epsilon_hz=cfg.species.er_to_hz(eps_er),
         well_center_nm=geom["sigma_plus_z_m"] * 1e9,
         barrier_nm=geom["barrier_z_m"] * 1e9,
-        centroid_l_nm=centroid(psi_l) * 1e9,
-        centroid_r_nm=centroid(psi_r) * 1e9,
+        centroid_l_nm=centroid_l * 1e9,
+        centroid_r_nm=centroid_r * 1e9,
         overlap_lr=overlap,
         barrier_margin_er=margin,
     )

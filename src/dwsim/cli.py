@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import logging
 import sys
 
@@ -58,5 +59,15 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def console_main() -> int:
+    """``main()`` for a process that exits next: the ``dwsim`` script and
+    ``python -m dwsim.cli``.  Freezing the collector spares the shutdown a
+    walk over the heap built at import; ``main()`` itself leaves the
+    collector alone, since callers in a live process keep using it."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

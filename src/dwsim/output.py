@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -52,6 +51,7 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # loads OpenSSL's libcrypto, so only when a bundle is hashed
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):

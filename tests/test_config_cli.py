@@ -1,10 +1,14 @@
+import gc
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dwsim
 from dwsim import ConfigError, LatticeConfig, cesium_f4, solve_bands, wannier_doublet
 from dwsim.bands import _band_energies, q_grid
 from dwsim.cli import main
@@ -28,6 +32,9 @@ n_q = 5
 z_points = 128
 """
 
+# a basis too small for an extreme lattice: the band solve fails to certify
+HARD_LATTICE = "[lattice]\nu1_er = 2000\ntheta_deg = 80\nbx_mg = 85\nn_planewaves = 8\nn_q = 1\n"
+
 
 def write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -36,7 +43,11 @@ def write(tmp_path, text, name="run.ini"):
 
 
 def read_bytes(directory, names):
-    return {n: open(os.path.join(directory, n), "rb").read() for n in names}
+    contents = {}
+    for name in names:
+        with open(os.path.join(directory, name), "rb") as handle:
+            contents[name] = handle.read()
+    return contents
 
 
 def test_minimal_config_resolves_canonical(tmp_path):
@@ -83,11 +94,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, MINIMAL.replace("theta_deg = 80", "theta_deg = 200"), "bad.ini")
     assert main(["bands", "--config", bad]) == 2
     # numerical failure: basis too small for an extreme lattice
-    hard = write(
-        tmp_path,
-        "[lattice]\nu1_er = 2000\ntheta_deg = 80\nbx_mg = 85\nn_planewaves = 8\nn_q = 1\n",
-        "hard.ini",
-    )
+    hard = write(tmp_path, HARD_LATTICE, "hard.ini")
     assert main(["bands", "--config", hard, "--out", str(tmp_path / "h")]) == 3
     # non-finite numbers are configuration errors, not numerical failures
     for command, key, value in (("rabi", "bz_mg", "nan"), ("bands", "u1_er", "nan"), ("bands", "bx_mg", "inf")):
@@ -130,6 +137,47 @@ def test_cli_prints_the_data_files_then_the_manifest(tmp_path, capsys):
     assert main(["wannier", "--config", write(tmp_path, LIGHT_RUN), "--out", str(out)]) == 0
     paths = [str(out / name) for name in ("doublet.json", "wannier.csv", "manifest.json")]
     assert capsys.readouterr().out == "".join(f"{path}\n" for path in paths)
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the dwsim under test, run to completion."""
+    src = os.path.dirname(os.path.dirname(dwsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_cli_process_writes_and_exits_like_main(tmp_path, capsys):
+    ini = write(tmp_path, FAST_LATTICE)
+    assert main(["potentials", "--config", ini, "--out", str(tmp_path / "main")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "process"
+    done = _python("-m", "dwsim.cli", "potentials", "--config", ini, "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "".join(f"{out / name}\n" for name in ("potentials.csv", "manifest.json"))
+    assert read_bytes(out, ["manifest.json"]) == read_bytes(tmp_path / "main", ["manifest.json"])
+    bad = write(tmp_path, MINIMAL.replace("theta_deg = 80", "theta_deg = 200"), "bad.ini")
+    done = _python("-m", "dwsim.cli", "bands", "--config", bad)
+    assert done.returncode == 2 and "config error" in done.stderr
+    hard = write(tmp_path, HARD_LATTICE, "hard.ini")
+    done = _python("-m", "dwsim.cli", "bands", "--config", hard, "--out", str(tmp_path / "h"))
+    assert done.returncode == 3 and "numerical failure" in done.stderr
+
+
+def test_cli_import_loads_no_openssl_and_main_leaves_the_collector(tmp_path, capsys):
+    # OpenSSL's libcrypto comes with hashlib, which only the manifest needs
+    ini = write(tmp_path, MINIMAL)
+    probe = (
+        "import sys; before = set(sys.modules); import dwsim.cli; dwsim.cli.parse_config(sys.argv[1]); "
+        "print('_hashlib' in set(sys.modules) - before)"
+    )
+    done = _python("-c", probe, ini)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    # only the process entry point freezes the collector, never main()
+    frozen = gc.get_freeze_count()
+    assert main(["potentials", "--config", write(tmp_path, FAST_LATTICE), "--out", str(tmp_path / "p")]) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
 
 
 def test_gaussian_spread_keeps_every_u1_positive(tmp_path):

@@ -197,12 +197,25 @@ def _edge_pairs(cfg: LatticeConfig, blocks, qs, n_side: int, n_bands: int) -> tu
     return energies, residuals
 
 
+def _affine(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
+    """a + x b; a 1-D ``b`` is the diagonal of b, added onto the diagonal of a copy of a (broadcast, it would be
+    added to every row)."""
+    if b.ndim == 2:
+        return a + x * b
+    h = a.copy()
+    h[np.diag_indices(len(h))] += x * b
+    return h
+
+
 def _projected_pairs(a: np.ndarray, b: np.ndarray, vectors: np.ndarray, x: np.ndarray, n_ritz: int):
-    """Lowest ``n_ritz`` Ritz pairs of a + x b at every x, from one stacked ``eigh`` in the SVD basis of ``vectors``
-    without directions below RANK_RTOL: values, vectors (n_x, D, n_ritz), residuals ||(a + x b) v - theta v||."""
+    """Lowest ``n_ritz`` Ritz pairs of a + x b (``_affine``) at every x, from one stacked ``eigh`` in the SVD basis
+    of ``vectors`` without directions below RANK_RTOL: values, vectors (n_x, D, n_ritz), residuals
+    ||(a + x b) v - theta v||."""
     q, sv, _ = np.linalg.svd(vectors, full_matrices=False)
     q = q[:, sv > RANK_RTOL * sv[0]]
-    aq, bq, qh = a @ q, b @ q, q.conj().T
+    # b q in C order, as b @ q returns it: the Fortran-order q would make qh @ bq round another way
+    bq = np.multiply(b[:, None], q, order="C") if b.ndim == 1 else b @ q
+    aq, qh = a @ q, q.conj().T
     theta, y = (w[..., :n_ritz] for w in np.linalg.eigh(qh @ aq + x[:, None, None] * (qh @ bq)))
     ritz = q @ y
     residual = aq @ y + x[:, None, None] * (bq @ y) - ritz * theta[:, None, :]
@@ -210,16 +223,18 @@ def _projected_pairs(a: np.ndarray, b: np.ndarray, vectors: np.ndarray, x: np.nd
 
 
 def ritz_continuation(matrices, slopes, x, node_counts, n_vectors: int, n_ritz: int, failing, known=None):
-    """``_projected_pairs`` of each sector ``matrices[i] + x slopes[i]`` by eigenvector continuation: in the basis of
-    its k lowest eigenvectors at m Chebyshev-Lobatto nodes over x (``known``, else solved), k = ``n_vectors`` at the
-    first m and m_0 ``n_vectors`` / m, at least n_ritz + 1, at refined ones.  m runs through ``node_counts`` while
-    ``failing(sectors)`` flags as many x as the m - 1 nodes refining adds, or more.  Returns sectors and node count."""
+    """``_projected_pairs`` of each sector ``matrices[i] + x slopes[i]`` (``_affine``: a 1-D slope is a diagonal) by
+    eigenvector continuation: in the basis of its k lowest eigenvectors at m Chebyshev-Lobatto nodes over x
+    (``known``, else solved), k = ``n_vectors`` at the first m and m_0 ``n_vectors`` / m, at least n_ritz + 1, at
+    refined ones.  m runs through ``node_counts`` while ``failing(sectors)`` flags as many x as the m - 1 nodes
+    refining adds, or more.  Returns sectors and node count."""
     cache = dict(known or {})  # node -> its vectors in each sector
     for m in node_counts:
         nodes = np.sort(np.interp(np.cos(np.pi * np.arange(m) / (m - 1)), [-1.0, 1.0], [x.min(), x.max()]))
         nodes = nodes[np.r_[True, nodes[1:] != nodes[:-1]]]  # np.unique's values, without importing numpy.ma
         for node in set(nodes) - set(cache):  # copies, so no node keeps its full eigenvector matrix
-            cache[node] = [np.linalg.eigh(a + node * b)[1][:, :n_vectors].copy() for a, b in zip(matrices, slopes)]
+            cache[node] = [np.linalg.eigh(_affine(a, b, node))[1][:, :n_vectors].copy()
+                           for a, b in zip(matrices, slopes)]
         k = max(n_ritz + 1, n_vectors * node_counts[0] // m)  # refining keeps the basis size
         sectors = [_projected_pairs(a, b, np.hstack([cache[node][i][:, :k] for node in nodes]), x, n_ritz)
                    for i, (a, b) in enumerate(zip(matrices, slopes))]
@@ -262,7 +277,7 @@ def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
             continue
         n_nodes, exact = 0, np.arange(1, len(qs))
         if len(qs) > CONTINUATION_NODES[0]:
-            slope = np.diag(np.repeat(4.0 * np.arange(-n_side, n_side + 1), d))  # H(q) - q^2 = H(0) + q slope
+            slope = np.repeat(4.0 * np.arange(-n_side, n_side + 1), d)  # H(q) - q^2 = H(0) + q diag(slope)
             sectors, n_nodes = ritz_continuation([_bloch_matrix(cfg, *blocks, 0.0, n_side)], [slope], qs,
                                                  CONTINUATION_NODES, v.shape[1], n_bands,
                                                  lambda s: ~passing(*ritz_pairs(s), pair), {qs[0]: [v]})

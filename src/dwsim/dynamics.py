@@ -123,9 +123,11 @@ def propagate_static(cfg: LatticeConfig, t_us: np.ndarray, doublet: WannierDoubl
     The pairs are the doublet's V = [|S>, |A>] if ``doublet.cfg`` is ``cfg`` (at any B_z) up to ``n_q`` and
     ``z_points``, which do not enter H(0), else every eigenpair of ``solve_q0(cfg)``; of those, the fewest lowest k
     whose tail weight sum_{j>=k} |a_j|^2 of a = V^H |L> is at most TAIL_WEIGHT are kept.  So every state is within
-    1e-12 of the full evolution, up to a global phase exp(-i E_S t) no observable sees.  No state is formed: with
-    c(t) = exp(-i E t) a over the k pairs, p_m = Re(c^H V_m^H V_m c) for the rows V_m of spin component m,
-    fz = sum_m m p_m, and p_l, p_r = |<L|V c|^2, |<R|V c|^2.  A doublet of another basis size raises ValueError."""
+    1e-12 of the full evolution, up to a global phase exp(-i E_S t) no observable sees.  With c(t) = exp(-i E t) a
+    over the k pairs and V_m the rows of spin component m, p_m is formed the cheaper way: while dim k < D as
+    Re(c^H V_m^H V_m c), with no state formed (dim k^2 per time), else as sum |V_m c|^2 over the states V c
+    (D k per time), so no (dim, k, n_t) product is held.  fz = sum_m m p_m, and p_l, p_r = |<L|V c|^2, |<R|V c|^2
+    from the k-vectors <L|V, <R|V.  A doublet of another basis size raises ValueError."""
     coef_l = _as_coefficients(cfg, doublet.coef_l)
     t_us = np.asarray(t_us, dtype=float)
     v = np.stack([doublet.coef_s, doublet.coef_a], axis=1)
@@ -135,9 +137,13 @@ def propagate_static(cfg: LatticeConfig, t_us: np.ndarray, doublet: WannierDoubl
     k = int(np.count_nonzero(np.cumsum(np.abs(a[::-1]) ** 2) > TAIL_WEIGHT))  # tail weights, reversed
     vecs = vecs[:, :k]
     c = np.exp(-1j * np.outer(vals[:k] * cfg.species.rad_per_us_per_er(), t_us)) * a[:k, None]  # (k, nt)
-    rows = vecs.reshape(-1, cfg.spin.dim, k).transpose(1, 0, 2)  # V_m, (dim, n_pw, k)
-    gram_c = (rows.conj().transpose(0, 2, 1) @ rows) @ c  # V_m^H V_m c, (dim, k, nt)
-    p_m = (c.real * gram_c.real + c.imag * gram_c.imag).sum(axis=1).T
+    if cfg.spin.dim * k < len(vecs):
+        rows = vecs.reshape(-1, cfg.spin.dim, k).transpose(1, 0, 2)  # V_m, (dim, n_pw, k)
+        gram_c = (rows.conj().transpose(0, 2, 1) @ rows) @ c  # V_m^H V_m c, (dim, k, nt)
+        p_m = (c.real * gram_c.real + c.imag * gram_c.imag).sum(axis=1).T
+    else:
+        psi = (vecs @ c).reshape(-1, cfg.spin.dim, len(t_us))  # V c, (n_pw, dim, nt)
+        p_m = (psi.real ** 2 + psi.imag ** 2).sum(axis=0).T
     p_l, p_r = (np.abs((coef.conj() @ vecs) @ c) ** 2 for coef in (doublet.coef_l, doublet.coef_r))
     return TimeSeries(t_us=t_us, p_l=p_l, p_r=p_r, leakage=1.0 - p_l - p_r, fz=p_m @ cfg.spin.m_values, p_m=p_m)
 

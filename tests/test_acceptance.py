@@ -27,7 +27,6 @@ PASS/FAIL lines keep reporting the canonical overlap and the canonical
 10/20 mG deviations.
 """
 import json
-import os
 import time
 
 import numpy as np
@@ -337,17 +336,17 @@ def test_criterion_10_determinism(tmp_path):
     ):
         blobs = []
         for run in (1, 2):
-            out = str(tmp_path / f"{command}{run}")
-            assert cli_main([command, "--config", str(ini), "--out", out]) == 0
-            blobs.append({n: open(os.path.join(out, n), "rb").read() for n in names})
+            out = tmp_path / f"{command}{run}"
+            assert cli_main([command, "--config", str(ini), "--out", str(out)]) == 0
+            blobs.append({n: (out / n).read_bytes() for n in names})
         pairs[command] = blobs[0] == blobs[1]
     sweep_blobs = []
     for jobs in ("1", "3"):
-        out = str(tmp_path / f"sweep_j{jobs}")
-        assert cli_main(["sweep", "--config", str(ini), "--out", out, "--jobs", jobs]) == 0
-        sweep_blobs.append(open(os.path.join(out, "sweep.csv"), "rb").read())
+        out = tmp_path / f"sweep_j{jobs}"
+        assert cli_main(["sweep", "--config", str(ini), "--out", str(out), "--jobs", jobs]) == 0
+        sweep_blobs.append((out / "sweep.csv").read_bytes())
     jobs_ok = sweep_blobs[0] == sweep_blobs[1]
-    manifest = json.loads(open(os.path.join(str(tmp_path / "potentials1"), "manifest.json")).read())
+    manifest = json.loads((tmp_path / "potentials1" / "manifest.json").read_text(encoding="utf-8"))
     manifest_ok = manifest["config"]["lattice"]["z_points"] == 128
     ok = all(pairs.values()) and jobs_ok and manifest_ok
     report(

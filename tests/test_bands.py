@@ -524,6 +524,45 @@ def test_failed_continuation_falls_back_to_the_exact_path(monkeypatch, caplog):
     assert sol.epsilon_hz == exact.epsilon_hz
 
 
+def test_diagonal_slope_is_its_matrix_and_dense_slopes_stay_matrices(monkeypatch):
+    # The q-slope H(q) - q^2 - H(0) = q diag(s), passed as s, gives the Ritz pairs of
+    # np.diag(s): each node matrix is H(0) + node diag(s) bit for bit, never s broadcast
+    # over rows.  The ensemble's dense dU_1 slopes still enter as a + node b.
+    cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0)
+    n, blocks = cfg.n_planewaves, _spin_blocks(cfg)
+    h0 = _bloch_matrix(cfg, *blocks, 0.0, n)
+    s = np.repeat(4.0 * np.arange(-n, n + 1), len(blocks[0]))
+    qs = q_grid(cfg)[: cfg.n_q // 2 + 1]
+    solved, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):  # keeps the node matrices, not the projected stacks
+        if np.ndim(a) == 2:
+            solved.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    runs = []
+    for slope in (s, np.diag(s)):
+        solved.clear()
+        (sector,), n_nodes = bands.ritz_continuation([h0], [slope], qs, (5,), 12, 2, lambda _: np.zeros(len(qs), bool))
+        runs.append((sector, list(solved)))
+    ((theta, _, residual), nodes), ((theta_m, _, residual_m), nodes_m) = runs
+    assert n_nodes == len(nodes) == len(nodes_m) == 5
+    for h, h_m in zip(nodes, nodes_m):
+        np.testing.assert_array_equal(h, h_m)
+    np.testing.assert_allclose(theta, theta_m, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(residual, residual_m, rtol=0, atol=1e-12)
+
+    form, du1 = q0_sectors(cfg), q0_sectors(cfg, du1=True)
+    assert all(np.count_nonzero(b - np.diag(np.diag(b))) for b in du1.matrices)
+    x = np.linspace(-8.0, 8.0, 5)
+    solved.clear()
+    bands.ritz_continuation(form.matrices, du1.matrices, x, (2,), 3, 2, lambda _: np.zeros(len(x), bool))
+    expected = [a + node * b for node in (x.min(), x.max()) for a, b in zip(form.matrices, du1.matrices)]
+    assert len(solved) == len(expected)
+    assert all(any(np.array_equal(h, e) for e in expected) for h in solved)
+
+
 def test_default_basis_band_solve_makes_its_known_eigensolves(eigensolves):
     # The probes at N_s = 8 (D = 153) and 12 (D = 225), the latter also the node
     # q = -1, four more nodes at D = 225 and one stack of the 17 solved q projected

@@ -42,6 +42,11 @@ def write(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+def read_text(directory, name):
+    with open(os.path.join(directory, name), encoding="utf-8") as handle:
+        return handle.read()
+
+
 def read_bytes(directory, names):
     contents = {}
     for name in names:
@@ -301,12 +306,12 @@ def test_byte_determinism_and_manifest(tmp_path, capsys):
     capsys.readouterr()
     names = ["potentials.csv", "manifest.json"]
     assert read_bytes(out1, names) == read_bytes(out2, names)
-    manifest = json.loads(open(os.path.join(out1, "manifest.json")).read())
+    manifest = json.loads(read_text(out1, "manifest.json"))
     assert manifest["command"] == "potentials"
     assert manifest["config"]["lattice"]["n_planewaves"] == 10
     assert manifest["config"]["output"]["precision"] == 12
     assert "potentials.csv" in manifest["files"]
-    header = open(os.path.join(out1, "potentials.csv")).readline().strip().split(",")
+    header = read_text(out1, "potentials.csv").splitlines()[0].split(",")
     assert header[0] == "z_nm"
     assert "adiabatic_1" in header and "diabatic_m-4" in header and "diabatic_m+4" in header
 
@@ -321,7 +326,7 @@ def test_sweep_jobs_neutral_and_symmetric(tmp_path, capsys):
     assert main(["sweep", "--config", ini, "--out", out2, "--jobs", "3"]) == 0
     capsys.readouterr()
     assert read_bytes(out1, ["sweep.csv"]) == read_bytes(out2, ["sweep.csv"])
-    rows = [line.split(",") for line in open(os.path.join(out1, "sweep.csv")).read().splitlines()[1:]]
+    rows = [line.split(",") for line in read_text(out1, "sweep.csv").splitlines()[1:]]
     values = [float(r[0]) for r in rows]
     nu = [float(r[1]) for r in rows]
     assert values == sorted(values)
@@ -396,7 +401,7 @@ def test_rabi_command_magnetization_swing(tmp_path, capsys):
     eps_hz = 3517.0
     t_cross = rows["t_us"][np.argmax(fz < 0)]
     assert t_cross == pytest.approx(0.25e6 / eps_hz, rel=0.2)
-    header = open(os.path.join(out, "rabi.csv")).readline().strip().split(",")
+    header = read_text(out, "rabi.csv").splitlines()[0].split(",")
     assert header[:5] == ["t_us", "pL", "pR", "leakage", "fz"]
 
 
@@ -405,7 +410,7 @@ def test_wannier_command_reports_barrier_margin(tmp_path, capsys):
     out = str(tmp_path / "wannier")
     assert main(["wannier", "--config", ini, "--out", out]) == 0
     capsys.readouterr()
-    doublet = json.loads(open(os.path.join(out, "doublet.json")).read())
+    doublet = json.loads(read_text(out, "doublet.json"))
     expected = wannier_doublet(parse_config(ini).lattice).barrier_margin_er
     assert doublet["barrier_margin_er"] == pytest.approx(expected, rel=1e-12)
 
@@ -422,7 +427,7 @@ def test_ensemble_and_fit_commands(tmp_path, capsys):
     capsys.readouterr()
     names = ["ensemble.csv", "fit.json", "manifest.json"]
     assert read_bytes(out1, names) == read_bytes(out2, names)
-    payload = json.loads(open(os.path.join(out1, "fit.json")).read())
+    payload = json.loads(read_text(out1, "fit.json"))
     assert payload["n_samples"] == 6 and payload["n_skipped"] == 0
     assert payload["frequency_hz"] > 0
 
@@ -435,7 +440,7 @@ def test_ensemble_and_fit_commands(tmp_path, capsys):
     out3 = str(tmp_path / "f1")
     assert main(["fit", "--config", fit_ini, "--out", out3]) == 0
     capsys.readouterr()
-    refit = json.loads(open(os.path.join(out3, "fit.json")).read())
+    refit = json.loads(read_text(out3, "fit.json"))
     assert refit["frequency_hz"] == pytest.approx(payload["frequency_hz"], rel=1e-6)
 
 
@@ -449,10 +454,9 @@ def test_seed_override_changes_samples(tmp_path, capsys):
     assert main(["ensemble", "--config", ini, "--out", out1]) == 0
     assert main(["ensemble", "--config", ini, "--out", out2, "--seed", "12"]) == 0
     capsys.readouterr()
-    a = open(os.path.join(out1, "ensemble.csv")).read()
-    b = open(os.path.join(out2, "ensemble.csv")).read()
+    a, b = read_text(out1, "ensemble.csv"), read_text(out2, "ensemble.csv")
     assert a != b
-    manifest = json.loads(open(os.path.join(out2, "manifest.json")).read())
+    manifest = json.loads(read_text(out2, "manifest.json"))
     assert manifest["config"]["ensemble"]["seed"] == 12
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from dwsim import (
     wannier_doublet,
 )
 from dwsim.bands import bloch_to_zgrid, localized_doublet, solve_q0
-from dwsim.dynamics import ADIABATICITY_POINTS, TimeSeries, _run_steps, _schedule_steps
+from dwsim.config import RabiBlock
+from dwsim.dynamics import ADIABATICITY_POINTS, TimeSeries, _run_steps, _schedule_steps, output_times
 from fourier_oracle import static_observables
 from reference_hamiltonian import assemble_bloch_hamiltonian
 from spectrum import dominant_frequency_hz
@@ -134,6 +136,21 @@ def test_static_run_matches_the_fourier_grid_oracle(cfg, phase, bz_mg):
     p_l, p_r, fz = static_observables(cfg, doublet.coef_l, doublet.coef_r, t, n_points=64)
     for got, want in ((series.p_l, p_l), (series.p_r, p_r), (series.fz, fz)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_tilted_static_run_holds_no_gram_product(cfg, doublet):
+    # rabi's 1,001 output times at B_z = 10 mG: the run keeps ~140 pairs of solve_q0,
+    # so dim k > D and p_m comes from the states, without the (dim, k, n_t) Gram
+    # product V_m^H V_m c (~20 MiB here); the whole call peaks near 10 MiB.
+    t = output_times(RabiBlock().t_max_us, RabiBlock().dt_out_us)
+    tracemalloc.start()
+    try:
+        propagate_static(cfg.replace(bz_mg=10.0), t, doublet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 1001
+    assert peak <= 16 * 2**20
 
 
 def test_full_path_outside_the_doublet(cfg, doublet, monkeypatch):

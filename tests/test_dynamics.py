@@ -138,19 +138,28 @@ def test_static_run_matches_the_fourier_grid_oracle(cfg, phase, bz_mg):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
-def test_tilted_static_run_holds_no_gram_product(cfg, doublet):
-    # rabi's 1,001 output times at B_z = 10 mG: the run keeps ~140 pairs of solve_q0,
-    # so dim k > D and p_m comes from the states, without the (dim, k, n_t) Gram
-    # product V_m^H V_m c (~20 MiB here); the whole call peaks near 10 MiB.
+@pytest.mark.parametrize(
+    "bz_mg, bound_mib",
+    [
+        # The doublet's k = 2 pairs: dim k < D, so p_m comes from the (dim, 2, n_t) Gram
+        # product; the D x n_t states alone would take 3.4 MiB, the call peaks near 0.7 MiB.
+        (0.0, 2),
+        # ~140 pairs of solve_q0: dim k > D, so p_m comes from the states, without the
+        # (dim, k, n_t) Gram product V_m^H V_m c (~20 MiB); the call peaks near 10 MiB.
+        (10.0, 16),
+    ],
+)
+def test_static_run_holds_only_its_form(cfg, doublet, bz_mg, bound_mib):
+    # rabi's 1,001 output times; each form of p_m is chosen where it holds less
     t = output_times(RabiBlock().t_max_us, RabiBlock().dt_out_us)
     tracemalloc.start()
     try:
-        propagate_static(cfg.replace(bz_mg=10.0), t, doublet)
+        propagate_static(cfg.replace(bz_mg=bz_mg), t, doublet)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(t) == 1001
-    assert peak <= 16 * 2**20
+    assert peak <= bound_mib * 2**20
 
 
 def test_full_path_outside_the_doublet(cfg, doublet, monkeypatch):

@@ -1,8 +1,10 @@
 """Damped-sinusoid least squares with self-derived starting values.
 
-Model: y(t) = A exp(-lambda t) cos(2 pi nu t + phi) + C, fitted by
-Levenberg-Marquardt on the analytic Jacobian.  Times are in
-microseconds; the reported frequency is in Hz and the decay time in
+Model: y(t) = A exp(-lambda t) cos(2 pi nu t + phi) + C.  A, phi and C
+enter linearly, so the fit is variable projection (Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 413 (1973)): Gauss-Newton with step halving in (nu, lambda)
+alone, the linear part solved exactly by QR at every trial point.  Times are
+in microseconds; the reported frequency is in Hz and the decay time in
 microseconds.
 """
 from __future__ import annotations
@@ -19,7 +21,6 @@ log = logging.getLogger("dwsim")
 
 MAX_ITERATIONS = 200
 MIN_SAMPLES = 8
-GRADIENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,7 @@ class DampedSinusoidFit:
     positive (undamped or growing data); the rate itself carries the
     honest sign.  ``stderr`` maps parameter names to 1-sigma errors, the
     square roots of the diagonal of sigma^2 (J^T J)^-1 at the optimum.
+    ``n_iterations`` counts the Gauss-Newton steps in (nu, lambda).
     """
 
     amplitude: float
@@ -41,11 +43,6 @@ class DampedSinusoidFit:
     residual_rms: float
     n_iterations: int
     stderr: dict
-
-
-def _model(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    a, nu, lam, phi, c = p
-    return a * np.exp(-lam * t) * np.cos(2 * np.pi * nu * t + phi) + c
 
 
 def _jacobian(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -92,32 +89,32 @@ def _envelope_rate(t: np.ndarray, y: np.ndarray, c0: float) -> float:
     """Decay-rate guess from the log amplitude of coarse windows."""
     n_win = min(8, max(2, len(t) // 16))
     edges = np.linspace(0, len(t), n_win + 1, dtype=int)
-    amps, centers = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        seg = np.abs(y[lo:hi] - c0)
-        if len(seg) == 0:
-            continue
-        amps.append(seg.max())
-        centers.append(t[lo:hi].mean())
-    amps = np.asarray(amps)
+    windows = list(zip(edges[:-1], edges[1:]))
+    amps = np.array([np.abs(y[lo:hi] - c0).max() for lo, hi in windows])
     if np.any(amps <= 0):
         return 0.0
-    slope = np.polyfit(centers, np.log(amps), 1)[0]
+    slope = np.polyfit([t[lo:hi].mean() for lo, hi in windows], np.log(amps), 1)[0]
     return max(-slope, 0.0)
 
 
-def _initial_guess(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    c0 = float(y.mean())
-    _, nu0 = _spectral_peak(t, y)
-    lam0 = _envelope_rate(t, y, c0)
-    env = np.exp(-lam0 * t)
-    basis = np.column_stack(
-        [env * np.cos(2 * np.pi * nu0 * t), env * np.sin(2 * np.pi * nu0 * t), np.ones_like(t)]
-    )
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    a0 = math.hypot(coef[0], coef[1])
-    phi0 = math.atan2(-coef[1], coef[0])
-    return np.array([a0, nu0, lam0, phi0, coef[2]])
+def _project(theta: np.ndarray, t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Variable projection at theta = (nu, lambda).
+
+    Returns the coefficients c = (A cos phi, -A sin phi, C) of the basis
+    [exp(-lambda t) cos(2 pi nu t), exp(-lambda t) sin(2 pi nu t), 1] that
+    best fit y, solved by QR; the residual r = y - basis c; and Kaufman's
+    Jacobian of r in theta, -P (d basis/d theta) c with P the projector off
+    the basis (BIT 15, 49 (1975)).
+    """
+    nu, lam = theta
+    env = np.exp(-lam * t)
+    cs = env * np.cos(2 * np.pi * nu * t)
+    sn = env * np.sin(2 * np.pi * nu * t)
+    q, r = np.linalg.qr(np.column_stack([cs, sn, np.ones_like(t)]))
+    qty = q.T @ y
+    coef = np.linalg.solve(r, qty)
+    dmodel = np.column_stack([2 * np.pi * t * (coef[1] * cs - coef[0] * sn), -t * (coef[0] * cs + coef[1] * sn)])
+    return coef, y - q @ qty, q @ (q.T @ dmodel) - dmodel
 
 
 def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
@@ -135,8 +132,8 @@ def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
     ValueError
         On degenerate (constant) data or a non-uniform or undersampled grid.
     ConvergenceError
-        If Levenberg-Marquardt cannot reach the gradient tolerance; the
-        message carries the last iterate and residual.
+        If Gauss-Newton has not stopped after MAX_ITERATIONS steps; the
+        message carries the last (nu, lambda) and the residual RMS.
     """
     t = np.asarray(t_us, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -145,71 +142,43 @@ def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
     if float(np.std(y)) == 0.0:
         raise ValueError("degenerate data: series is constant")
     dt = uniform_step(t)
-    p = _initial_guess(t, y)
-    if p[1] > 0 and dt > 1.0 / (4.0 * p[1]):
-        raise ValueError(
-            f"undersampled: {1 / (dt * p[1]):.2f} samples per period, need >= 4"
-        )
-    if p[1] > 0 and (t[-1] - t[0]) < 2.0 / p[1]:
+    _, nu0 = _spectral_peak(t, y)
+    if nu0 > 0 and dt > 1.0 / (4.0 * nu0):
+        raise ValueError(f"undersampled: {1 / (dt * nu0):.2f} samples per period, need >= 4")
+    if nu0 > 0 and (t[-1] - t[0]) < 2.0 / nu0:
         log.warning("fewer than 2 oscillation periods in the data; fit may be ill-conditioned")
 
-    residual = _model(p, t) - y
+    theta = np.array([nu0, _envelope_rate(t, y, float(y.mean()))])
+    coef, residual, jac = _project(theta, t, y)
     cost = float(residual @ residual)
-    mu = 0.0
-    # gradient tolerance scaled by the problem size
-    g_scale = max(1.0, float(np.max(np.abs(y - y.mean()))) * max(1.0, float(t[-1] - t[0])) * len(t))
-    n_iter = 0
-    converged = False
     for n_iter in range(1, MAX_ITERATIONS + 1):
-        jac = _jacobian(p, t)
-        grad = jac.T @ residual
-        g_inf = float(np.max(np.abs(grad)))
-        if g_inf < GRADIENT_TOL * g_scale:
-            converged = True
-            break
-        jtj = jac.T @ jac
-        if mu == 0.0:
-            mu = 1e-3 * float(np.max(np.diag(jtj)))
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(jtj + mu * np.diag(np.diag(jtj)) + 1e-300 * np.eye(5), -grad)
-            except np.linalg.LinAlgError:
-                mu *= 4.0
-                continue
-            p_try = p + step
-            r_try = _model(p_try, t) - y
-            c_try = float(r_try @ r_try)
-            if c_try < cost:
-                rel_drop = (cost - c_try) / max(cost, 1e-300)
-                p, residual, cost = p_try, r_try, c_try
-                mu = max(mu / 3.0, 1e-14)
-                accepted = True
-                if rel_drop < 1e-15 and float(np.max(np.abs(step))) < 1e-12 * (1 + np.max(np.abs(p))):
-                    converged = True  # stalled at machine precision
+        step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
+        while not np.array_equal(theta + step, theta):  # halve the step until it lowers the cost
+            trial = _project(theta + step, t, y)
+            trial_cost = float(trial[1] @ trial[1])
+            if trial_cost < cost:
                 break
-            mu *= 2.0
+            step = step / 2
+        else:
+            break  # the halved step no longer moves theta: no representable step lowers the cost
+        converged = cost - trial_cost <= 1e-14 * cost  # a relative drop at rounding level
+        theta, (coef, residual, jac), cost = theta + step, trial, trial_cost
         if converged:
             break
-        if not accepted:
-            # No downhill step exists at any damping: gradient is zero to
-            # machine precision.
-            converged = True
-            break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"damped-sinusoid fit did not converge in {MAX_ITERATIONS} iterations; "
-            f"last iterate {p.tolist()}, residual RMS {math.sqrt(cost / len(t)):.6g}"
+            f"last iterate nu = {theta[0]:.10g} per us, lambda = {theta[1]:.10g} per us, "
+            f"residual RMS {math.sqrt(cost / len(t)):.6g}"
         )
 
     # canonical form: positive amplitude and frequency
-    a, nu, lam, phi, c = p
-    if a < 0:
-        a, phi = -a, phi + math.pi
+    nu, lam = theta
+    a, phi = math.hypot(coef[0], coef[1]), math.atan2(-coef[1], coef[0])
     if nu < 0:
         nu, phi = -nu, -phi
     phi = (phi + math.pi) % (2 * math.pi) - math.pi
-    p = np.array([a, nu, lam, phi, c])
+    p = np.array([a, nu, lam, phi, coef[2]])
 
     jac = _jacobian(p, t)
     dof = max(len(t) - 5, 1)
@@ -225,7 +194,7 @@ def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
         decay_rate_per_us=float(lam),
         tau_us=float(1.0 / lam) if lam > 0 else math.inf,
         phase_rad=float(phi),
-        offset=float(c),
+        offset=float(coef[2]),
         residual_rms=float(math.sqrt(cost / len(t))),
         n_iterations=n_iter,
         stderr={

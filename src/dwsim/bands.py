@@ -401,29 +401,31 @@ def q0_sectors(cfg: LatticeConfig, du1: bool = False) -> Q0Sectors:
 
 
 def q0_eigenpairs(form: Q0Sectors, solved, n_vectors: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The ``n_vectors`` lowest (None: all) of the eigenpairs ``solved[i] = (w, v)`` of
-    ``form.matrices[i]``, ascending, with only those columns of v mapped to m_F plane waves."""
+    """The ``n_vectors`` lowest (None: all) eigenpairs of each sample (leading axis) of ``solved[i] = (w, v)`` of
+    ``form.matrices[i]``, ascending, with only those columns of v mapped to m_F plane waves: (n, k) and (n, D, k)."""
     n, s, d = form.n_side, form.s, len(form.s)
-    vals = np.concatenate([w for w, _ in solved])
-    order = np.argsort(vals, kind="stable")[:n_vectors]
-    # Scatter to plane waves -N..N: x[j, N + p, k] is component (p, k) of eigenvector j.
-    x, start = np.zeros((len(order), 2 * n + 1, d)), 0
+    vals = np.concatenate([w for w, _ in solved], axis=1)
+    order = np.argsort(vals, axis=1, kind="stable")[:, :n_vectors]
+    # Scatter to plane waves -N..N: x[i, j, N + p, k] is component (p, k) of eigenvector j of sample i.
+    x, start = np.zeros((*order.shape, 2 * n + 1, d)), 0
     for sigma, (w, v) in zip(form.sigmas, solved):
-        rows = np.flatnonzero((order >= start) & (order < start + len(w)))
-        v, start = v[:, order[rows] - start], start + len(w)
-        tail = v[len(v) - n * d :].T.reshape(len(rows), n, d) / np.sqrt(2.0)
-        x[rows, n + 1 :] = tail
-        x[rows, :n] = (sigma * s * tail)[:, ::-1]
-        x[rows[:, None], n, np.flatnonzero(s == sigma)] = v[: len(v) - n * d].T
+        i, j = np.nonzero((order >= start) & (order < start + w.shape[1]))
+        v, start = v[i, :, order[i, j] - start], start + w.shape[1]  # (len(i), sector dimension)
+        tail = v[:, v.shape[1] - n * d :].reshape(len(i), n, d) / np.sqrt(2.0)
+        x[i, j, n + 1 :] = tail
+        x[i, j, :n] = (sigma * s * tail)[:, ::-1]
+        x[i[:, None], j[:, None], n, np.flatnonzero(s == sigma)] = v[:, : v.shape[1] - n * d]
     u_re_im = np.stack([form.u.real.T, form.u.imag.T], axis=-1).reshape(d, -1)  # x @ u_re_im: (Re, Im) of x @ u.T
-    return vals[order], (x.reshape(-1, d) @ u_re_im).view(complex).reshape(len(order), -1).T
+    vecs = (x.reshape(-1, d) @ u_re_im).view(complex).reshape(*order.shape, -1)
+    return np.take_along_axis(vals, order, axis=1), vecs.transpose(0, 2, 1)
 
 
 def solve_q0(cfg: LatticeConfig, n_vectors: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors (columns, m_F plane-wave basis) of H(q=0),
     the ``n_vectors`` lowest or all, solved in the real sectors of ``q0_sectors``."""
     form = q0_sectors(cfg)
-    return q0_eigenpairs(form, [np.linalg.eigh(h) for h in form.matrices], n_vectors)
+    vals, vecs = q0_eigenpairs(form, [(w[None], v[None]) for w, v in map(np.linalg.eigh, form.matrices)], n_vectors)
+    return vals[0], vecs[0]
 
 
 def bloch_to_zgrid(cfg: LatticeConfig, coeffs: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .lattice import LatticeConfig
 STEP_DOUBLING_TOL = 1e-6
 MAX_HALVINGS = 8
 TAIL_WEIGHT = 1e-24  # weight of |L> left out of a static evolution, so each state is within 1e-12
+GRAM_BLOCK = 8192  # entries of c(t) a Gram-form evolution forms at once, over all samples and pairs
 ADIABATICITY_POINTS = 50  # instantaneous spectra sampled per ramp segment
 SUDDEN_THRESHOLD = 0.5  # duration * epsilon below this counts as sudden
 ADIABATIC_THRESHOLD = 0.1  # ground-to-excited rate figure below this counts as adiabatic
@@ -118,16 +119,32 @@ def _as_coefficients(cfg: LatticeConfig, psi0: np.ndarray) -> np.ndarray:
     return psi0
 
 
+def _gram_form(vecs: np.ndarray, dim: int, rates: np.ndarray, a: np.ndarray, t_us: np.ndarray,
+               weights: np.ndarray | None = None) -> np.ndarray:
+    """Re(c^H V_m^H V_m c), V_m the rows of spin component m, c(t) = exp(-i rates t) a, per sample (leading axis) of
+    ``vecs`` (n, D, k), ``rates``, ``a`` (n, k): (n, dim, nt), or (n, 1, nt) with V_m^H V_m summed with ``weights``
+    over m first.  Gram matrices are formed a sample at a time and c GRAM_BLOCK entries at a time, to bound memory."""
+    rows = vecs.reshape(len(vecs), -1, dim, vecs.shape[-1]).transpose(0, 2, 1, 3)  # V_m, (n, dim, n_pw, k)
+    gram = np.stack([r.conj().transpose(0, 2, 1) @ r for r in rows])  # V_m^H V_m, (n, dim, k, k)
+    gram = gram if weights is None else np.einsum("nmjk,m->njk", gram, weights)[:, None]
+    p = np.empty(gram.shape[:2] + t_us.shape)
+    step = max(1, GRAM_BLOCK // rates.size)  # times per block
+    for s in range(0, len(t_us), step):
+        c = (np.exp(-1j * (rates[..., None] * t_us[s : s + step])) * a[..., None])[:, None]  # (n, 1, k, times)
+        gram_c = gram @ c
+        p[..., s : s + step] = (c.real * gram_c.real + c.imag * gram_c.imag).sum(axis=-2)
+    return p
+
+
 def propagate_static(cfg: LatticeConfig, t_us: np.ndarray, doublet: WannierDoublet) -> TimeSeries:
     """Evolve the doublet's |L> under the static q=0 Bloch Hamiltonian of ``cfg``, projecting on its |L> and |R>.
     The pairs are the doublet's V = [|S>, |A>] if ``doublet.cfg`` is ``cfg`` (at any B_z) up to ``n_q`` and
     ``z_points``, which do not enter H(0), else every eigenpair of ``solve_q0(cfg)``; of those, the fewest lowest k
     whose tail weight sum_{j>=k} |a_j|^2 of a = V^H |L> is at most TAIL_WEIGHT are kept.  So every state is within
     1e-12 of the full evolution, up to a global phase exp(-i E_S t) no observable sees.  With c(t) = exp(-i E t) a
-    over the k pairs and V_m the rows of spin component m, p_m is formed the cheaper way: while dim k < D as
-    Re(c^H V_m^H V_m c), with no state formed (dim k^2 per time), else as sum |V_m c|^2 over the states V c
-    (D k per time), so no (dim, k, n_t) product is held.  fz = sum_m m p_m, and p_l, p_r = |<L|V c|^2, |<R|V c|^2
-    from the k-vectors <L|V, <R|V.  A doublet of another basis size raises ValueError."""
+    over the k pairs, p_m is formed the cheaper way: while dim k < D by ``_gram_form``, with no state formed (dim k^2
+    per time), else as sum |V_m c|^2 over the states V c (D k per time).  fz = sum_m m p_m, and p_l, p_r =
+    |<L|V c|^2, |<R|V c|^2 from the k-vectors <L|V, <R|V.  A doublet of another basis size raises ValueError."""
     coef_l = _as_coefficients(cfg, doublet.coef_l)
     t_us = np.asarray(t_us, dtype=float)
     v = np.stack([doublet.coef_s, doublet.coef_a], axis=1)
@@ -136,11 +153,10 @@ def propagate_static(cfg: LatticeConfig, t_us: np.ndarray, doublet: WannierDoubl
     a = vecs.conj().T @ coef_l
     k = int(np.count_nonzero(np.cumsum(np.abs(a[::-1]) ** 2) > TAIL_WEIGHT))  # tail weights, reversed
     vecs = vecs[:, :k]
-    c = np.exp(-1j * np.outer(vals[:k] * cfg.species.rad_per_us_per_er(), t_us)) * a[:k, None]  # (k, nt)
+    rates = vals[:k] * cfg.species.rad_per_us_per_er()
+    c = np.exp(-1j * np.outer(rates, t_us)) * a[:k, None]  # (k, nt)
     if cfg.spin.dim * k < len(vecs):
-        rows = vecs.reshape(-1, cfg.spin.dim, k).transpose(1, 0, 2)  # V_m, (dim, n_pw, k)
-        gram_c = (rows.conj().transpose(0, 2, 1) @ rows) @ c  # V_m^H V_m c, (dim, k, nt)
-        p_m = (c.real * gram_c.real + c.imag * gram_c.imag).sum(axis=1).T
+        p_m = _gram_form(vecs[None], cfg.spin.dim, rates[None], a[None, :k], t_us)[0].T
     else:
         psi = (vecs @ c).reshape(-1, cfg.spin.dim, len(t_us))  # V c, (n_pw, dim, nt)
         p_m = (psi.real ** 2 + psi.imag ** 2).sum(axis=0).T

@@ -4,8 +4,8 @@ Each atom sees its own single-beam light shift drawn around the nominal
 value; the ensemble-averaged magnetization of identical localized-state
 Rabi runs then dephases on a timescale set by the frequency spread.
 Each sample is the ``rabi`` experiment at its own U_1: its B_z = 0 |L>,
-found by certified eigenvector continuation in U_1, evolved by
-``propagate_static``.
+found by certified eigenvector continuation in U_1.  At B_z = 0 one base
+doublet is labelled and every sample's |L> aligned to it evolves in one batch.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import localized_doublet, q0_eigenpairs, q0_sectors, ritz_continuation, solve_q0
-from .dynamics import output_times, propagate_static
+from .dynamics import _gram_form, output_times, propagate_static
 from .errors import ConvergenceError
 from .lattice import LatticeConfig
 
@@ -27,6 +27,7 @@ MAX_SKIP_FRACTION = 0.1
 RITZ_RESIDUAL_ER = 1e-10  # a Ritz pair with ||Hx - theta x|| above this is solved in full
 NODE_VECTORS = 3  # lowest eigenvectors kept per sector and node
 NODE_COUNTS = (9, 17, 33)  # Chebyshev-Lobatto nodes, nested: refining m nodes adds m - 1
+OVERLAP_FLOOR = 0.5  # a sample's |<S_0|S_i>| or |<A_0|A_i>| below this: it labels its own doublet
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,10 @@ def sample_intensity_factor(spec: EnsembleSpec, index: int) -> float:
     return 1.0 + spec.spread * x
 
 
-def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[list, int, float]:
-    """``solve_q0(cfg_i, 2)`` at each U_1 of ``u1`` by eigenvector continuation, or None
-    where a residual exceeds RITZ_RESIDUAL_ER; the node count; the largest residual."""
+def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``solve_q0(cfg_i, 2)`` at each U_1 of ``u1``, stacked as values (n, 2) and vectors (n, D, 2), by
+    ``ritz_continuation`` of H(0), affine in U_1, from NODE_VECTORS vectors per sector at 9, 17 or 33 nodes;
+    certified where the residual (n,) is at most RITZ_RESIDUAL_ER; and the node count."""
     form = q0_sectors(cfg)
 
     def doublet_residual(sectors) -> np.ndarray:  # the larger residual of the two lowest pairs over the sectors
@@ -97,41 +99,53 @@ def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[list, int, float
 
     sectors, n_nodes = ritz_continuation(form.matrices, q0_sectors(cfg, du1=True).matrices, u1 - cfg.u1_er,
                                          NODE_COUNTS, NODE_VECTORS, 2, lambda s: doublet_residual(s) > RITZ_RESIDUAL_ER)
-    residual = doublet_residual(sectors)
-    pairs = [None if r > RITZ_RESIDUAL_ER else q0_eigenpairs(form, [(t[j], x[j]) for t, x, _ in sectors], 2)
-             for j, r in enumerate(residual)]
-    return pairs, n_nodes, float(residual.max())
+    return *q0_eigenpairs(form, [(theta, x) for theta, x, _ in sectors], 2), doublet_residual(sectors), n_nodes
+
+
+def _aligned_fz(cfg: LatticeConfig, t_us: np.ndarray, vals: np.ndarray, vecs: np.ndarray, certified: np.ndarray):
+    """<F_z>(t) (n, nt) of the B_z = 0 doublets (n, 2), (n, D, 2), the last of ``cfg``, in one batch from |L_i> =
+    (S_i + A_i)/sqrt(2) with <S_0|S_i>, <A_0|A_i> real positive, S_0, A_0 as ``localized_doublet`` labels the last;
+    and where that counts: certified, both overlaps at least OVERLAP_FLOOR; nowhere if the last cannot be labelled."""
+    try:
+        base = localized_doublet(cfg, *((vals[-1], vecs[-1]) if certified[-1] else solve_q0(cfg, 2)))
+    except (ConvergenceError, ValueError, np.linalg.LinAlgError):  # as with no double well: each labels its own
+        return None, np.zeros_like(certified)
+    overlaps = np.einsum("dk,ndk->nk", np.stack([base.coef_s, base.coef_a], axis=1).conj(), vecs)
+    a = np.exp(-1j * np.angle(overlaps)) / np.sqrt(2.0)  # V_i^H |L_i>
+    rates = (vals - vals[:, :1]) * cfg.species.rad_per_us_per_er()
+    fz = _gram_form(vecs, cfg.spin.dim, rates, a, t_us, cfg.spin.m_values)[:, 0]
+    return fz, certified & (np.abs(overlaps).min(axis=1) >= OVERLAP_FLOOR)
 
 
 def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleResult:
     """Mean <F_z>(t) over localized-state Rabi runs of the ensemble ``spec``
     drawn around ``cfg``, on the spec's output time grid.
 
-    Every sample i runs the experiment ``rabi`` runs at its own U_1: the
-    B_z = 0 |L_i> of its doublet, evolved under H_i(B_z) by
-    ``propagate_static``.  H(0) at B_z = 0 is affine in U_1, so
-    ``ritz_continuation`` over the drawn U_1, from the NODE_VECTORS lowest
-    eigenvectors of each real sector at 9, 17 or 33 nodes, spans every
-    sample's doublet.  Each Ritz pair read is certified by
-    ||Hx - theta x|| <= RITZ_RESIDUAL_ER, and a sample still failing solves
-    its B_z = 0 H(0) in full.  At B_z = 0, |L_i> evolves in its own doublet;
-    at B_z != 0, in the lowest pairs of its own full ``solve_q0``.  Node count
-    and largest residual are logged at INFO and returned.  Samples that fail
-    numerically (ConvergenceError, ValueError, LinAlgError) are skipped with a
-    logged diagnostic; more than 10 % skipped raises RuntimeError; any other
-    exception propagates.  The samples run and sum in index order.
+    Every sample i runs the experiment ``rabi`` runs at its own U_1: the B_z = 0 |L_i> of its doublet
+    (``_ritz_doublets``), evolved under H_i(B_z).  At B_z = 0 the samples ``_aligned_fz`` counts evolve in one
+    batch; each other sample is labelled by ``localized_doublet``, from a full B_z = 0 solve if its pair fails,
+    and evolved by ``propagate_static``.  Node count and largest residual are logged at INFO and returned.
+    Samples that fail numerically (ConvergenceError, ValueError, LinAlgError) are skipped with a logged
+    diagnostic; more than 10 % skipped raises RuntimeError; any other exception propagates.  The samples sum
+    in index order.
     """
     t_us = output_times(spec.t_max_us, spec.dt_out_us)
     u1 = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)])
     untilted = cfg.replace(bz_mg=0.0)
-    pairs, n_nodes, max_residual = _ritz_doublets(untilted, u1)
+    at_zero = cfg.bz_mg == 0.0
+    vals, vecs, residual, n_nodes = _ritz_doublets(untilted, np.append(u1, cfg.u1_er) if at_zero else u1)
+    certified = residual <= RITZ_RESIDUAL_ER
     log.info("ensemble: %d nodes, largest Ritz residual %.2e E_R, %d samples solved in full",
-             n_nodes, max_residual, sum(p is None for p in pairs))
+             n_nodes, residual.max(), np.count_nonzero(~certified[: spec.n_samples]))
+    fz, aligned = _aligned_fz(untilted, t_us, vals, vecs, certified) if at_zero else (None, np.zeros_like(certified))
     total, n_skipped = np.zeros(len(t_us)), 0
-    for i, pair in enumerate(pairs):
+    for i in range(spec.n_samples):
+        if aligned[i]:
+            total += fz[i]
+            continue
         try:
             untilted_i = untilted.replace(u1_er=float(u1[i]))
-            doublet = localized_doublet(untilted_i, *(solve_q0(untilted_i, 2) if pair is None else pair))
+            doublet = localized_doublet(untilted_i, *((vals[i], vecs[i]) if certified[i] else solve_q0(untilted_i, 2)))
             total += propagate_static(cfg.replace(u1_er=float(u1[i])), t_us, doublet).fz
         except (ConvergenceError, ValueError, np.linalg.LinAlgError):
             log.exception("ensemble sample %d failed; skipping", i)
@@ -146,5 +160,5 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleRe
         mean_fz=total / (spec.n_samples - n_skipped),
         n_skipped=n_skipped,
         n_nodes=n_nodes,
-        max_residual_er=max_residual,
+        max_residual_er=float(residual.max()),
     )

@@ -214,13 +214,14 @@ bz_ramp_us = 10
 # the m_F = +F chain, the start state's solve, 60 ramp steps at dt = 0.5 us
 # and 120 at dt/2, 100 adiabaticity points (the last at B_z = 0, in parity
 # blocks) and the doublet with its guard.  ensemble: 9 continuation nodes,
-# each two parity blocks, and the 200 projected problems of 9 x 3 node vectors
-# per block; no sample falls back to its own solve.
+# each two parity blocks, and the projected problems of 9 x 3 node vectors per
+# block of the 200 samples and of the base U_1, which rides along at B_z = 0;
+# no sample falls back to its own solve.
 EIGENSOLVES = {
     "ensemble": {
         ("eigh", (112, 112), "f"): 9,
         ("eigh", (113, 113), "f"): 9,
-        ("eigh", (200, 27, 27), "f"): 2,
+        ("eigh", (201, 27, 27), "f"): 2,
     },
     "wannier": {
         ("eigh", (112, 112), "f"): 1,

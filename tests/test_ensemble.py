@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -87,17 +90,33 @@ def test_frequency_consistency(cfg):
 
 
 def test_all_samples_failing_raises():
-    # theta = 0 has no double well at all, so every sample's localized
-    # state construction fails
+    # theta = 0 has no double well at all, so neither the base doublet nor any
+    # sample's own can be labelled
     flat = LatticeConfig(u1_er=84.0, theta_deg=0.0, bx_mg=85.0, n_planewaves=10)
+    with pytest.raises(ValueError, match="expected a double well"):
+        localized_doublet(flat, *solve_q0(flat, 2))
     spec = EnsembleSpec(spread=0.01, n_samples=5, seed=3, **SHORT_GRID)
     with pytest.raises(RuntimeError):
         ensemble_magnetization(flat, spec)
 
 
 def test_programming_error_in_a_sample_propagates(cfg, monkeypatch):
-    # only numerical failures count as skipped samples; a bug in one
-    # sample out of ten (within the 10 % skip budget) must still surface
+    # only numerical failures count as skipped samples; a bug in the batched
+    # evolution of the B_z = 0 samples must still surface
+    spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
+
+    def broken(*args):
+        raise TypeError("bug in sample code")
+
+    monkeypatch.setattr(ensemble, "_gram_form", broken)
+    with pytest.raises(TypeError):
+        ensemble_magnetization(cfg, spec)
+
+
+def test_programming_error_in_a_tilted_sample_propagates(cfg, monkeypatch):
+    # at B_z != 0 each sample runs alone; a bug in one sample out of ten
+    # (within the 10 % skip budget) must still surface
+    cfg = cfg.replace(bz_mg=10.0)
     spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
     u1_3 = cfg.u1_er * sample_intensity_factor(spec, 3)
 
@@ -139,14 +158,13 @@ def test_continuation_matches_per_sample_solves(share, distribution, n_samples, 
     largest = 1.0 / GAUSS_TRUNCATION if distribution == "gaussian" else 0.5
     spec = EnsembleSpec(spread=share * largest, n_samples=n_samples, seed=11, distribution=distribution)
     u1s = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(n_samples)])
-    pairs, n_nodes, residual = ensemble._ritz_doublets(cfg, u1s)
+    vals, vecs, residuals, n_nodes = ensemble._ritz_doublets(cfg, u1s)
     assert 1 <= n_nodes <= max(ensemble.NODE_COUNTS)
     if u1s.min() == u1s.max():
         assert n_nodes == 1
-    assert (residual <= ensemble.RITZ_RESIDUAL_ER) == all(p is not None for p in pairs)
     fz_diag = np.tile(cfg.spin.m_values, 2 * cfg.n_planewaves + 1)
-    for u1_i, pair in zip(u1s, pairs):
-        if pair is None:
+    for u1_i, residual, pair in zip(u1s, residuals, zip(vals, vecs)):
+        if residual > ensemble.RITZ_RESIDUAL_ER:
             continue
         cfg_i = cfg.replace(u1_er=u1_i)
         full = solve_q0(cfg_i, 2)
@@ -177,3 +195,79 @@ def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
         doublet = localized_doublet(cfg_i, *solve_q0(cfg_i, 2))
         total += propagate_static(cfg_i, t_us, doublet).fz
     np.testing.assert_array_equal(result.mean_fz, total / spec.n_samples)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("distribution, spread", [("gaussian", 0.05), ("gaussian", 0.3), ("uniform", 0.45)])
+def test_aligned_states_are_the_labelled_ones(cfg, seed, distribution, spread):
+    # |L_i> = (S_i + A_i)/sqrt(2), S_i and A_i phased by <S_0|S_i> and <A_0|A_i>,
+    # is localized_doublet's |L> up to a global phase wherever that labels the
+    # sample's doublet; and each sample's F_z from the one batched evolution is
+    # that of its own propagate_static run from |L_i>.
+    spec = EnsembleSpec(spread=spread, n_samples=64, seed=seed, distribution=distribution, **SHORT_GRID)
+    t_us = output_times(spec.t_max_us, spec.dt_out_us)
+    u1 = cfg.u1_er * factors(spec)
+    vals, vecs, residual, _ = ensemble._ritz_doublets(cfg, np.append(u1, cfg.u1_er))  # the base U_1 last
+    base = localized_doublet(cfg, vals[-1], vecs[-1])
+    fz, aligned = ensemble._aligned_fz(cfg, t_us, vals, vecs, residual <= ensemble.RITZ_RESIDUAL_ER)
+    assert aligned[: spec.n_samples].all()
+    for i, u1_i in enumerate(u1):
+        cfg_i = cfg.replace(u1_er=u1_i)
+        s_i, a_i = (vecs[i][:, k] * np.exp(-1j * np.angle(np.vdot(ref, vecs[i][:, k])))
+                    for k, ref in enumerate((base.coef_s, base.coef_a)))
+        coef_l = (s_i + a_i) / np.sqrt(2.0)
+        try:
+            doublet = localized_doublet(cfg_i, vals[i], vecs[i])
+        except ValueError:  # no double well of its own: it runs from |L_i>
+            doublet = dataclasses.replace(base, cfg=cfg_i, coef_s=s_i, coef_a=a_i, coef_l=coef_l,
+                                          coef_r=(s_i - a_i) / np.sqrt(2.0), epsilon_er=vals[i][1] - vals[i][0])
+        phase = np.vdot(doublet.coef_l, coef_l)
+        assert np.linalg.norm(coef_l - phase / abs(phase) * doublet.coef_l) <= 1e-13
+        np.testing.assert_allclose(fz[i], propagate_static(cfg_i, t_us, doublet).fz, rtol=0, atol=1e-12)
+
+
+def test_samples_below_the_overlap_floor_run_alone(cfg, monkeypatch):
+    # With a floor no overlap reaches, every sample labels its own doublet and
+    # runs propagate_static, as before the batch: the same mean, bit for bit,
+    # so the base riding the continuation changes no sample's pair.
+    monkeypatch.setattr(ensemble, "OVERLAP_FLOOR", 2.0)
+    spec = EnsembleSpec(spread=0.05, n_samples=12, seed=8, **SHORT_GRID)
+    result = ensemble_magnetization(cfg, spec)
+    u1 = cfg.u1_er * factors(spec)
+    vals, vecs, residual, _ = ensemble._ritz_doublets(cfg, u1)
+    assert (residual <= ensemble.RITZ_RESIDUAL_ER).all()
+    total = np.zeros(len(result.t_us))
+    for i, u1_i in enumerate(u1):
+        cfg_i = cfg.replace(u1_er=u1_i)
+        total += propagate_static(cfg_i, result.t_us, localized_doublet(cfg_i, vals[i], vecs[i])).fz
+    np.testing.assert_array_equal(result.mean_fz, total / spec.n_samples)
+
+
+def test_draws_without_their_own_double_well_run(cfg):
+    # At a uniform spread of 0.45, 6 of 64 light draws have no double well of
+    # their own, so localized_doublet cannot label them; aligned to the base
+    # doublet they run, and none is skipped.
+    spec = EnsembleSpec(spread=0.45, n_samples=64, distribution="uniform", **SHORT_GRID)
+    n_single = 0
+    for u1_i in cfg.u1_er * factors(spec):
+        try:
+            double_well_geometry(cfg.replace(u1_er=u1_i))
+        except ValueError:
+            n_single += 1
+    assert n_single == 6
+    assert ensemble_magnetization(cfg, spec).n_skipped == 0
+
+
+def test_ensemble_holds_no_stacked_copies(cfg):
+    # the benchmark's ensemble: 64 light samples, spread 0.05, B_z = 0.  The
+    # continuation peaks near 1.5 MiB; the batch adds its F_z and blocks of
+    # c(t), where aligned copies of every pair and c(t) over every time pass 2 MiB.
+    spec = EnsembleSpec(spread=0.05, n_samples=64)
+    ensemble_magnetization(cfg, spec)
+    tracemalloc.start()
+    try:
+        ensemble_magnetization(cfg, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20

@@ -136,21 +136,13 @@ def _gram_form(vecs: np.ndarray, dim: int, rates: np.ndarray, a: np.ndarray, t_u
     return p
 
 
-def propagate_static(cfg: LatticeConfig, t_us: np.ndarray, doublet: WannierDoublet) -> TimeSeries:
-    """Evolve the doublet's |L> under the static q=0 Bloch Hamiltonian of ``cfg``, projecting on its |L> and |R>.
-    The pairs are the doublet's V = [|S>, |A>] if ``doublet.cfg`` is ``cfg`` (at any B_z) up to ``n_q`` and
-    ``z_points``, which do not enter H(0), else every eigenpair of ``solve_q0(cfg)``; of those, the fewest lowest k
-    whose tail weight sum_{j>=k} |a_j|^2 of a = V^H |L> is at most TAIL_WEIGHT are kept.  So every state is within
-    1e-12 of the full evolution, up to a global phase exp(-i E_S t) no observable sees.  With c(t) = exp(-i E t) a
-    over the k pairs, p_m is formed the cheaper way: while dim k < D by ``_gram_form``, with no state formed (dim k^2
-    per time), else as sum |V_m c|^2 over the states V c (D k per time).  fz = sum_m m p_m, and p_l, p_r =
-    |<L|V c|^2, |<R|V c|^2 from the k-vectors <L|V, <R|V.  A doublet of another basis size raises ValueError."""
-    coef_l = _as_coefficients(cfg, doublet.coef_l)
-    t_us = np.asarray(t_us, dtype=float)
-    v = np.stack([doublet.coef_s, doublet.coef_a], axis=1)
-    own = doublet.cfg.replace(n_q=cfg.n_q, z_points=cfg.z_points) == cfg
-    vals, vecs = (np.array([0.0, doublet.epsilon_er]), v) if own else solve_q0(cfg)
-    a = vecs.conj().T @ coef_l
+def _static_evolution(cfg: LatticeConfig, t_us: np.ndarray, vals: np.ndarray, vecs: np.ndarray, psi0: np.ndarray):
+    """Evolve ``psi0`` in the eigenpairs ``vals``, ``vecs`` of the static H of ``cfg``: of those, the fewest lowest k
+    whose tail weight sum_{j>=k} |a_j|^2 of a = V^H psi0 is at most TAIL_WEIGHT are kept, so every state is within
+    1e-12 of the full evolution.  With c(t) = exp(-i E t) a over the k pairs, p_m is formed the cheaper way: while
+    dim k < D by ``_gram_form``, with no state formed (dim k^2 per time), else as sum |V_m c|^2 over the states V c
+    (D k per time).  Returns V (D, k), c (k, nt) and p_m (nt, dim)."""
+    a = vecs.conj().T @ psi0
     k = int(np.count_nonzero(np.cumsum(np.abs(a[::-1]) ** 2) > TAIL_WEIGHT))  # tail weights, reversed
     vecs = vecs[:, :k]
     rates = vals[:k] * cfg.species.rad_per_us_per_er()
@@ -160,6 +152,21 @@ def propagate_static(cfg: LatticeConfig, t_us: np.ndarray, doublet: WannierDoubl
     else:
         psi = (vecs @ c).reshape(-1, cfg.spin.dim, len(t_us))  # V c, (n_pw, dim, nt)
         p_m = (psi.real ** 2 + psi.imag ** 2).sum(axis=0).T
+    return vecs, c, p_m
+
+
+def propagate_static(cfg: LatticeConfig, t_us: np.ndarray, doublet: WannierDoublet) -> TimeSeries:
+    """Evolve the doublet's |L> under the static q=0 Bloch Hamiltonian of ``cfg`` by ``_static_evolution``,
+    projecting on its |L> and |R>, up to a global phase exp(-i E_S t) no observable sees.  The pairs are the
+    doublet's V = [|S>, |A>] if ``doublet.cfg`` is ``cfg`` (at any B_z) up to ``n_q`` and ``z_points``, which do
+    not enter H(0), else every eigenpair of ``solve_q0(cfg)``.  fz = sum_m m p_m, and p_l, p_r = |<L|V c|^2,
+    |<R|V c|^2 from the k-vectors <L|V, <R|V.  A doublet of another basis size raises ValueError."""
+    coef_l = _as_coefficients(cfg, doublet.coef_l)
+    v = np.stack([doublet.coef_s, doublet.coef_a], axis=1)
+    own = doublet.cfg.replace(n_q=cfg.n_q, z_points=cfg.z_points) == cfg
+    vals, vecs = (np.array([0.0, doublet.epsilon_er]), v) if own else solve_q0(cfg)
+    t_us = np.asarray(t_us, dtype=float)
+    vecs, c, p_m = _static_evolution(cfg, t_us, vals, vecs, coef_l)
     p_l, p_r = (np.abs((coef.conj() @ vecs) @ c) ** 2 for coef in (doublet.coef_l, doublet.coef_r))
     return TimeSeries(t_us=t_us, p_l=p_l, p_r=p_r, leakage=1.0 - p_l - p_r, fz=p_m @ cfg.spin.m_values, p_m=p_m)
 

@@ -4,8 +4,8 @@ Each atom sees its own single-beam light shift drawn around the nominal
 value; the ensemble-averaged magnetization of identical localized-state
 Rabi runs then dephases on a timescale set by the frequency spread.
 Each sample is the ``rabi`` experiment at its own U_1: its B_z = 0 |L>,
-found by certified eigenvector continuation in U_1.  At B_z = 0 one base
-doublet is labelled and every sample's |L> aligned to it evolves in one batch.
+found by certified eigenvector continuation in U_1 and aligned to the one
+labelled base doublet at every B_z; at B_z = 0 all evolve in one batch.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import localized_doublet, q0_eigenpairs, q0_sectors, ritz_continuation, solve_q0
-from .dynamics import _gram_form, output_times, propagate_static
+from .dynamics import _gram_form, _static_evolution, output_times
 from .errors import ConvergenceError
 from .lattice import LatticeConfig
 
@@ -27,7 +27,7 @@ MAX_SKIP_FRACTION = 0.1
 RITZ_RESIDUAL_ER = 1e-10  # a Ritz pair with ||Hx - theta x|| above this is solved in full
 NODE_VECTORS = 3  # lowest eigenvectors kept per sector and node
 NODE_COUNTS = (9, 17, 33)  # Chebyshev-Lobatto nodes, nested: refining m nodes adds m - 1
-OVERLAP_FLOOR = 0.5  # a sample's |<S_0|S_i>| or |<A_0|A_i>| below this: it labels its own doublet
+OVERLAP_FLOOR = 0.5  # a sample's |<S_0|S_i>| or |<A_0|A_i>| below this: it is skipped
 
 
 @dataclass(frozen=True)
@@ -102,63 +102,56 @@ def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[np.ndarray, np.n
     return *q0_eigenpairs(form, [(theta, x) for theta, x, _ in sectors], 2), doublet_residual(sectors), n_nodes
 
 
-def _aligned_fz(cfg: LatticeConfig, t_us: np.ndarray, vals: np.ndarray, vecs: np.ndarray, certified: np.ndarray):
-    """<F_z>(t) (n, nt) of the B_z = 0 doublets (n, 2), (n, D, 2), the last of ``cfg``, in one batch from |L_i> =
-    (S_i + A_i)/sqrt(2) with <S_0|S_i>, <A_0|A_i> real positive, S_0, A_0 as ``localized_doublet`` labels the last;
-    and where that counts: certified, both overlaps at least OVERLAP_FLOOR; nowhere if the last cannot be labelled."""
+def _aligned(cfg: LatticeConfig, u1: np.ndarray, vals: np.ndarray, vecs: np.ndarray, certified: np.ndarray):
+    """a (n, 2), |L_i> = V_i a_i = (S_i + A_i)/sqrt(2) with <S_0|S_i>, <A_0|A_i> real positive, of the B_z = 0
+    doublets ``vals`` (n, 2), ``vecs`` (n, D, 2) of ``cfg`` at ``u1``, where ``localized_doublet`` labels the last,
+    the base, S_0, A_0; and the smaller overlap (n,).  Each pair not ``certified`` is first replaced in place by its
+    full ``solve_q0(cfg_i, 2)``.  Raises RuntimeError if the base doublet cannot be labelled."""
+    for i in np.flatnonzero(~certified):
+        vals[i], vecs[i] = solve_q0(cfg.replace(u1_er=float(u1[i])), 2)
     try:
-        base = localized_doublet(cfg, *((vals[-1], vecs[-1]) if certified[-1] else solve_q0(cfg, 2)))
-    except (ConvergenceError, ValueError, np.linalg.LinAlgError):  # as with no double well: each labels its own
-        return None, np.zeros_like(certified)
+        base = localized_doublet(cfg, vals[-1], vecs[-1])
+    except (ConvergenceError, ValueError) as err:
+        raise RuntimeError(f"the base configuration does not support a localized doublet: {err}") from err
     overlaps = np.einsum("dk,ndk->nk", np.stack([base.coef_s, base.coef_a], axis=1).conj(), vecs)
-    a = np.exp(-1j * np.angle(overlaps)) / np.sqrt(2.0)  # V_i^H |L_i>
-    rates = (vals - vals[:, :1]) * cfg.species.rad_per_us_per_er()
-    fz = _gram_form(vecs, cfg.spin.dim, rates, a, t_us, cfg.spin.m_values)[:, 0]
-    return fz, certified & (np.abs(overlaps).min(axis=1) >= OVERLAP_FLOOR)
+    return np.exp(-1j * np.angle(overlaps)) / np.sqrt(2.0), np.abs(overlaps).min(axis=1)
 
 
 def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleResult:
-    """Mean <F_z>(t) over localized-state Rabi runs of the ensemble ``spec``
-    drawn around ``cfg``, on the spec's output time grid.
+    """Mean <F_z>(t) over the localized-state Rabi runs of ``spec`` drawn around ``cfg``, on its output time grid.
 
-    Every sample i runs the experiment ``rabi`` runs at its own U_1: the B_z = 0 |L_i> of its doublet
-    (``_ritz_doublets``), evolved under H_i(B_z).  At B_z = 0 the samples ``_aligned_fz`` counts evolve in one
-    batch; each other sample is labelled by ``localized_doublet``, from a full B_z = 0 solve if its pair fails,
-    and evolved by ``propagate_static``.  Node count and largest residual are logged at INFO and returned.
-    Samples that fail numerically (ConvergenceError, ValueError, LinAlgError) are skipped with a logged
-    diagnostic; more than 10 % skipped raises RuntimeError; any other exception propagates.  The samples sum
-    in index order.
+    Every sample i runs the experiment ``rabi`` runs at its own U_1: its B_z = 0 |L_i>, ``_aligned`` to the base
+    doublet at the configured U_1, which rides ``_ritz_doublets`` last, evolved under H_i(B_z): at B_z = 0 every
+    row in one ``_gram_form`` batch, else each in its own ``solve_q0`` pairs by ``_static_evolution``.  Node count
+    and largest residual are logged at INFO and returned.  Samples with an overlap below OVERLAP_FLOOR or that
+    fail numerically (ConvergenceError, ValueError, LinAlgError) are skipped with a logged diagnostic; more than
+    10 % skipped raises RuntimeError; any other exception propagates.  The samples sum in index order.
     """
     t_us = output_times(spec.t_max_us, spec.dt_out_us)
-    u1 = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)])
+    u1 = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)] + [1.0])
     untilted = cfg.replace(bz_mg=0.0)
-    at_zero = cfg.bz_mg == 0.0
-    vals, vecs, residual, n_nodes = _ritz_doublets(untilted, np.append(u1, cfg.u1_er) if at_zero else u1)
-    certified = residual <= RITZ_RESIDUAL_ER
+    vals, vecs, residual, n_nodes = _ritz_doublets(untilted, u1)
     log.info("ensemble: %d nodes, largest Ritz residual %.2e E_R, %d samples solved in full",
-             n_nodes, residual.max(), np.count_nonzero(~certified[: spec.n_samples]))
-    fz, aligned = _aligned_fz(untilted, t_us, vals, vecs, certified) if at_zero else (None, np.zeros_like(certified))
+             n_nodes, residual.max(), np.count_nonzero(residual[: spec.n_samples] > RITZ_RESIDUAL_ER))
+    a, overlap = _aligned(untilted, u1, vals, vecs, residual <= RITZ_RESIDUAL_ER)
+    if cfg.bz_mg == 0.0:  # every row, the base's too: the blocks of c(t) do not depend on which rows count
+        rates = (vals - vals[:, :1]) * cfg.species.rad_per_us_per_er()
+        fz = _gram_form(vecs, cfg.spin.dim, rates, a, t_us, cfg.spin.m_values)[:, 0]
     total, n_skipped = np.zeros(len(t_us)), 0
     for i in range(spec.n_samples):
-        if aligned[i]:
-            total += fz[i]
-            continue
-        try:
-            untilted_i = untilted.replace(u1_er=float(u1[i]))
-            doublet = localized_doublet(untilted_i, *((vals[i], vecs[i]) if certified[i] else solve_q0(untilted_i, 2)))
-            total += propagate_static(cfg.replace(u1_er=float(u1[i])), t_us, doublet).fz
-        except (ConvergenceError, ValueError, np.linalg.LinAlgError):
-            log.exception("ensemble sample %d failed; skipping", i)
+        if overlap[i] < OVERLAP_FLOOR:
+            log.warning("ensemble sample %d: base overlap %.3f below %g; skipping", i, overlap[i], OVERLAP_FLOOR)
             n_skipped += 1
+        elif cfg.bz_mg == 0.0:
+            total += fz[i]
+        else:
+            try:
+                cfg_i = cfg.replace(u1_er=float(u1[i]))
+                total += _static_evolution(cfg_i, t_us, *solve_q0(cfg_i), vecs[i] @ a[i])[2] @ cfg.spin.m_values
+            except (ConvergenceError, ValueError, np.linalg.LinAlgError):
+                log.exception("ensemble sample %d failed; skipping", i)
+                n_skipped += 1
     if n_skipped > MAX_SKIP_FRACTION * spec.n_samples:
-        raise RuntimeError(
-            f"{n_skipped}/{spec.n_samples} ensemble samples failed; "
-            "the base configuration does not support a localized doublet"
-        )
-    return EnsembleResult(
-        t_us=t_us,
-        mean_fz=total / (spec.n_samples - n_skipped),
-        n_skipped=n_skipped,
-        n_nodes=n_nodes,
-        max_residual_er=float(residual.max()),
-    )
+        raise RuntimeError(f"{n_skipped} of {spec.n_samples} ensemble samples skipped, over {MAX_SKIP_FRACTION:.0%}")
+    return EnsembleResult(t_us=t_us, mean_fz=total / (spec.n_samples - n_skipped), n_skipped=n_skipped,
+                          n_nodes=n_nodes, max_residual_er=float(residual.max()))

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from dwsim import LatticeConfig, cesium_f4, fit_damped_sinusoid, wannier_doublet
 from dwsim import ensemble
 from dwsim.bands import localized_doublet, q0_sectors, solve_q0
-from dwsim.dynamics import output_times, propagate_static
+from dwsim.dynamics import _gram_form, _static_evolution, output_times, propagate_static
 from dwsim.ensemble import GAUSS_TRUNCATION, EnsembleSpec, ensemble_magnetization, sample_intensity_factor
 from dwsim.lattice import double_well_geometry
 from test_bands import BOX, _box_cfg
@@ -114,18 +115,18 @@ def test_programming_error_in_a_sample_propagates(cfg, monkeypatch):
 
 
 def test_programming_error_in_a_tilted_sample_propagates(cfg, monkeypatch):
-    # at B_z != 0 each sample runs alone; a bug in one sample out of ten
-    # (within the 10 % skip budget) must still surface
+    # at B_z != 0 each sample evolves in its own pairs; a bug in one sample out
+    # of ten (within the 10 % skip budget) must still surface
     cfg = cfg.replace(bz_mg=10.0)
     spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
     u1_3 = cfg.u1_er * sample_intensity_factor(spec, 3)
 
-    def broken_once(cfg_i, t_us, doublet):
+    def broken_once(cfg_i, *args):
         if cfg_i.u1_er == u1_3:
             raise TypeError("bug in sample code")
-        return propagate_static(cfg_i, t_us, doublet)
+        return _static_evolution(cfg_i, *args)
 
-    monkeypatch.setattr(ensemble, "propagate_static", broken_once)
+    monkeypatch.setattr(ensemble, "_static_evolution", broken_once)
     with pytest.raises(TypeError):
         ensemble_magnetization(cfg, spec)
 
@@ -182,43 +183,61 @@ def test_continuation_matches_per_sample_solves(share, distribution, n_samples, 
 
 
 def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
-    # With no residual small enough every sample takes the full solve: the
-    # propagate_static run of each sample's own localized_doublet, bit for bit.
+    # With no residual small enough every pair, the base's too, is replaced by
+    # its full B_z = 0 solve and aligned like any other: at B_z = 0 and at
+    # 10 mG each sample's F_z is that of the propagate_static run of its own
+    # localized_doublet, to the bound of the aligned states.
     monkeypatch.setattr(ensemble, "RITZ_RESIDUAL_ER", 0.0)
+    full_solves = []
+    monkeypatch.setattr(ensemble, "solve_q0", lambda c, *n: full_solves.extend(n) or solve_q0(c, *n))
     spec = EnsembleSpec(spread=0.05, n_samples=6, seed=8, **SHORT_GRID)
-    result = ensemble_magnetization(cfg, spec)
-    assert result.max_residual_er > 0.0
-    t_us = output_times(spec.t_max_us, spec.dt_out_us)
-    total = np.zeros(len(t_us))
-    for i in range(spec.n_samples):
-        cfg_i = cfg.replace(u1_er=cfg.u1_er * sample_intensity_factor(spec, i))
-        doublet = localized_doublet(cfg_i, *solve_q0(cfg_i, 2))
-        total += propagate_static(cfg_i, t_us, doublet).fz
-    np.testing.assert_array_equal(result.mean_fz, total / spec.n_samples)
+    for bz_mg in (0.0, 10.0):
+        full_solves.clear()
+        result = ensemble_magnetization(cfg.replace(bz_mg=bz_mg), spec)
+        assert result.max_residual_er > 0.0 and result.n_skipped == 0
+        assert full_solves == [2] * (spec.n_samples + 1)
+        total = np.zeros(len(result.t_us))
+        for u1_i in cfg.u1_er * factors(spec):
+            cfg_i = cfg.replace(u1_er=u1_i)
+            doublet = localized_doublet(cfg_i, *solve_q0(cfg_i, 2))
+            total += propagate_static(cfg_i.replace(bz_mg=bz_mg), result.t_us, doublet).fz
+        np.testing.assert_allclose(result.mean_fz, total / spec.n_samples, rtol=0, atol=1e-12)
+
+
+def batch_fz(cfg, t_us, vals, vecs, a):
+    """<F_z>(t) of every row, as ensemble_magnetization evolves them at B_z = 0."""
+    rates = (vals - vals[:, :1]) * cfg.species.rad_per_us_per_er()
+    return _gram_form(vecs, cfg.spin.dim, rates, a, t_us, cfg.spin.m_values)[:, 0]
+
+
+def aligned_stack(cfg, spec):
+    """The sample U_1 with the base's last, their B_z = 0 doublets, and a and overlaps of ensemble._aligned."""
+    u1 = np.append(cfg.u1_er * factors(spec), cfg.u1_er)
+    vals, vecs, residual, _ = ensemble._ritz_doublets(cfg, u1)
+    return u1, vals, vecs, *ensemble._aligned(cfg, u1, vals, vecs, residual <= ensemble.RITZ_RESIDUAL_ER)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("distribution, spread", [("gaussian", 0.05), ("gaussian", 0.3), ("uniform", 0.45)])
 def test_aligned_states_are_the_labelled_ones(cfg, seed, distribution, spread):
-    # |L_i> = (S_i + A_i)/sqrt(2), S_i and A_i phased by <S_0|S_i> and <A_0|A_i>,
-    # is localized_doublet's |L> up to a global phase wherever that labels the
-    # sample's doublet; and each sample's F_z from the one batched evolution is
-    # that of its own propagate_static run from |L_i>.
+    # |L_i> = V_i a_i = (S_i + A_i)/sqrt(2), S_i and A_i phased by <S_0|S_i> and
+    # <A_0|A_i>, is localized_doublet's |L> up to a global phase wherever that
+    # labels the sample's doublet; and each sample's F_z from the one batched
+    # evolution is that of its own propagate_static run from |L_i>.
     spec = EnsembleSpec(spread=spread, n_samples=64, seed=seed, distribution=distribution, **SHORT_GRID)
     t_us = output_times(spec.t_max_us, spec.dt_out_us)
-    u1 = cfg.u1_er * factors(spec)
-    vals, vecs, residual, _ = ensemble._ritz_doublets(cfg, np.append(u1, cfg.u1_er))  # the base U_1 last
+    u1, vals, vecs, a, overlap = aligned_stack(cfg, spec)
+    assert overlap.min() >= ensemble.OVERLAP_FLOOR
     base = localized_doublet(cfg, vals[-1], vecs[-1])
-    fz, aligned = ensemble._aligned_fz(cfg, t_us, vals, vecs, residual <= ensemble.RITZ_RESIDUAL_ER)
-    assert aligned[: spec.n_samples].all()
-    for i, u1_i in enumerate(u1):
+    fz = batch_fz(cfg, t_us, vals, vecs, a)
+    np.testing.assert_array_equal(ensemble_magnetization(cfg, spec).mean_fz, sum(fz[:-1]) / spec.n_samples)
+    for i, u1_i in enumerate(u1[:-1]):
         cfg_i = cfg.replace(u1_er=u1_i)
-        s_i, a_i = (vecs[i][:, k] * np.exp(-1j * np.angle(np.vdot(ref, vecs[i][:, k])))
-                    for k, ref in enumerate((base.coef_s, base.coef_a)))
-        coef_l = (s_i + a_i) / np.sqrt(2.0)
+        coef_l = vecs[i] @ a[i]
         try:
             doublet = localized_doublet(cfg_i, vals[i], vecs[i])
         except ValueError:  # no double well of its own: it runs from |L_i>
+            s_i, a_i = (vecs[i] * a[i] * np.sqrt(2.0)).T
             doublet = dataclasses.replace(base, cfg=cfg_i, coef_s=s_i, coef_a=a_i, coef_l=coef_l,
                                           coef_r=(s_i - a_i) / np.sqrt(2.0), epsilon_er=vals[i][1] - vals[i][0])
         phase = np.vdot(doublet.coef_l, coef_l)
@@ -226,27 +245,47 @@ def test_aligned_states_are_the_labelled_ones(cfg, seed, distribution, spread):
         np.testing.assert_allclose(fz[i], propagate_static(cfg_i, t_us, doublet).fz, rtol=0, atol=1e-12)
 
 
-def test_samples_below_the_overlap_floor_run_alone(cfg, monkeypatch):
-    # With a floor no overlap reaches, every sample labels its own doublet and
-    # runs propagate_static, as before the batch: the same mean, bit for bit,
-    # so the base riding the continuation changes no sample's pair.
-    monkeypatch.setattr(ensemble, "OVERLAP_FLOOR", 2.0)
-    spec = EnsembleSpec(spread=0.05, n_samples=12, seed=8, **SHORT_GRID)
-    result = ensemble_magnetization(cfg, spec)
-    u1 = cfg.u1_er * factors(spec)
-    vals, vecs, residual, _ = ensemble._ritz_doublets(cfg, u1)
-    assert (residual <= ensemble.RITZ_RESIDUAL_ER).all()
-    total = np.zeros(len(result.t_us))
-    for i, u1_i in enumerate(u1):
+def test_tilted_aligned_states_run_as_their_labelled_ones(cfg, monkeypatch):
+    # At 10 mG each sample evolves its aligned |L_i> in its own tilted pairs:
+    # its F_z is that of the propagate_static run of its own localized_doublet,
+    # and the ensemble labels only the base doublet.
+    cfg = cfg.replace(bz_mg=10.0)
+    spec = EnsembleSpec(spread=0.3, n_samples=16, seed=1, **SHORT_GRID)
+    t_us = output_times(spec.t_max_us, spec.dt_out_us)
+    u1, vals, vecs, a, overlap = aligned_stack(cfg.replace(bz_mg=0.0), spec)
+    assert overlap.min() >= ensemble.OVERLAP_FLOOR
+    total = np.zeros(len(t_us))
+    for i, u1_i in enumerate(u1[:-1]):
         cfg_i = cfg.replace(u1_er=u1_i)
-        total += propagate_static(cfg_i, result.t_us, localized_doublet(cfg_i, vals[i], vecs[i])).fz
-    np.testing.assert_array_equal(result.mean_fz, total / spec.n_samples)
+        fz = _static_evolution(cfg_i, t_us, *solve_q0(cfg_i), vecs[i] @ a[i])[2] @ cfg.spin.m_values
+        doublet = localized_doublet(cfg_i.replace(bz_mg=0.0), vals[i], vecs[i])
+        np.testing.assert_allclose(fz, propagate_static(cfg_i, t_us, doublet).fz, rtol=0, atol=1e-12)
+        total += fz
+    labelled = []
+    monkeypatch.setattr(ensemble, "localized_doublet", lambda *args: labelled.append(args) or localized_doublet(*args))
+    np.testing.assert_array_equal(ensemble_magnetization(cfg, spec).mean_fz, total / spec.n_samples)
+    assert len(labelled) == 1
+
+
+def test_a_sample_below_the_overlap_floor_is_skipped(cfg, monkeypatch, caplog):
+    # A floor between the two smallest overlaps skips exactly the sample of the
+    # smallest, with a logged diagnostic, and the mean is that of the others.
+    spec = EnsembleSpec(spread=0.3, n_samples=12, seed=8, **SHORT_GRID)
+    _, vals, vecs, a, overlap = aligned_stack(cfg, spec)
+    low, next_low = np.argsort(overlap[:-1])[:2]
+    monkeypatch.setattr(ensemble, "OVERLAP_FLOOR", (overlap[low] + overlap[next_low]) / 2)
+    with caplog.at_level(logging.WARNING, logger="dwsim"):
+        result = ensemble_magnetization(cfg, spec)
+    assert result.n_skipped == 1
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [f"ensemble sample {low}"]
+    fz = batch_fz(cfg, result.t_us, vals, vecs, a)
+    np.testing.assert_array_equal(result.mean_fz, sum(fz[i] for i in range(spec.n_samples) if i != low) / 11)
 
 
 def test_draws_without_their_own_double_well_run(cfg):
     # At a uniform spread of 0.45, 6 of 64 light draws have no double well of
     # their own, so localized_doublet cannot label them; aligned to the base
-    # doublet they run, and none is skipped.
+    # doublet they run, at B_z = 0 and at 10 mG, and none is skipped.
     spec = EnsembleSpec(spread=0.45, n_samples=64, distribution="uniform", **SHORT_GRID)
     n_single = 0
     for u1_i in cfg.u1_er * factors(spec):
@@ -255,7 +294,8 @@ def test_draws_without_their_own_double_well_run(cfg):
         except ValueError:
             n_single += 1
     assert n_single == 6
-    assert ensemble_magnetization(cfg, spec).n_skipped == 0
+    for bz_mg in (0.0, 10.0):
+        assert ensemble_magnetization(cfg.replace(bz_mg=bz_mg), spec).n_skipped == 0
 
 
 def test_ensemble_holds_no_stacked_copies(cfg):

@@ -18,6 +18,10 @@ prefixed ``bz_10/``: with the default ``quadrature_sin`` phase that field
 takes the q = 0 solves off the m_F parity blocks, which no other command
 but ``prepare`` does, and it makes each ensemble sample, like ``rabi``,
 evolve its B_z = 0 |L> in the lowest pairs of its full q = 0 spectrum.
+With them, a 64-sample ``ensemble`` at a uniform spread of 0.45 runs under
+OUT_DIR/bz_10/uniform_045 and prints its lines prefixed
+``bz_10/uniform_045/``: some of its draws have no double well of their
+own, so its ``fit.json`` records in ``n_skipped`` whether they run.
 A fourth pass runs ``bands``, ``wannier`` and a 3-point ``sweep``
 (B_x = 40, 70, 100 mG) at the default basis (n_planewaves = 24, n_q = 33,
 z_points = 512) under OUT_DIR/default_basis and prints their lines
@@ -152,10 +156,12 @@ def main(argv: list[str]) -> int:
     print(f"# BLAS threads pinned to 1: {' '.join(f'{var}=1' for var in BLAS_THREAD_VARS)}")
     paper_cos = CONFIG.replace("[lattice]\n", "[lattice]\nfictitious_phase = paper_cos\n")
     bz_10 = CONFIG.replace("[lattice]\n", "[lattice]\nbz_mg = 10\n")
+    wide = bz_10.replace("n_samples = 8\n", "n_samples = 64\nspread = 0.45\ndistribution = uniform\n")
     passes = (
         (out, CONFIG, COMMANDS, ""),
         (out / "paper_cos", paper_cos, PAPER_COS_COMMANDS, "paper_cos/"),
         (out / "bz_10", bz_10, BZ_10_COMMANDS, "bz_10/"),
+        (out / "bz_10" / "uniform_045", wide, ("ensemble",), "bz_10/uniform_045/"),
         (out / "default_basis", DEFAULT_BASIS_CONFIG, DEFAULT_BASIS_COMMANDS, "default_basis/"),
         (out / "default_basis" / "u1_300", DEEP_DEFAULT_BASIS_CONFIG, ("sweep",), "default_basis/u1_300/"),
     )

@@ -27,7 +27,7 @@ from .dynamics import (
 )
 from .ensemble import EnsembleResult, EnsembleSpec, ensemble_magnetization
 from .fitting import DampedSinusoidFit, fit_damped_sinusoid
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, NumericalError
 
 __all__ = [
     "__version__",
@@ -59,4 +59,5 @@ __all__ = [
     "fit_damped_sinusoid",
     "ConfigError",
     "ConvergenceError",
+    "NumericalError",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericalError
 from .lattice import LatticeConfig, double_well_geometry, potential_coefficients
 
 log = logging.getLogger("dwsim")
@@ -118,7 +118,7 @@ def _bloch_matrix(cfg: LatticeConfig, onsite: np.ndarray, raising: np.ndarray, q
     """Bloch matrix over plane waves n = -n_side..n_side: ``_block_tridiagonal`` with
     the kinetic (q + 2n)^2 + offset on the diagonal."""
     if (2 * n_side + 1) * len(onsite) > MAX_DIMENSION:
-        raise ValueError(f"basis dimension {(2 * n_side + 1) * len(onsite)} exceeds limit {MAX_DIMENSION}")
+        raise NumericalError(f"basis dimension {(2 * n_side + 1) * len(onsite)} exceeds limit {MAX_DIMENSION}")
     kinetic = (q + 2.0 * np.arange(-n_side, n_side + 1)) ** 2 + potential_coefficients(cfg)[0]
     return _block_tridiagonal(onsite, raising, kinetic)
 
@@ -378,6 +378,9 @@ def q0_sectors(cfg: LatticeConfig, du1: bool = False) -> Q0Sectors:
     realified to [[Re, -Im], [Im, Re]], u = [I, iI], s = (+1, -1), where the parity is K P
     (conjugation, n -> -n; Dyson 1962) and sigma = +1 alone has H(0)'s spectrum.  Raises
     RuntimeError if a spin block breaks the parity."""
+    size = (2 * cfg.n_planewaves + 1) * cfg.spin.dim  # _bloch_matrix's basis, which the sectors span in either form
+    if size > MAX_DIMENSION:
+        raise NumericalError(f"basis dimension {size} exceeds limit {MAX_DIMENSION}")
     onsite, raising = _spin_blocks(cfg.replace(u1_er=1.0) if du1 else cfg)
     if np.iscomplexobj(raising):
         u, s, sigmas = np.kron([[1.0, 1j]], np.eye(len(onsite))), np.repeat([1.0, -1.0], len(onsite)), (1.0,)
@@ -388,8 +391,6 @@ def q0_sectors(cfg: LatticeConfig, du1: bool = False) -> Q0Sectors:
         if np.abs(b - image).max() > 1e-12 * np.linalg.norm(b):
             raise RuntimeError(f"spin block does not commute with parity: residue {np.abs(b - image).max():.2e}")
     n, d = cfg.n_planewaves, len(onsite)
-    if (2 * n + 1) * d > MAX_DIMENSION:
-        raise ValueError(f"basis dimension {(2 * n + 1) * d} exceeds limit {MAX_DIMENSION}")
     offset = potential_coefficients(cfg.replace(u1_er=1.0) if du1 else cfg)[0]
     p = np.arange(n + 1)  # plane waves n = 0..N
     half = _block_tridiagonal(np.zeros_like(onsite) if du1 else onsite, raising,
@@ -458,7 +459,7 @@ def _fix_phase(psi_z: np.ndarray, j_anchor: int) -> complex:
 def wannier_doublet(cfg: LatticeConfig) -> WannierDoublet:
     """``localized_doublet`` of the q=0 ground doublet ``solve_q0(cfg, 2)``, with its
     premise checked: bands that are not flat over q = -1, -1/2, 0, 1/2 raise
-    ValueError, and a negative ``barrier_margin_er`` logs a warning.
+    NumericalError, and a negative ``barrier_margin_er`` logs a warning.
 
     Raises
     ------
@@ -468,7 +469,7 @@ def wannier_doublet(cfg: LatticeConfig) -> WannierDoublet:
     vals, vecs = solve_q0(cfg, 2)
     flat = solve_bands(cfg.replace(n_q=4), n_bands=2).flatness.max()
     if not flat <= FLATNESS_WARN:  # a nan flatness (no gap) raises too
-        raise ValueError(
+        raise NumericalError(
             f"lowest bands not flat (flatness {flat:.3f} > {FLATNESS_WARN}); "
             "the doublet does not define localized states"
         )

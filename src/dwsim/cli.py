@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 ``ConfigError``, 3 ``NumericalError`` or ``LinAlgError``; any other exception is a bug.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .config import parse_config
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, NumericalError
 from .output import COMMANDS, run_command
 
 
@@ -51,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"dwsim: config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"dwsim: numerical failure: {exc}", file=sys.stderr)
         return 3
     for path in paths:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import WannierDoublet, _zeeman_block, solve_q0, wannier_doublet
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericalError
 from .lattice import LatticeConfig
 
 STEP_DOUBLING_TOL = 1e-6
@@ -337,7 +337,7 @@ def prepare_ground_l(cfg: LatticeConfig, block: PrepareBlock) -> PreparationResu
     ground state of the stretched-state (m_F = +F) potential when the
     holding field makes m_F = +F the lowest Zeeman manifold.  If its
     stretched-spin population is below 0.9, the holding field is unsuitable
-    and a ValueError is raised.
+    and a NumericalError is raised.
     """
     schedule = preparation_schedule(cfg, block)
     _, vecs = solve_q0(cfg.replace(bx_mg=schedule[0].bx_start_mg, bz_mg=schedule[0].bz_start_mg), 1)
@@ -345,7 +345,7 @@ def prepare_ground_l(cfg: LatticeConfig, block: PrepareBlock) -> PreparationResu
     dim = cfg.spin.dim
     band0_top = float(np.sum(np.abs(psi0.reshape(-1, dim)[:, dim - 1]) ** 2))
     if band0_top < 0.9:
-        raise ValueError(
+        raise NumericalError(
             f"lowest band at the starting fields has only {band0_top:.3f} "
             f"m_F=+{cfg.species.f:g} population; pick a holding B_z that makes "
             "the stretched state the ground manifold"

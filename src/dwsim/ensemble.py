@@ -16,7 +16,7 @@ import numpy as np
 
 from .bands import localized_doublet, q0_eigenpairs, q0_sectors, ritz_continuation, solve_q0
 from .dynamics import _gram_form, _static_evolution, output_times
-from .errors import ConvergenceError
+from .errors import NumericalError
 from .lattice import LatticeConfig
 
 log = logging.getLogger("dwsim")
@@ -106,13 +106,10 @@ def _aligned(cfg: LatticeConfig, u1: np.ndarray, vals: np.ndarray, vecs: np.ndar
     """a (n, 2), |L_i> = V_i a_i = (S_i + A_i)/sqrt(2) with <S_0|S_i>, <A_0|A_i> real positive, of the B_z = 0
     doublets ``vals`` (n, 2), ``vecs`` (n, D, 2) of ``cfg`` at ``u1``, where ``localized_doublet`` labels the last,
     the base, S_0, A_0; and the smaller overlap (n,).  Each pair not ``certified`` is first replaced in place by its
-    full ``solve_q0(cfg_i, 2)``.  Raises RuntimeError if the base doublet cannot be labelled."""
+    full ``solve_q0(cfg_i, 2)``.  A base that ``localized_doublet`` cannot label raises its NumericalError."""
     for i in np.flatnonzero(~certified):
         vals[i], vecs[i] = solve_q0(cfg.replace(u1_er=float(u1[i])), 2)
-    try:
-        base = localized_doublet(cfg, vals[-1], vecs[-1])
-    except (ConvergenceError, ValueError) as err:
-        raise RuntimeError(f"the base configuration does not support a localized doublet: {err}") from err
+    base = localized_doublet(cfg, vals[-1], vecs[-1])
     overlaps = np.einsum("dk,ndk->nk", np.stack([base.coef_s, base.coef_a], axis=1).conj(), vecs)
     return np.exp(-1j * np.angle(overlaps)) / np.sqrt(2.0), np.abs(overlaps).min(axis=1)
 
@@ -123,9 +120,8 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleRe
     Every sample i runs the experiment ``rabi`` runs at its own U_1: its B_z = 0 |L_i>, ``_aligned`` to the base
     doublet at the configured U_1, which rides ``_ritz_doublets`` last, evolved under H_i(B_z): at B_z = 0 every
     row in one ``_gram_form`` batch, else each in its own ``solve_q0`` pairs by ``_static_evolution``.  Node count
-    and largest residual are logged at INFO and returned.  Samples with an overlap below OVERLAP_FLOOR or that
-    fail numerically (ConvergenceError, ValueError, LinAlgError) are skipped with a logged diagnostic; more than
-    10 % skipped raises RuntimeError; any other exception propagates.  The samples sum in index order.
+    and largest residual are logged at INFO and returned.  A sample below OVERLAP_FLOOR or whose tilted solve raises
+    LinAlgError is skipped and logged; over 10 % skipped raise NumericalError.  The samples sum in index order.
     """
     t_us = output_times(spec.t_max_us, spec.dt_out_us)
     u1 = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)] + [1.0])
@@ -148,10 +144,10 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleRe
             try:
                 cfg_i = cfg.replace(u1_er=float(u1[i]))
                 total += _static_evolution(cfg_i, t_us, *solve_q0(cfg_i), vecs[i] @ a[i])[2] @ cfg.spin.m_values
-            except (ConvergenceError, ValueError, np.linalg.LinAlgError):
+            except np.linalg.LinAlgError:
                 log.exception("ensemble sample %d failed; skipping", i)
                 n_skipped += 1
     if n_skipped > MAX_SKIP_FRACTION * spec.n_samples:
-        raise RuntimeError(f"{n_skipped} of {spec.n_samples} ensemble samples skipped, over {MAX_SKIP_FRACTION:.0%}")
+        raise NumericalError(f"{n_skipped} of {spec.n_samples} ensemble samples skipped, over {MAX_SKIP_FRACTION:.0%}")
     return EnsembleResult(t_us=t_us, mean_fz=total / (spec.n_samples - n_skipped), n_skipped=n_skipped,
                           n_nodes=n_nodes, max_residual_er=float(residual.max()))

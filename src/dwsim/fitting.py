@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericalError
 
 log = logging.getLogger("dwsim")
 
@@ -130,21 +130,21 @@ def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
     Raises
     ------
     ValueError
-        On degenerate (constant) data or a non-uniform or undersampled grid.
-    ConvergenceError
-        If Gauss-Newton has not stopped after MAX_ITERATIONS steps; the
-        message carries the last (nu, lambda) and the residual RMS.
+        On mismatched or short arrays or a non-uniform grid.
+    NumericalError
+        On constant data, an undersampled grid or a fitted nu under one period in the window;
+        ConvergenceError after MAX_ITERATIONS steps, naming the last (nu, lambda) and residual RMS.
     """
     t = np.asarray(t_us, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.ndim != 1 or t.shape != y.shape or len(t) < MIN_SAMPLES:
         raise ValueError(f"need matching 1-D arrays with at least {MIN_SAMPLES} samples")
     if float(np.std(y)) == 0.0:
-        raise ValueError("degenerate data: series is constant")
+        raise NumericalError("degenerate data: series is constant")
     dt = uniform_step(t)
     _, nu0 = _spectral_peak(t, y)
     if nu0 > 0 and dt > 1.0 / (4.0 * nu0):
-        raise ValueError(f"undersampled: {1 / (dt * nu0):.2f} samples per period, need >= 4")
+        raise NumericalError(f"undersampled: {1 / (dt * nu0):.2f} samples per period, need >= 4")
     if nu0 > 0 and (t[-1] - t[0]) < 2.0 / nu0:
         log.warning("fewer than 2 oscillation periods in the data; fit may be ill-conditioned")
 
@@ -163,6 +163,9 @@ def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
             break  # the halved step no longer moves theta: no representable step lowers the cost
         converged = cost - trial_cost <= 1e-14 * cost  # a relative drop at rounding level
         theta, (coef, residual, jac), cost = theta + step, trial, trial_cost
+        if not -0.5 < theta[0] * dt <= 0.5:  # nu + k/dt fits the grid as nu does: keep nu in (-1/2dt, 1/2dt]
+            theta[0] -= math.ceil(theta[0] * dt - 0.5) / dt
+            coef, residual, jac = _project(theta, t, y)
         if converged:
             break
     else:
@@ -171,6 +174,8 @@ def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
             f"last iterate nu = {theta[0]:.10g} per us, lambda = {theta[1]:.10g} per us, "
             f"residual RMS {math.sqrt(cost / len(t)):.6g}"
         )
+    if abs(theta[0]) * (t[-1] - t[0]) < 1.0:
+        raise NumericalError(f"no oscillation in the window: fitted nu = {theta[0]:.3g} per us")
 
     # canonical form: positive amplitude and frequency
     nu, lam = theta

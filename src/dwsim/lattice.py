@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import SpeciesConstants, cesium_f4
+from .errors import NumericalError
 from .spin import SpinOperators, make_spin_operators
 
 FICTITIOUS_PHASES = ("quadrature_sin", "paper_cos")
@@ -155,7 +156,7 @@ def double_well_geometry(cfg: LatticeConfig) -> dict:
     n = len(z_m)
     minima = _strict_local_minima(lowest)
     if len(minima) != 2:
-        raise ValueError(f"expected a double well, found {len(minima)} minima per period")
+        raise NumericalError(f"expected a double well, found {len(minima)} minima per period")
     j1, j2 = minima
     # barrier: highest point on the arc from j1 to j2 (forward); compare
     # against the complementary arc and keep the lower of the two maxima.

@@ -23,7 +23,7 @@ from dwsim.bands import (
     q_grid,
     solve_q0,
 )
-from dwsim.errors import ConvergenceError
+from dwsim.errors import ConvergenceError, NumericalError
 from dwsim.lattice import FICTITIOUS_PHASES
 from reference_hamiltonian import assemble_bloch_hamiltonian, potential_matrix
 from two_level import two_level_model
@@ -58,10 +58,30 @@ def test_dimension_guard():
     # the q=0 solve and the Bloch matrix refuse a basis above MAX_DIMENSION
     # before allocating it
     cfg = LatticeConfig(n_planewaves=600)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         solve_q0(cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         _bloch_matrix(cfg, *_spin_blocks(cfg), 0.0, cfg.n_planewaves)
+
+
+@pytest.mark.parametrize("bz_mg", [0.0, 10.0])
+def test_both_dimension_guards_count_the_bloch_basis(monkeypatch, bz_mg):
+    # q0_sectors counts (2N+1)(2F+1), as _bloch_matrix does, in the real form
+    # at B_z = 0 and in the K P form at 10 mG, whose one sector has that size:
+    # under a limit of 225 both take N = 12 and refuse N = 13 before assembling
+    monkeypatch.setattr(bands, "MAX_DIMENSION", 225)
+    block_tridiagonal, assembled = bands._block_tridiagonal, []
+    monkeypatch.setattr(bands, "_block_tridiagonal", lambda *args: assembled.append(args) or block_tridiagonal(*args))
+    cfg = LatticeConfig(bz_mg=bz_mg, n_planewaves=12)
+    assert sum(len(h) for h in q0_sectors(cfg).matrices) == 225
+    assert _bloch_matrix(cfg, *_spin_blocks(cfg), 0.0, 12).shape == (225, 225)
+    assembled.clear()
+    cfg = cfg.replace(n_planewaves=13)
+    with pytest.raises(NumericalError, match="basis dimension 243 exceeds limit 225"):
+        q0_sectors(cfg)
+    with pytest.raises(NumericalError, match="basis dimension 243 exceeds limit 225"):
+        _bloch_matrix(cfg, *_spin_blocks(cfg), 0.0, 13)
+    assert assembled == []
 
 
 def test_theta_zero_degeneracy_and_harmonic_gap():
@@ -228,7 +248,7 @@ def test_wannier_geometry(cfg, doublet):
 
 def test_wannier_flatness_guard():
     shallow = LatticeConfig(u1_er=11.0, theta_deg=80.0, bx_mg=10.0, n_planewaves=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         wannier_doublet(shallow)
 
 

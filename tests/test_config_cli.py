@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dwsim
-from dwsim import ConfigError, LatticeConfig, cesium_f4, solve_bands, wannier_doublet
+from dwsim import ConfigError, LatticeConfig, NumericalError, cesium_f4, output, solve_bands, wannier_doublet
 from dwsim.bands import _band_energies, q_grid
 from dwsim.cli import main
 from dwsim.config import parse_config
@@ -166,6 +166,45 @@ def test_cli_process_writes_and_exits_like_main(tmp_path, capsys):
     hard = write(tmp_path, HARD_LATTICE, "hard.ini")
     done = _python("-m", "dwsim.cli", "bands", "--config", hard, "--out", str(tmp_path / "h"))
     assert done.returncode == 3 and "numerical failure" in done.stderr
+
+
+def _shape_bug(*args, **kwargs):
+    return np.ones(3) @ np.ones(4)  # numpy's ValueError for mismatched shapes
+
+
+def _raiser(exc):
+    def command_step(*args, **kwargs):
+        raise exc
+    return command_step
+
+
+@pytest.mark.parametrize("bug, step", [(TypeError, _raiser(TypeError("bug"))), (IndexError, _raiser(IndexError("bug"))),
+                                       (ValueError, _shape_bug)], ids=["TypeError", "IndexError", "shape ValueError"])
+def test_a_bug_in_a_command_is_neither_a_config_error_nor_a_numerical_failure(tmp_path, monkeypatch, capsys, bug, step):
+    # only ConfigError exits 2 and only NumericalError or LinAlgError exits 3;
+    # any other exception from a command body propagates out of main
+    ini = write(tmp_path, FAST_LATTICE)
+    monkeypatch.setattr(output, "solve_bands", step)
+    with pytest.raises(bug) as caught:
+        main(["bands", "--config", ini, "--out", str(tmp_path / "b")])
+    assert type(caught.value) is bug
+    assert capsys.readouterr().err == ""
+
+
+def test_a_numerical_error_in_a_command_exits_3(tmp_path, monkeypatch, capsys):
+    ini = write(tmp_path, FAST_LATTICE)
+    for exc in (NumericalError("no double well"), np.linalg.LinAlgError("Eigenvalues did not converge")):
+        monkeypatch.setattr(output, "solve_bands", _raiser(exc))
+        assert main(["bands", "--config", ini, "--out", str(tmp_path / "b")]) == 3
+        assert capsys.readouterr().err == f"dwsim: numerical failure: {exc}\n"
+
+
+def test_cli_process_exits_1_on_a_bug(tmp_path):
+    ini = write(tmp_path, FAST_LATTICE)
+    inject = ("import sys; from dwsim import cli, output; "
+              "output.solve_bands = lambda *a, **k: [][0]; sys.exit(cli.console_main())")
+    done = _python("-c", inject, "bands", "--config", ini, "--out", str(tmp_path / "b"))
+    assert done.returncode == 1 and done.stderr.rstrip().endswith("IndexError: list index out of range")
 
 
 def test_cli_import_loads_no_openssl_and_main_leaves_the_collector(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from dwsim import (
     LatticeConfig,
+    NumericalError,
     cesium_f4,
     PrepareBlock,
     Segment,
@@ -310,7 +311,7 @@ def test_turnoff_sits_in_the_adiabaticity_window(prep_cfg):
 
 def test_preparation_rejects_wrong_holding_sign(prep_cfg):
     # +100 mG makes m_F = +F the *highest* Zeeman manifold
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         prepare_ground_l(prep_cfg, PrepareBlock(bz_start_mg=+100.0))
 
 

@@ -1,12 +1,13 @@
 import dataclasses
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dwsim import LatticeConfig, cesium_f4, fit_damped_sinusoid, wannier_doublet
+from dwsim import ConvergenceError, LatticeConfig, NumericalError, cesium_f4, fit_damped_sinusoid, wannier_doublet
 from dwsim import ensemble
 from dwsim.bands import localized_doublet, q0_sectors, solve_q0
 from dwsim.dynamics import _gram_form, _static_evolution, output_times, propagate_static
@@ -75,7 +76,7 @@ def test_a_draw_without_a_tilted_double_well_still_runs(cfg):
     cfg = cfg.replace(bz_mg=20.0)
     spec = EnsembleSpec(n_samples=1, seed=316, **SHORT_GRID)
     cfg_0 = cfg.replace(u1_er=cfg.u1_er * sample_intensity_factor(spec, 0))
-    with pytest.raises(ValueError, match="expected a double well"):
+    with pytest.raises(NumericalError, match="expected a double well"):
         double_well_geometry(cfg_0)
     result = ensemble_magnetization(cfg, spec)
     assert result.n_skipped == 0
@@ -94,7 +95,7 @@ def test_all_samples_failing_raises():
     # theta = 0 has no double well at all, so neither the base doublet nor any
     # sample's own can be labelled
     flat = LatticeConfig(u1_er=84.0, theta_deg=0.0, bx_mg=85.0, n_planewaves=10)
-    with pytest.raises(ValueError, match="expected a double well"):
+    with pytest.raises(NumericalError, match="expected a double well"):
         localized_doublet(flat, *solve_q0(flat, 2))
     spec = EnsembleSpec(spread=0.01, n_samples=5, seed=3, **SHORT_GRID)
     with pytest.raises(RuntimeError):
@@ -116,19 +117,47 @@ def test_programming_error_in_a_sample_propagates(cfg, monkeypatch):
 
 def test_programming_error_in_a_tilted_sample_propagates(cfg, monkeypatch):
     # at B_z != 0 each sample evolves in its own pairs; a bug in one sample out
-    # of ten (within the 10 % skip budget) must still surface
+    # of ten (within the 10 % skip budget) must still surface, a bare
+    # ValueError as much as a TypeError
     cfg = cfg.replace(bz_mg=10.0)
     spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
     u1_3 = cfg.u1_er * sample_intensity_factor(spec, 3)
+    for bug in (TypeError, ValueError):
 
-    def broken_once(cfg_i, *args):
-        if cfg_i.u1_er == u1_3:
-            raise TypeError("bug in sample code")
-        return _static_evolution(cfg_i, *args)
+        def broken_once(cfg_i, *args):
+            if cfg_i.u1_er == u1_3:
+                raise bug("bug in sample code")
+            return _static_evolution(cfg_i, *args)
 
-    monkeypatch.setattr(ensemble, "_static_evolution", broken_once)
-    with pytest.raises(TypeError):
-        ensemble_magnetization(cfg, spec)
+        monkeypatch.setattr(ensemble, "_static_evolution", broken_once)
+        with pytest.raises(bug, match="bug in sample code"):
+            ensemble_magnetization(cfg, spec)
+
+
+def test_a_tilted_sample_whose_solve_fails_is_skipped(cfg, monkeypatch, caplog):
+    # at 10 mG a LinAlgError from the tilted solve of one sample out of ten
+    # skips that sample alone, with one logged error naming it, and the mean
+    # is that of the other nine
+    cfg = cfg.replace(bz_mg=10.0)
+    spec = EnsembleSpec(spread=0.05, n_samples=10, seed=4, **SHORT_GRID)
+    t_us = output_times(spec.t_max_us, spec.dt_out_us)
+    u1, _, vecs, a, _ = aligned_stack(cfg.replace(bz_mg=0.0), spec)
+
+    def failing_once(cfg_i, *n):
+        if cfg_i.u1_er == u1[3] and cfg_i.bz_mg != 0.0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve_q0(cfg_i, *n)
+
+    monkeypatch.setattr(ensemble, "solve_q0", failing_once)
+    with caplog.at_level(logging.ERROR, logger="dwsim"):
+        result = ensemble_magnetization(cfg, spec)
+    assert result.n_skipped == 1
+    assert [r.getMessage() for r in caplog.records] == ["ensemble sample 3 failed; skipping"]
+    total = np.zeros(len(t_us))
+    for i in (0, 1, 2, 4, 5, 6, 7, 8, 9):
+        cfg_i = cfg.replace(u1_er=u1[i])
+        total += _static_evolution(cfg_i, t_us, *solve_q0(cfg_i), vecs[i] @ a[i])[2] @ cfg.spin.m_values
+    np.testing.assert_allclose(result.mean_fz, total / 9, rtol=0, atol=1e-14)
 
 
 def doublet_terms(vals, vecs, fz_diag):
@@ -176,7 +205,7 @@ def test_continuation_matches_per_sample_solves(share, distribution, n_samples, 
         assert abs(f_sa - f_sa_ref) <= 1e-10
         try:
             ref = localized_doublet(cfg_i, *full)
-        except ValueError:  # no double well to orient the doublet by
+        except NumericalError:  # no double well to orient the doublet by
             continue
         got = localized_doublet(cfg_i, *pair)
         assert abs(np.vdot(got.coef_s, fz_diag * got.coef_a) - np.vdot(ref.coef_s, fz_diag * ref.coef_a)) <= 1e-10
@@ -236,7 +265,7 @@ def test_aligned_states_are_the_labelled_ones(cfg, seed, distribution, spread):
         coef_l = vecs[i] @ a[i]
         try:
             doublet = localized_doublet(cfg_i, vals[i], vecs[i])
-        except ValueError:  # no double well of its own: it runs from |L_i>
+        except NumericalError:  # no double well of its own: it runs from |L_i>
             s_i, a_i = (vecs[i] * a[i] * np.sqrt(2.0)).T
             doublet = dataclasses.replace(base, cfg=cfg_i, coef_s=s_i, coef_a=a_i, coef_l=coef_l,
                                           coef_r=(s_i - a_i) / np.sqrt(2.0), epsilon_er=vals[i][1] - vals[i][0])
@@ -291,11 +320,25 @@ def test_draws_without_their_own_double_well_run(cfg):
     for u1_i in cfg.u1_er * factors(spec):
         try:
             double_well_geometry(cfg.replace(u1_er=u1_i))
-        except ValueError:
+        except NumericalError:
             n_single += 1
     assert n_single == 6
     for bz_mg in (0.0, 10.0):
         assert ensemble_magnetization(cfg.replace(bz_mg=bz_mg), spec).n_skipped == 0
+
+
+def test_a_mean_without_an_oscillation_is_no_fit(cfg):
+    # At B_z = 0 and a uniform spread of 0.45 the light mean F_z holds no
+    # oscillation in its 1500 us.  The fit keeps nu in the grid's band, where
+    # an alias near -345 per us of nu ~ 0 once ran out of iterations, and
+    # names the missing oscillation, with no overflow on the way.
+    spec = EnsembleSpec(spread=0.45, n_samples=64, distribution="uniform")
+    result = ensemble_magnetization(cfg, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="no oscillation in the window: fitted nu = ") as caught:
+            fit_damped_sinusoid(result.t_us, result.mean_fz)
+    assert not isinstance(caught.value, ConvergenceError)
 
 
 def test_ensemble_holds_no_stacked_copies(cfg):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from dwsim import ConvergenceError, fit_damped_sinusoid, fitting
+from dwsim import ConvergenceError, NumericalError, fit_damped_sinusoid, fitting
 from dwsim.cli import main
 
 
@@ -46,13 +46,13 @@ def test_scaling_property(grid):
 
 
 def test_degenerate_data_rejected(grid):
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         fit_damped_sinusoid(grid, np.full_like(grid, 1.5))
 
 
 def test_undersampled_rejected():
     t = np.arange(0.0, 1200.0, 100.0)  # 2.5 samples per 4 kHz period; the fit needs 4
-    with pytest.raises(ValueError, match="undersampled"):
+    with pytest.raises(NumericalError, match="undersampled"):
         fit_damped_sinusoid(t, synthetic(t, nu_per_us=0.004))
 
 

@@ -34,6 +34,17 @@ section takes) at U_1 = 300 E_R runs under OUT_DIR/default_basis/u1_300 and
 prints its lines prefixed ``default_basis/u1_300/``: there both points
 certify at N_s = 20, where the 1e-6 E_R doublet gap at 40 mG caps the
 residual near 1e-10 E_R.
+A last pass runs five configurations that fail, each under
+OUT_DIR/exit/<name>, and prints one ``exit/<name> <code>`` line per run:
+``bands`` at U_1 = 2000 E_R with N = 8 and n_q = 1, whose certification
+fails (3); ``bands`` at theta = 200 deg, outside the accepted range (2);
+``wannier`` at theta = 0, which has no double well (3); ``rabi`` at
+N = 600, above the basis limit, refused before any matrix is built (3);
+and the light B_z = 0 ``ensemble`` of 64 samples at a uniform spread of
+0.45 on the default 1500 us grid, whose mean holds no oscillation to fit
+(3).  Exit code 2 is a configuration error and 3 a numerical failure, so
+the listing shows which failures a change moves between the two, or to a
+traceback (1).
 
 Bundle bytes depend on the BLAS thread count, so every command runs with
 one BLAS thread (``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
@@ -123,20 +134,34 @@ stop = 150
 steps = 2
 """
 
+EXIT_RUNS = (  # (name, command, config) of the runs that fail, whose exit codes the last pass prints
+    ("bands_u1_2000", "bands", "[lattice]\nu1_er = 2000\ntheta_deg = 80\nbx_mg = 85\nn_planewaves = 8\nn_q = 1\n"),
+    ("bands_theta_200", "bands", CONFIG.replace("theta_deg = 80\n", "theta_deg = 200\n")),
+    ("wannier_theta_0", "wannier", CONFIG.replace("theta_deg = 80\n", "theta_deg = 0\n")),
+    ("rabi_n_600", "rabi", CONFIG.replace("n_planewaves = 12\n", "n_planewaves = 600\n")),
+    ("ensemble_uniform_045", "ensemble",
+     CONFIG.replace("n_samples = 8\nt_max_us = 900\n", "n_samples = 64\nspread = 0.45\ndistribution = uniform\n")),
+)
+
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_pass(out: Path, config: str, commands: tuple[str, ...], prefix: str, env: dict) -> bool:
-    """Run ``commands`` in ``out`` and print their digests; False on failure."""
+def run_cli(out: Path, config: str, command: str, env: dict) -> int:
+    """Write ``config`` to ``out``/run.ini, run ``command`` on it there into ``out``/``command``; its exit code."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "run.ini").write_text(config, encoding="utf-8")
+    argv_cmd = [sys.executable, "-m", "dwsim.cli", command, "--config", "run.ini", "--out", command]
+    return subprocess.run(argv_cmd, cwd=out, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def run_pass(out: Path, config: str, commands: tuple[str, ...], prefix: str, env: dict) -> bool:
+    """Run ``commands`` in ``out`` and print their digests; False on failure."""
     for command in commands:
-        argv_cmd = [sys.executable, "-m", "dwsim.cli", command, "--config", "run.ini", "--out", command]
-        done = subprocess.run(argv_cmd, cwd=out, env=env, stdout=subprocess.DEVNULL)
-        if done.returncode != 0:
-            print(f"dwsim {command} exited {done.returncode}", file=sys.stderr)
+        code = run_cli(out, config, command, env)
+        if code != 0:
+            print(f"dwsim {command} exited {code}", file=sys.stderr)
             return False
         for path in sorted((out / command).iterdir()):
             print(f"{prefix}{command}/{path.name} {sha256(path)}")
@@ -165,7 +190,11 @@ def main(argv: list[str]) -> int:
         (out / "default_basis", DEFAULT_BASIS_CONFIG, DEFAULT_BASIS_COMMANDS, "default_basis/"),
         (out / "default_basis" / "u1_300", DEEP_DEFAULT_BASIS_CONFIG, ("sweep",), "default_basis/u1_300/"),
     )
-    return 0 if all(run_pass(*spec, env) for spec in passes) else 1
+    if not all(run_pass(*spec, env) for spec in passes):
+        return 1
+    for name, command, config in EXIT_RUNS:
+        print(f"exit/{name} {run_cli(out / 'exit' / name, config, command, env)}")
+    return 0
 
 
 if __name__ == "__main__":

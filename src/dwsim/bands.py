@@ -187,16 +187,6 @@ def _edge_residuals(raising: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.hypot(np.linalg.norm(up, axis=-2), np.linalg.norm(down, axis=-2))
 
 
-def _edge_pairs(cfg: LatticeConfig, blocks, qs, n_side: int, n_bands: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and ``_edge_residuals`` of the lowest ``n_bands`` eigenpairs of the ``n_side`` Bloch matrix at each q."""
-    onsite, raising = blocks
-    energies, residuals = np.empty((len(qs), n_bands)), np.empty((len(qs), n_bands))
-    for i, q in enumerate(qs):
-        w, v = np.linalg.eigh(_bloch_matrix(cfg, onsite, raising, q, n_side))
-        energies[i], residuals[i] = w[:n_bands], _edge_residuals(raising, v[:, :n_bands])
-    return energies, residuals
-
-
 def _affine(a: np.ndarray, b: np.ndarray, x: float) -> np.ndarray:
     """a + x b; a 1-D ``b`` is the diagonal of b, added onto the diagonal of a copy of a (broadcast, it would be
     added to every row)."""
@@ -223,35 +213,46 @@ def _projected_pairs(a: np.ndarray, b: np.ndarray, vectors: np.ndarray, x: np.nd
 
 
 def ritz_continuation(matrices, slopes, x, node_counts, n_vectors: int, n_ritz: int, failing, known=None):
-    """``_projected_pairs`` of each sector ``matrices[i] + x slopes[i]`` (``_affine``: a 1-D slope is a diagonal) by
-    eigenvector continuation: in the basis of its k lowest eigenvectors at m Chebyshev-Lobatto nodes over x
-    (``known``, else solved), k = ``n_vectors`` at the first m and m_0 ``n_vectors`` / m, at least n_ritz + 1, at
-    refined ones.  m runs through ``node_counts`` while ``failing(sectors)`` flags as many x as the m - 1 nodes
-    refining adds, or more.  Returns sectors and node count."""
-    cache = dict(known or {})  # node -> its vectors in each sector
-    for m in node_counts:
+    """``_projected_pairs`` (n_ritz lowest) of each sector ``matrices[i] + x slopes[i]`` (``_affine``: a 1-D slope is a
+    diagonal) by eigenvector continuation: in the basis of its k lowest eigenvectors at m Chebyshev-Lobatto nodes over
+    x (``known``: node -> (values, vectors) per sector, else solved), k = n_vectors at the first m and m_0 n_vectors
+    / m, at least n_ritz + 1, at refined ones.  m runs through ``node_counts`` while ``failing(sectors)`` flags as
+    many x as the m - 1 nodes refining adds, or more.  Each x still flagged, and each of a grid of at most m_0, takes
+    its exact pairs (a node's if it is one), interior residual 0.  Returns sectors, node count, exact x indices."""
+    cache = dict(known or {})
+
+    def pairs(node):  # copies, so no node keeps its full eigenvector matrix
+        return cache.get(node) or [tuple(p[..., :n_vectors].copy() for p in np.linalg.eigh(_affine(a, b, node)))
+                                   for a, b in zip(matrices, slopes)]
+
+    n_nodes, exact = 0, np.arange(len(x))
+    for m in node_counts if len(x) > node_counts[0] else ():
         nodes = np.sort(np.interp(np.cos(np.pi * np.arange(m) / (m - 1)), [-1.0, 1.0], [x.min(), x.max()]))
         nodes = nodes[np.r_[True, nodes[1:] != nodes[:-1]]]  # np.unique's values, without importing numpy.ma
-        for node in set(nodes) - set(cache):  # copies, so no node keeps its full eigenvector matrix
-            cache[node] = [np.linalg.eigh(_affine(a, b, node))[1][:, :n_vectors].copy()
-                           for a, b in zip(matrices, slopes)]
+        cache.update({node: pairs(node) for node in set(nodes) - set(cache)})
         k = max(n_ritz + 1, n_vectors * node_counts[0] // m)  # refining keeps the basis size
-        sectors = [_projected_pairs(a, b, np.hstack([cache[node][i][:, :k] for node in nodes]), x, n_ritz)
+        sectors = [_projected_pairs(a, b, np.hstack([cache[node][i][1][:, :k] for node in nodes]), x, n_ritz)
                    for i, (a, b) in enumerate(zip(matrices, slopes))]
-        failed = failing(sectors)
-        if not failed.any() or m - 1 > failed.sum():
+        n_nodes, exact = len(nodes), np.flatnonzero(failing(sectors))
+        if not len(exact) or m - 1 > len(exact):
             break
-    return sectors, len(nodes)
+    if not n_nodes:
+        sectors = [(np.empty((len(x), n_ritz)), np.empty((len(x), len(a), n_ritz), np.result_type(a, b)),
+                    np.empty((len(x), n_ritz))) for a, b in zip(matrices, slopes)]
+    for j in exact:
+        for (theta, ritz, residual), (w, v) in zip(sectors, pairs(x[j])):
+            theta[j], ritz[j], residual[j] = w[:n_ritz], v[:, :n_ritz], 0.0
+    return sectors, n_nodes, exact
 
 
 def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
     """(N_s, energies, largest residual, node count, q solved exactly) at the first N_s = 8, 12, ... up to and
     including N per side whose pairs certify at qs[0], if they certify at every q: each ||r_k|| <= min(1e-6 E_R,
-    delta_k) and, from two bands, ||r_0|| + ||r_1|| <= 1e-6 |mean gap| + GAP_ROUNDING_ER; else None.  Past
-    CONTINUATION_NODES[0] q, the pairs come from ``ritz_continuation`` in q, H(q) - q^2 being affine in q, the
-    probe's vectors as node qs[0]; a q they fail takes ``_edge_pairs``.  Ritz values lie at or above the N_s levels
-    (Courant-Fischer), and those at or above the N ones (Cauchy interlacing), so a certified grid passes the N vs
-    N+8 check."""
+    delta_k) and, from two bands, ||r_0|| + ||r_1|| <= 1e-6 |mean gap| + GAP_ROUNDING_ER; else None.  The pairs
+    come from ``ritz_continuation`` in q, H(q) - q^2 being affine in q, the probe's pairs as node qs[0]: Ritz pairs,
+    and exact ones on a grid of at most CONTINUATION_NODES[0] q and where those fail.  Ritz values lie at or above
+    the N_s levels (Courant-Fischer), and those at or above the N ones (Cauchy interlacing), so a certified grid
+    passes the N vs N+8 check."""
     blocks = _spin_blocks(cfg)
     raising, d = blocks[1], len(blocks[0])
 
@@ -270,21 +271,17 @@ def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
         if (2 * n_side + 1) * d < n_bands:
             continue
         w, v = np.linalg.eigh(_bloch_matrix(cfg, *blocks, qs[0], n_side))
-        energies, residuals = np.empty((len(qs), n_bands)), np.empty((len(qs), n_bands))
-        energies[0], residuals[0] = w[:n_bands], _edge_residuals(raising, v[:, :n_bands])
-        v = v[:, :max(CONTINUATION_VECTORS, n_bands + 1)].copy()  # the probe keeps only what a node keeps
-        if not passing(energies[:1], residuals[:1], [0])[0]:
+        certified = passing(w[None, :n_bands], _edge_residuals(raising, v[:, :n_bands])[None], [0])[0]
+        v = v[:, :max(CONTINUATION_VECTORS, n_bands + 1)].copy()  # keep only what a node keeps, before the next probe
+        if not certified:
             continue
-        n_nodes, exact = 0, np.arange(1, len(qs))
-        if len(qs) > CONTINUATION_NODES[0]:
-            slope = np.repeat(4.0 * np.arange(-n_side, n_side + 1), d)  # H(q) - q^2 = H(0) + q diag(slope)
-            sectors, n_nodes = ritz_continuation([_bloch_matrix(cfg, *blocks, 0.0, n_side)], [slope], qs,
-                                                 CONTINUATION_NODES, v.shape[1], n_bands,
-                                                 lambda s: ~passing(*ritz_pairs(s), pair), {qs[0]: [v]})
-            energies, residuals = ritz_pairs(sectors)
-            exact = np.flatnonzero(~passing(energies, residuals, pair))
-        energies[exact], residuals[exact] = _edge_pairs(cfg, blocks, qs[exact], n_side, n_bands)
-        found = n_side, energies, float(residuals.max()), n_nodes, len(exact) if n_nodes else len(qs)
+        slope = np.repeat(4.0 * np.arange(-n_side, n_side + 1), d)  # H(q) - q^2 = H(0) + q diag(slope)
+        probe = {qs[0]: [(w[: v.shape[1]] - qs[0] ** 2, v)]}  # node qs[0] of H(q) - q^2
+        sectors, n_nodes, exact = ritz_continuation([_bloch_matrix(cfg, *blocks, 0.0, n_side)], [slope], qs,
+                                                    CONTINUATION_NODES, v.shape[1], n_bands,
+                                                    lambda s: ~passing(*ritz_pairs(s), pair), probe)
+        energies, residuals = ritz_pairs(sectors)
+        found = n_side, energies, float(residuals.max()), n_nodes, len(exact)
         return found if passing(energies, residuals, pair).all() else None
     return None
 
@@ -298,10 +295,10 @@ def solve_bands(cfg: LatticeConfig, n_bands: int) -> BandSolution:
     with those of N+8 plane waves per side to 0.1 % relative, and so does
     the q-averaged doublet gap if ``n_bands >= 2``.  The energies of the
     first basis N_s <= N whose residuals show that they do
-    (``_residual_solve``: Ritz pairs of a continuation in q, or eigenpairs
-    where those fail), with ``edge_residual_er`` the largest residual of a
-    pair zero-padded into any larger basis; else the N-basis ones, once
-    the N+8 energies are solved and compared with them.
+    (``_residual_solve``: Ritz pairs of a continuation in q, exact pairs
+    on up to 5 q and where those fail), with ``edge_residual_er`` the
+    largest residual of a pair zero-padded into any larger basis; else the
+    N-basis ones, once the N+8 energies are solved and compared with them.
 
     Raises
     ------

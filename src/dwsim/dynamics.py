@@ -227,7 +227,7 @@ def propagate_ramp(
         psi = fine
     else:
         raise ConvergenceError(
-            f"ramp step-doubling certification failed: dt={dt} us and dt/2 "
+            f"ramp step-doubling certification failed: dt={2 * dt} us and dt/2 "
             f"final states disagree (infidelity {cert_infid:.3e} >= {STEP_DOUBLING_TOL})"
         )
     return psi, dt, cert_infid

@@ -4,7 +4,7 @@ Each atom sees its own single-beam light shift drawn around the nominal
 value; the ensemble-averaged magnetization of identical localized-state
 Rabi runs then dephases on a timescale set by the frequency spread.
 Each sample is the ``rabi`` experiment at its own U_1: its B_z = 0 |L>,
-found by certified eigenvector continuation in U_1 and aligned to the one
+found by continuation in U_1, certified or exact, and aligned to the one
 labelled base doublet at every B_z; at B_z = 0 all evolve in one batch.
 """
 from __future__ import annotations
@@ -24,7 +24,7 @@ log = logging.getLogger("dwsim")
 DISTRIBUTIONS = ("gaussian", "uniform")
 GAUSS_TRUNCATION = 3.0
 MAX_SKIP_FRACTION = 0.1
-RITZ_RESIDUAL_ER = 1e-10  # a Ritz pair with ||Hx - theta x|| above this is solved in full
+RITZ_RESIDUAL_ER = 1e-10  # a Ritz pair with ||Hx - theta x|| above this is solved exactly
 NODE_VECTORS = 3  # lowest eigenvectors kept per sector and node
 NODE_COUNTS = (9, 17, 33)  # Chebyshev-Lobatto nodes, nested: refining m nodes adds m - 1
 OVERLAP_FLOOR = 0.5  # a sample's |<S_0|S_i>| or |<A_0|A_i>| below this: it is skipped
@@ -87,30 +87,31 @@ def sample_intensity_factor(spec: EnsembleSpec, index: int) -> float:
     return 1.0 + spec.spread * x
 
 
-def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """``solve_q0(cfg_i, 2)`` at each U_1 of ``u1``, stacked as values (n, 2) and vectors (n, D, 2), by
-    ``ritz_continuation`` of H(0), affine in U_1, from NODE_VECTORS vectors per sector at 9, 17 or 33 nodes;
-    certified where the residual (n,) is at most RITZ_RESIDUAL_ER; and the node count."""
+    ``ritz_continuation`` of H(0), affine in U_1, from NODE_VECTORS vectors per sector at 9, 17 or 33 nodes; their
+    residuals (n,), each at most RITZ_RESIDUAL_ER or 0 (exact), the node count and the indices of the exact ones."""
     form = q0_sectors(cfg)
 
     def doublet_residual(sectors) -> np.ndarray:  # the larger residual of the two lowest pairs over the sectors
         read = np.argsort(np.hstack([theta for theta, _, _ in sectors]), axis=1, kind="stable")[:, :2]
         return np.take_along_axis(np.hstack([r for _, _, r in sectors]), read, axis=1).max(axis=1)
 
-    sectors, n_nodes = ritz_continuation(form.matrices, q0_sectors(cfg, du1=True).matrices, u1 - cfg.u1_er,
-                                         NODE_COUNTS, NODE_VECTORS, 2, lambda s: doublet_residual(s) > RITZ_RESIDUAL_ER)
-    return *q0_eigenpairs(form, [(theta, x) for theta, x, _ in sectors], 2), doublet_residual(sectors), n_nodes
+    sectors, *found = ritz_continuation(form.matrices, q0_sectors(cfg, du1=True).matrices, u1 - cfg.u1_er,
+                                        NODE_COUNTS, NODE_VECTORS, 2, lambda s: doublet_residual(s) > RITZ_RESIDUAL_ER)
+    return *q0_eigenpairs(form, [(theta, x) for theta, x, _ in sectors], 2), doublet_residual(sectors), *found
 
 
-def _aligned(cfg: LatticeConfig, u1: np.ndarray, vals: np.ndarray, vecs: np.ndarray, certified: np.ndarray):
+def _aligned(cfg: LatticeConfig, vals: np.ndarray, vecs: np.ndarray):
     """a (n, 2), |L_i> = V_i a_i = (S_i + A_i)/sqrt(2) with <S_0|S_i>, <A_0|A_i> real positive, of the B_z = 0
-    doublets ``vals`` (n, 2), ``vecs`` (n, D, 2) of ``cfg`` at ``u1``, where ``localized_doublet`` labels the last,
-    the base, S_0, A_0; and the smaller overlap (n,).  Each pair not ``certified`` is first replaced in place by its
-    full ``solve_q0(cfg_i, 2)``.  A base that ``localized_doublet`` cannot label raises its NumericalError."""
-    for i in np.flatnonzero(~certified):
-        vals[i], vecs[i] = solve_q0(cfg.replace(u1_er=float(u1[i])), 2)
+    doublets ``vals`` (n, 2), ``vecs`` (n, D, 2) of ``cfg``, where ``localized_doublet`` labels the last, the base,
+    S_0, A_0; and the smaller overlap (n,).  A doublet that overlaps (A_0, S_0) more than (S_0, A_0), its energy
+    order flipped, is first swapped in place.  A base that ``localized_doublet`` cannot label raises NumericalError."""
     base = localized_doublet(cfg, vals[-1], vecs[-1])
-    overlaps = np.einsum("dk,ndk->nk", np.stack([base.coef_s, base.coef_a], axis=1).conj(), vecs)
+    sa = np.stack([base.coef_s, base.coef_a], axis=1).conj()
+    overlaps, crossed = (np.einsum("dk,ndk->nk", b, vecs) for b in (sa, sa[:, ::-1]))
+    swap = np.abs(crossed).sum(axis=1) > np.abs(overlaps).sum(axis=1)
+    vals[swap], vecs[swap], overlaps[swap] = vals[swap, ::-1], vecs[swap, :, ::-1], crossed[swap, ::-1]
     return np.exp(-1j * np.angle(overlaps)) / np.sqrt(2.0), np.abs(overlaps).min(axis=1)
 
 
@@ -119,17 +120,17 @@ def ensemble_magnetization(cfg: LatticeConfig, spec: EnsembleSpec) -> EnsembleRe
 
     Every sample i runs the experiment ``rabi`` runs at its own U_1: its B_z = 0 |L_i>, ``_aligned`` to the base
     doublet at the configured U_1, which rides ``_ritz_doublets`` last, evolved under H_i(B_z): at B_z = 0 every
-    row in one ``_gram_form`` batch, else each in its own ``solve_q0`` pairs by ``_static_evolution``.  Node count
-    and largest residual are logged at INFO and returned.  A sample below OVERLAP_FLOOR or whose tilted solve raises
-    LinAlgError is skipped and logged; over 10 % skipped raise NumericalError.  The samples sum in index order.
+    row in one ``_gram_form`` batch, else each in its own ``solve_q0`` pairs by ``_static_evolution``.  Node count,
+    largest Ritz residual and exact samples are logged at INFO.  A sample below OVERLAP_FLOOR or whose tilted
+    solve raises LinAlgError is skipped and logged; over 10 % raise NumericalError.  Samples sum in index order.
     """
     t_us = output_times(spec.t_max_us, spec.dt_out_us)
     u1 = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(spec.n_samples)] + [1.0])
     untilted = cfg.replace(bz_mg=0.0)
-    vals, vecs, residual, n_nodes = _ritz_doublets(untilted, u1)
+    vals, vecs, residual, n_nodes, exact = _ritz_doublets(untilted, u1)
     log.info("ensemble: %d nodes, largest Ritz residual %.2e E_R, %d samples solved in full",
-             n_nodes, residual.max(), np.count_nonzero(residual[: spec.n_samples] > RITZ_RESIDUAL_ER))
-    a, overlap = _aligned(untilted, u1, vals, vecs, residual <= RITZ_RESIDUAL_ER)
+             n_nodes, residual.max(), np.count_nonzero(exact < spec.n_samples))
+    a, overlap = _aligned(untilted, vals, vecs)
     if cfg.bz_mg == 0.0:  # every row, the base's too: the blocks of c(t) do not depend on which rows count
         rates = (vals - vals[:, :1]) * cfg.species.rad_per_us_per_er()
         fz = _gram_form(vecs, cfg.spin.dim, rates, a, t_us, cfg.spin.m_values)[:, 0]

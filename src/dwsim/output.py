@@ -27,10 +27,6 @@ from .lattice import LatticeConfig, adiabatic_curves, diabatic_curves
 
 
 def _fmt(value, precision: int) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, str):
         return value
     return f"{float(value):.{precision}g}"

@@ -13,7 +13,7 @@ from dwsim.bands import (
     GAP_ROUNDING_ER,
     _band_energies,
     _bloch_matrix,
-    _edge_pairs,
+    _edge_residuals,
     _fix_phase,
     _spin_basis,
     _spin_blocks,
@@ -442,14 +442,14 @@ def test_edge_residual_is_the_residual_in_a_larger_basis(q, u1, theta, bx, bz, p
     # are mapped back to m_F by the spin basis, complex ones are in it already.
     cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f)
     blocks, d = _spin_blocks(cfg), cfg.spin.dim
-    theta_k, r = _edge_pairs(cfg, blocks, [q], n_pw, 6)
-    v = np.linalg.eigh(_bloch_matrix(cfg, *blocks, q, n_pw))[1][:, :6]
+    theta_k, v = (p[..., :6] for p in np.linalg.eigh(_bloch_matrix(cfg, *blocks, q, n_pw)))
+    r = _edge_residuals(blocks[1], v)
     u = np.eye(d) if np.iscomplexobj(blocks[1]) else _spin_basis(cfg)[0]
     big = assemble_bloch_hamiltonian(cfg.replace(n_planewaves=n_pw + 1), q)
     padded = np.zeros((len(big), 6), dtype=complex)
     padded[d:-d] = np.kron(np.eye(2 * n_pw + 1), u) @ v
-    residual = big @ padded - padded * theta_k[0]
-    np.testing.assert_allclose(np.linalg.norm(np.r_[residual[:d], residual[-d:]], axis=0), r[0], rtol=1e-12, atol=0)
+    residual = big @ padded - padded * theta_k
+    np.testing.assert_allclose(np.linalg.norm(np.r_[residual[:d], residual[-d:]], axis=0), r, rtol=1e-12, atol=0)
     assert np.linalg.norm(residual[d:-d], axis=0).max() <= 1e-12 * np.linalg.norm(big, 2)
 
 
@@ -525,17 +525,18 @@ def test_continuation_in_q_matches_the_exact_path(n_bands, u1, theta, bx, bz, ph
 
 
 def test_failed_continuation_falls_back_to_the_exact_path(monkeypatch, caplog):
-    # With every Ritz residual infinite, each q is solved by its own eigh at the
-    # probe's N_s: the solution is the exact path's, bit for bit.
+    # With every Ritz residual infinite at the 5 nodes, each q is solved by its
+    # own eigh at the probe's N_s: the solution is the exact path's, bit for bit.
     cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0)
     exact = _exact_per_q_solve(cfg, 2)
-    continuation = bands.ritz_continuation
+    projected = bands._projected_pairs
 
-    def failing_continuation(*args, **kwargs):
-        sectors, n_nodes = continuation(*args, **kwargs)
-        return [(theta, ritz, np.full_like(r, np.inf)) for theta, ritz, r in sectors], n_nodes
+    def failing_pairs(*args):
+        theta, ritz, residual = projected(*args)
+        return theta, ritz, np.full_like(residual, np.inf)
 
-    monkeypatch.setattr(bands, "ritz_continuation", failing_continuation)
+    monkeypatch.setattr(bands, "_projected_pairs", failing_pairs)
+    monkeypatch.setattr(bands, "CONTINUATION_NODES", (5,))
     with caplog.at_level(logging.INFO, logger="dwsim"):
         sol = solve_bands(cfg, n_bands=2)
     assert "5 continuation nodes, 17 q solved exactly" in caplog.text
@@ -564,7 +565,7 @@ def test_diagonal_slope_is_its_matrix_and_dense_slopes_stay_matrices(monkeypatch
     runs = []
     for slope in (s, np.diag(s)):
         solved.clear()
-        (sector,), n_nodes = bands.ritz_continuation([h0], [slope], qs, (5,), 12, 2, lambda _: np.zeros(len(qs), bool))
+        (sector,), n_nodes, _ = bands.ritz_continuation([h0], [slope], qs, (5,), 12, 2, lambda _: np.zeros(len(qs), bool))
         runs.append((sector, list(solved)))
     ((theta, _, residual), nodes), ((theta_m, _, residual_m), nodes_m) = runs
     assert n_nodes == len(nodes) == len(nodes_m) == 5

@@ -323,18 +323,16 @@ def test_default_config_commands_make_their_known_eigensolves(tmp_path, monkeypa
 
 
 def test_tilted_ensemble_makes_its_known_eigensolves(tmp_path, monkeypatch, eigensolves):
-    # At B_z = 10 mG the continuation still runs at B_z = 0: 9 nodes, each two
-    # parity blocks, and per block the projected problems of 9 x 3 node
-    # vectors (a spread this wide keeps all 27 independent, 800 times above
-    # RANK_RTOL) of the 3 samples and of the base U_1, which rides last at
-    # every B_z.  Then each of the 3 samples evolves its aligned |L> in the
+    # At B_z = 10 mG the B_z = 0 doublets of the 3 samples and of the base U_1,
+    # which rides last at every B_z, are 4 U_1, no more than the first 9 nodes:
+    # each is solved exactly, in its two parity blocks, and nothing is
+    # projected.  Then each of the 3 samples evolves its aligned |L> in the
     # lowest pairs of its one complex-realified q = 0 sector.
     ensemble = "\n[ensemble]\nn_samples = 3\nspread = 0.3\nseed = 1\n"
     ini = LIGHT_RUN.replace("[lattice]\n", "[lattice]\nbz_mg = 10\n") + ensemble
     assert _eigensolves(tmp_path, monkeypatch, eigensolves, "ensemble", ini) == {
-        ("eigh", (112, 112), "f"): 9,
-        ("eigh", (113, 113), "f"): 9,
-        ("eigh", (4, 27, 27), "f"): 2,
+        ("eigh", (112, 112), "f"): 4,
+        ("eigh", (113, 113), "f"): 4,
         ("eigh", (225, 225), "f"): 3,
     }
 

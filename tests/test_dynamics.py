@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dwsim import (
+    ConvergenceError,
     LatticeConfig,
     NumericalError,
     cesium_f4,
@@ -236,6 +237,22 @@ def test_certified_ramp_keeps_the_accepted_pass(cfg, doublet, monkeypatch):
     assert dt_us == 2.0
     assert infidelity < 1e-6
     np.testing.assert_array_equal(psi, _run_steps(cfg, _schedule_steps(schedule, dt_us), doublet.coef_l))
+
+
+def test_ramp_halves_its_step_until_certified(monkeypatch):
+    # A 10 us sweep of B_z from 0 to 20 mG at N = 8 fails step doubling at
+    # 10, 5 and 2.5 us and is certified at 1.25 us; the state returned is the
+    # 1.25 us pass.  Allowed one halving, the ramp raises, naming the last dt
+    # it checked, 10 us against 5 us, and their infidelity.
+    cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=8, n_q=9, z_points=256)
+    coef_l = localized_doublet(cfg, *solve_q0(cfg, 2)).coef_l
+    schedule = (Segment(10.0, cfg.bx_mg, cfg.bx_mg, 0.0, 20.0),)
+    psi, dt_us, infidelity = propagate_ramp(cfg, schedule, coef_l, dt_us=10.0)
+    assert dt_us == 1.25 and infidelity < 1e-6
+    np.testing.assert_array_equal(psi, _run_steps(cfg, _schedule_steps(schedule, 1.25), coef_l))
+    monkeypatch.setattr("dwsim.dynamics.MAX_HALVINGS", 1)
+    with pytest.raises(ConvergenceError, match=r"dt=10\.0 us and dt/2 final states disagree \(infidelity 4\.\d*e-03"):
+        propagate_ramp(cfg, schedule, coef_l, dt_us=10.0)
 
 
 def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, monkeypatch, eigensolves):

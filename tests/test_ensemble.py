@@ -173,22 +173,23 @@ CANONICAL_BOX = dict(u1=84.0, theta=80.0, bx=85.0, bz=0.0, phase="quadrature_sin
 @given(
     share=st.floats(0.0, 1.0, exclude_max=True),
     distribution=st.sampled_from(ensemble.DISTRIBUTIONS),
-    n_samples=st.integers(1, 12),
+    n_samples=st.integers(10, 12),
     **BOX,
 )
-@example(share=0.0, distribution="gaussian", n_samples=6, **CANONICAL_BOX)  # spread 0: one node
-@example(share=0.5, distribution="uniform", n_samples=1, **dict(CANONICAL_BOX, bz=10.0))  # one sample
+@example(share=0.0, distribution="gaussian", n_samples=10, **CANONICAL_BOX)  # spread 0: one node
+@example(share=0.5, distribution="uniform", n_samples=10, **dict(CANONICAL_BOX, bz=10.0))
 @example(share=0.9, distribution="gaussian", n_samples=12, **dict(CANONICAL_BOX, phase="paper_cos"))
 def test_continuation_matches_per_sample_solves(share, distribution, n_samples, u1, theta, bx, bz, phase, n_pw, f):
     # Every certified Ritz doublet is that of the per-sample solve_q0: eps to
     # 1e-10 relative above the eigensolvers' rounding floor, F_SS + F_AA and
     # F_SA to 1e-10, at spreads up to the largest EnsembleSpec accepts; and
     # F_SA with its sign wherever the doublet is oriented by a double well.
+    # From 10 samples on the continuation places nodes; 9 or fewer are exact.
     cfg = _box_cfg(u1, theta, bx, bz, phase, n_pw, f)
     largest = 1.0 / GAUSS_TRUNCATION if distribution == "gaussian" else 0.5
     spec = EnsembleSpec(spread=share * largest, n_samples=n_samples, seed=11, distribution=distribution)
     u1s = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(n_samples)])
-    vals, vecs, residuals, n_nodes = ensemble._ritz_doublets(cfg, u1s)
+    vals, vecs, residuals, n_nodes, _ = ensemble._ritz_doublets(cfg, u1s)
     assert 1 <= n_nodes <= max(ensemble.NODE_COUNTS)
     if u1s.min() == u1s.max():
         assert n_nodes == 1
@@ -213,18 +214,21 @@ def test_continuation_matches_per_sample_solves(share, distribution, n_samples, 
 
 def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
     # With no residual small enough every pair, the base's too, is replaced by
-    # its full B_z = 0 solve and aligned like any other: at B_z = 0 and at
-    # 10 mG each sample's F_z is that of the propagate_static run of its own
-    # localized_doublet, to the bound of the aligned states.
+    # its exact B_z = 0 solve, of residual 0, and aligned like any other: at
+    # B_z = 0 and at 10 mG each sample's F_z is that of the propagate_static run
+    # of its own localized_doublet, to the bound of the aligned states.  Nine
+    # samples and the base are more U_1 than the first 9 nodes, so the
+    # continuation runs first.
     monkeypatch.setattr(ensemble, "RITZ_RESIDUAL_ER", 0.0)
-    full_solves = []
-    monkeypatch.setattr(ensemble, "solve_q0", lambda c, *n: full_solves.extend(n) or solve_q0(c, *n))
-    spec = EnsembleSpec(spread=0.05, n_samples=6, seed=8, **SHORT_GRID)
+    solved, ritz_doublets = [], ensemble._ritz_doublets
+    monkeypatch.setattr(ensemble, "_ritz_doublets", lambda *args: solved.append(ritz_doublets(*args)) or solved[-1])
+    spec = EnsembleSpec(spread=0.05, n_samples=9, seed=8, **SHORT_GRID)
     for bz_mg in (0.0, 10.0):
-        full_solves.clear()
+        solved.clear()
         result = ensemble_magnetization(cfg.replace(bz_mg=bz_mg), spec)
-        assert result.max_residual_er > 0.0 and result.n_skipped == 0
-        assert full_solves == [2] * (spec.n_samples + 1)
+        assert result.max_residual_er == 0.0 and result.n_skipped == 0
+        (_, _, _, n_nodes, exact), = solved
+        assert n_nodes >= 9 and exact.tolist() == list(range(spec.n_samples + 1))
         total = np.zeros(len(result.t_us))
         for u1_i in cfg.u1_er * factors(spec):
             cfg_i = cfg.replace(u1_er=u1_i)
@@ -242,8 +246,8 @@ def batch_fz(cfg, t_us, vals, vecs, a):
 def aligned_stack(cfg, spec):
     """The sample U_1 with the base's last, their B_z = 0 doublets, and a and overlaps of ensemble._aligned."""
     u1 = np.append(cfg.u1_er * factors(spec), cfg.u1_er)
-    vals, vecs, residual, _ = ensemble._ritz_doublets(cfg, u1)
-    return u1, vals, vecs, *ensemble._aligned(cfg, u1, vals, vecs, residual <= ensemble.RITZ_RESIDUAL_ER)
+    vals, vecs = ensemble._ritz_doublets(cfg, u1)[:2]
+    return u1, vals, vecs, *ensemble._aligned(cfg, vals, vecs)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -325,6 +329,18 @@ def test_draws_without_their_own_double_well_run(cfg):
     assert n_single == 6
     for bz_mg in (0.0, 10.0):
         assert ensemble_magnetization(cfg.replace(bz_mg=bz_mg), spec).n_skipped == 0
+
+
+def test_samples_are_paired_with_the_base_by_overlap(cfg):
+    # At U_1 = 300 E_R, theta = 90 deg, B_x = 5 mG the doublet gap is at
+    # rounding level, and 64 gaussian draws at a spread of 0.33 hold doublets
+    # in the other energy order than the base's.  Paired with S_0 and A_0 by
+    # overlap, each is swapped, aligned above the floor and none is skipped.
+    deep = cfg.replace(u1_er=300.0, theta_deg=90.0, bx_mg=5.0)
+    spec = EnsembleSpec(spread=0.33, n_samples=64, **SHORT_GRID)
+    _, vals, _, _, overlap = aligned_stack(deep, spec)
+    assert np.count_nonzero(vals[:, 1] < vals[:, 0]) and overlap.min() >= ensemble.OVERLAP_FLOOR
+    assert ensemble_magnetization(deep, spec).n_skipped == 0
 
 
 def test_a_mean_without_an_oscillation_is_no_fit(cfg):

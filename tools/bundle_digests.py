@@ -8,8 +8,11 @@ Runs ``python -m dwsim.cli <command>`` for each command at the canonical
 point (U_1 = 84 E_R, theta = 80 deg, B_x = 85 mG) with the light basis
 (n_planewaves = 12, n_q = 9, z_points = 256) and short rabi, prepare,
 sweep and ensemble sections, then prints one ``command/file sha256`` line
-per output file, ``manifest.json`` included.  ``fit`` reads the CSV the
-``ensemble`` command wrote.  A second pass runs ``potentials``,
+per output file, ``manifest.json`` included.  Its 8-sample ensembles
+(here and at B_z = 10 mG) are 8 U_1 and the base's, no more than the
+continuation's first 9 nodes, so their B_z = 0 doublets are solved
+exactly, with no continuation.  ``fit`` reads the CSV the ``ensemble``
+command wrote.  A second pass runs ``potentials``,
 ``wannier`` and ``rabi`` again with ``fictitious_phase = paper_cos``
 under OUT_DIR/paper_cos and prints its lines prefixed ``paper_cos/``, so
 phase-dependent geometry is covered too.  A third pass runs ``rabi`` and
@@ -34,15 +37,19 @@ section takes) at U_1 = 300 E_R runs under OUT_DIR/default_basis/u1_300 and
 prints its lines prefixed ``default_basis/u1_300/``: there both points
 certify at N_s = 20, where the 1e-6 E_R doublet gap at 40 mG caps the
 residual near 1e-10 E_R.
-A last pass runs five configurations that fail, each under
+A last pass runs six configurations that fail or once failed, each under
 OUT_DIR/exit/<name>, and prints one ``exit/<name> <code>`` line per run:
 ``bands`` at U_1 = 2000 E_R with N = 8 and n_q = 1, whose certification
 fails (3); ``bands`` at theta = 200 deg, outside the accepted range (2);
 ``wannier`` at theta = 0, which has no double well (3); ``rabi`` at
 N = 600, above the basis limit, refused before any matrix is built (3);
-and the light B_z = 0 ``ensemble`` of 64 samples at a uniform spread of
+the light B_z = 0 ``ensemble`` of 64 samples at a uniform spread of
 0.45 on the default 1500 us grid, whose mean holds no oscillation to fit
-(3).  Exit code 2 is a configuration error and 3 a numerical failure, so
+(3); and the light ``ensemble`` of 64 samples at a gaussian spread of 0.33
+at U_1 = 300 E_R, theta = 90 deg, B_x = 5 mG on that grid, where the
+doublet gap is at rounding level and some samples hold their doublet in
+the other energy order than the base's: paired with the base by overlap,
+none is skipped (0), where pairing by energy order skipped 7 (3).  Exit code 2 is a configuration error and 3 a numerical failure, so
 the listing shows which failures a change moves between the two, or to a
 traceback (1).
 
@@ -141,6 +148,9 @@ EXIT_RUNS = (  # (name, command, config) of the runs that fail, whose exit codes
     ("rabi_n_600", "rabi", CONFIG.replace("n_planewaves = 12\n", "n_planewaves = 600\n")),
     ("ensemble_uniform_045", "ensemble",
      CONFIG.replace("n_samples = 8\nt_max_us = 900\n", "n_samples = 64\nspread = 0.45\ndistribution = uniform\n")),
+    ("ensemble_doublet_order", "ensemble",
+     CONFIG.replace("u1_er = 84\ntheta_deg = 80\nbx_mg = 85\n", "u1_er = 300\ntheta_deg = 90\nbx_mg = 5\n")
+     .replace("n_samples = 8\nt_max_us = 900\n", "n_samples = 64\nspread = 0.33\n")),
 )
 
 

@@ -26,6 +26,8 @@ RESIDUAL_PROBE_START, RESIDUAL_PROBE_STEP = 8, 4  # bases N_s = 8, 12, ..., then
 RESIDUAL_ER = 1e-6  # residual cap: E_R on an energy, relative on the doublet gap
 CONTINUATION_NODES = (5, 9, 17)  # Chebyshev-Lobatto nodes in q, nested: refining m nodes adds m - 1
 CONTINUATION_VECTORS = 12  # lowest eigenvectors kept per node, at least n_bands + 1
+NODE_COUNTS = (9, 17, 33)  # q = 0 continuation's Chebyshev-Lobatto nodes, nested: refining m nodes adds m - 1
+RITZ_RESIDUAL_ER = 1e-10  # a q = 0 Ritz pair with ||Hx - theta x|| above this is solved exactly
 RANK_RTOL = 1e-14  # basis directions below this share of the largest singular value are dropped
 # Doublet-gap drift below this is eigensolver rounding (~eps * ||H||), not truncation.
 GAP_ROUNDING_ER = 1e-10
@@ -218,18 +220,18 @@ def ritz_continuation(matrices, slopes, x, node_counts, n_vectors: int, n_ritz: 
     x (``known``: node -> (values, vectors) per sector, else solved), k = n_vectors at the first m and m_0 n_vectors
     / m, at least n_ritz + 1, at refined ones.  m runs through ``node_counts`` while ``failing(sectors)`` flags as
     many x as the m - 1 nodes refining adds, or more.  Each x still flagged, and each of a grid of at most m_0, takes
-    its exact pairs (a node's if it is one), interior residual 0.  Returns sectors, node count, exact x indices."""
+    its exact pairs, solved once per distinct x, interior residual 0.  Returns sectors, node count, exact x indices."""
     cache = dict(known or {})
 
-    def pairs(node):  # copies, so no node keeps its full eigenvector matrix
-        return cache.get(node) or [tuple(p[..., :n_vectors].copy() for p in np.linalg.eigh(_affine(a, b, node)))
-                                   for a, b in zip(matrices, slopes)]
+    def solve(xs):  # each abscissa of xs not cached yet, once; copies, so none keeps its full eigenvector matrix
+        cache.update({xi: [tuple(p[..., :n_vectors].copy() for p in np.linalg.eigh(_affine(a, b, xi)))
+                           for a, b in zip(matrices, slopes)] for xi in set(xs) - set(cache)})
 
     n_nodes, exact = 0, np.arange(len(x))
     for m in node_counts if len(x) > node_counts[0] else ():
         nodes = np.sort(np.interp(np.cos(np.pi * np.arange(m) / (m - 1)), [-1.0, 1.0], [x.min(), x.max()]))
         nodes = nodes[np.r_[True, nodes[1:] != nodes[:-1]]]  # np.unique's values, without importing numpy.ma
-        cache.update({node: pairs(node) for node in set(nodes) - set(cache)})
+        solve(nodes)
         k = max(n_ritz + 1, n_vectors * node_counts[0] // m)  # refining keeps the basis size
         sectors = [_projected_pairs(a, b, np.hstack([cache[node][i][1][:, :k] for node in nodes]), x, n_ritz)
                    for i, (a, b) in enumerate(zip(matrices, slopes))]
@@ -239,8 +241,9 @@ def ritz_continuation(matrices, slopes, x, node_counts, n_vectors: int, n_ritz: 
     if not n_nodes:
         sectors = [(np.empty((len(x), n_ritz)), np.empty((len(x), len(a), n_ritz), np.result_type(a, b)),
                     np.empty((len(x), n_ritz))) for a, b in zip(matrices, slopes)]
+    solve(x[exact])
     for j in exact:
-        for (theta, ritz, residual), (w, v) in zip(sectors, pairs(x[j])):
+        for (theta, ritz, residual), (w, v) in zip(sectors, cache[x[j]]):
             theta[j], ritz[j], residual[j] = w[:n_ritz], v[:, :n_ritz], 0.0
     return sectors, n_nodes, exact
 
@@ -416,6 +419,21 @@ def q0_eigenpairs(form: Q0Sectors, solved, n_vectors: int | None) -> tuple[np.nd
     u_re_im = np.stack([form.u.real.T, form.u.imag.T], axis=-1).reshape(d, -1)  # x @ u_re_im: (Re, Im) of x @ u.T
     vecs = (x.reshape(-1, d) @ u_re_im).view(complex).reshape(*order.shape, -1)
     return np.take_along_axis(vals, order, axis=1), vecs.transpose(0, 2, 1)
+
+
+def q0_continuation(form: Q0Sectors, slopes, x: np.ndarray, n_vectors: int, n: int):
+    """``solve_q0``'s ``n`` lowest pairs, values (len(x), n) and vectors (len(x), D, n), of the sectors
+    ``form.matrices[i] + x slopes[i]`` at every x, by ``ritz_continuation`` from ``n_vectors`` vectors per sector at
+    NODE_COUNTS nodes, failing an x whose n lowest pairs over the sectors have a residual over RITZ_RESIDUAL_ER; then
+    that largest residual (len(x),), 0 where exact, the node count and the exact x indices."""
+
+    def residual(sectors) -> np.ndarray:
+        read = np.argsort(np.hstack([theta for theta, _, _ in sectors]), axis=1, kind="stable")[:, :n]
+        return np.take_along_axis(np.hstack([r for _, _, r in sectors]), read, axis=1).max(axis=1)
+
+    sectors, *found = ritz_continuation(form.matrices, slopes, x, NODE_COUNTS, n_vectors, n,
+                                        lambda s: residual(s) > RITZ_RESIDUAL_ER)
+    return *q0_eigenpairs(form, [(theta, v) for theta, v, _ in sectors], n), residual(sectors), *found
 
 
 def solve_q0(cfg: LatticeConfig, n_vectors: int | None = None) -> tuple[np.ndarray, np.ndarray]:

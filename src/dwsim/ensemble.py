@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import localized_doublet, q0_eigenpairs, q0_sectors, ritz_continuation, solve_q0
+from .bands import localized_doublet, q0_continuation, q0_sectors, solve_q0
 from .dynamics import _gram_form, _static_evolution, output_times
 from .errors import NumericalError
 from .lattice import LatticeConfig
@@ -24,9 +24,7 @@ log = logging.getLogger("dwsim")
 DISTRIBUTIONS = ("gaussian", "uniform")
 GAUSS_TRUNCATION = 3.0
 MAX_SKIP_FRACTION = 0.1
-RITZ_RESIDUAL_ER = 1e-10  # a Ritz pair with ||Hx - theta x|| above this is solved exactly
 NODE_VECTORS = 3  # lowest eigenvectors kept per sector and node
-NODE_COUNTS = (9, 17, 33)  # Chebyshev-Lobatto nodes, nested: refining m nodes adds m - 1
 OVERLAP_FLOOR = 0.5  # a sample's |<S_0|S_i>| or |<A_0|A_i>| below this: it is skipped
 
 
@@ -89,17 +87,9 @@ def sample_intensity_factor(spec: EnsembleSpec, index: int) -> float:
 
 def _ritz_doublets(cfg: LatticeConfig, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
     """``solve_q0(cfg_i, 2)`` at each U_1 of ``u1``, stacked as values (n, 2) and vectors (n, D, 2), by
-    ``ritz_continuation`` of H(0), affine in U_1, from NODE_VECTORS vectors per sector at 9, 17 or 33 nodes; their
-    residuals (n,), each at most RITZ_RESIDUAL_ER or 0 (exact), the node count and the indices of the exact ones."""
-    form = q0_sectors(cfg)
-
-    def doublet_residual(sectors) -> np.ndarray:  # the larger residual of the two lowest pairs over the sectors
-        read = np.argsort(np.hstack([theta for theta, _, _ in sectors]), axis=1, kind="stable")[:, :2]
-        return np.take_along_axis(np.hstack([r for _, _, r in sectors]), read, axis=1).max(axis=1)
-
-    sectors, *found = ritz_continuation(form.matrices, q0_sectors(cfg, du1=True).matrices, u1 - cfg.u1_er,
-                                        NODE_COUNTS, NODE_VECTORS, 2, lambda s: doublet_residual(s) > RITZ_RESIDUAL_ER)
-    return *q0_eigenpairs(form, [(theta, x) for theta, x, _ in sectors], 2), doublet_residual(sectors), *found
+    ``q0_continuation`` of H(0), affine in U_1, from NODE_VECTORS vectors per sector; the larger residual of each
+    doublet (n,), at most ``bands.RITZ_RESIDUAL_ER`` or 0 (exact), the node count and the indices of the exact ones."""
+    return q0_continuation(q0_sectors(cfg), q0_sectors(cfg, du1=True).matrices, u1 - cfg.u1_er, NODE_VECTORS, 2)
 
 
 def _aligned(cfg: LatticeConfig, vals: np.ndarray, vecs: np.ndarray):

@@ -132,8 +132,8 @@ def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
     ValueError
         On mismatched or short arrays or a non-uniform grid.
     NumericalError
-        On constant data, an undersampled grid or a fitted nu under one period in the window;
-        ConvergenceError after MAX_ITERATIONS steps, naming the last (nu, lambda) and residual RMS.
+        On constant data, an undersampled grid, a fitted nu under one period in the window or an amplitude within
+        its standard error; ConvergenceError after MAX_ITERATIONS steps, naming the last (nu, lambda) and residual RMS.
     """
     t = np.asarray(t_us, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -193,6 +193,8 @@ def fit_damped_sinusoid(t_us: np.ndarray, y: np.ndarray) -> DampedSinusoidFit:
     except np.linalg.LinAlgError:
         cov = sigma2 * np.linalg.pinv(jac.T @ jac)
     err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    if a <= err[0]:
+        raise NumericalError(f"no oscillation in the window: amplitude {a:.3g} within its standard error {err[0]:.3g}")
     return DampedSinusoidFit(
         amplitude=float(a),
         frequency_hz=float(nu * 1e6),

@@ -249,10 +249,12 @@ bz_ramp_us = 10
 # are certified at N_s = N = 12 after the N_s = 8 probe (D = 153) fails.
 # wannier: the two q = 0 parity blocks, the flatness guard's q = -1, -1/2, 0
 # and the 5-q band solve, one eigh per q.  rabi: the doublet's q = 0 solve,
-# which the propagator reuses, and the guard.  prepare:
-# the m_F = +F chain, the start state's solve, 60 ramp steps at dt = 0.5 us
-# and 120 at dt/2, 100 adiabaticity points (the last at B_z = 0, in parity
-# blocks) and the doublet with its guard.  ensemble: 9 continuation nodes,
+# which the propagator reuses, and the guard.  prepare: the m_F = +F chain,
+# the start state's solve, 60 ramp steps at dt = 0.5 us and 120 at dt/2, the
+# doublet with its guard, and the adiabaticity report's continuation in t at
+# B_z != 0: 9 nodes on the B_x ramp, whose 9 x 12 node vectors span 107
+# directions, and 9, then 17 (8 more) on the B_z ramp, whose 17 x 6 span 83;
+# no instant is solved exactly.  ensemble: 9 continuation nodes,
 # each two parity blocks, and the projected problems of 9 x 3 node vectors per
 # block of the 200 samples and of the base U_1, which rides along at B_z = 0;
 # no sample falls back to its own solve.
@@ -275,10 +277,12 @@ EIGENSOLVES = {
         ("eigh", (225, 225), "f"): 3,
     },
     "prepare": {
-        ("eigh", (112, 112), "f"): 2,
-        ("eigh", (113, 113), "f"): 2,
+        ("eigh", (112, 112), "f"): 1,
+        ("eigh", (113, 113), "f"): 1,
         ("eigh", (153, 153), "f"): 1,
-        ("eigh", (225, 225), "f"): 283,
+        ("eigh", (225, 225), "f"): 210,
+        ("eigh", (50, 107, 107), "f"): 2,
+        ("eigh", (50, 83, 83), "f"): 1,
     },
 }
 

@@ -18,7 +18,7 @@ from dwsim import (
     propagate_static,
     wannier_doublet,
 )
-from dwsim.bands import bloch_to_zgrid, localized_doublet, solve_q0
+from dwsim.bands import NODE_COUNTS, bloch_to_zgrid, localized_doublet, solve_q0
 from dwsim.config import RabiBlock
 from dwsim.dynamics import ADIABATICITY_POINTS, TimeSeries, _run_steps, _schedule_steps, output_times
 from fourier_oracle import static_observables
@@ -258,7 +258,7 @@ def test_ramp_halves_its_step_until_certified(monkeypatch):
 def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, monkeypatch, eigensolves):
     # H(0) is real at every phase and field (conjugation times n -> -n is a
     # symmetry squaring to +1), so static runs, ramp steps and adiabaticity
-    # samples at B_z != 0 solve one real D x D block, not the complex H(0).
+    # nodes at B_z != 0 solve one real D x D block, not the complex H(0).
     propagate_static(cfg.replace(bz_mg=10.0), np.linspace(0.0, 100.0, 11), doublet)
     ramp = (Segment(3.0, cfg.bx_mg, cfg.bx_mg, -100.0, 10.0),)
     _run_steps(cfg, _schedule_steps(ramp, 1.0), doublet.coef_l)
@@ -267,9 +267,10 @@ def test_q0_dynamics_make_no_complex_full_dimension_eigensolve(cfg, doublet, mon
     monkeypatch.undo()
     dim = (2 * cfg.n_planewaves + 1) * cfg.spin.dim
     assert [shape for _, shape, kind in eigensolves if kind == "c" and shape[-1] == dim] == []
-    # 1 static + 3 ramp steps + the report's samples, each a single real block
-    assert sum(eigensolves.values()) == 1 + 3 + ADIABATICITY_POINTS
-    assert sum(n for (_, shape, _), n in eigensolves.items() if shape == (dim, dim)) == 1 + 3 + ADIABATICITY_POINTS
+    # 1 static + 3 ramp steps + the report's first continuation nodes, each a
+    # single real block, and the report's one stack of projected problems
+    assert sum(eigensolves.values()) == 1 + 3 + NODE_COUNTS[0] + 1
+    assert sum(n for (_, shape, _), n in eigensolves.items() if shape == (dim, dim)) == 1 + 3 + NODE_COUNTS[0]
 
 
 def test_ramp_step_matches_matrix_exponential(cfg, doublet):
@@ -394,11 +395,18 @@ def test_adiabaticity_report_constant_schedule(cfg, doublet):
     assert seg.fom_upper_to_excited == 0.0
 
 
-def test_adiabaticity_figures_match_dense_rate_operator():
-    # reference: the rate operator dH/dt as a dense kron(I, F) matrix
-    cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=8, n_q=1)
+@pytest.mark.parametrize("bz_end_mg, node_counts", [(0.0, None), (100.0, None), (0.0, (2,))],
+                         ids=["end_at_bz_0", "through_bz_0", "exact_instants"])
+def test_adiabaticity_figures_match_dense_rate_operator(monkeypatch, bz_end_mg, node_counts):
+    # reference: the rate operator dH/dt as a dense kron(I, F) matrix.  The
+    # second segment ends at B_z = 0, or crosses it halfway to +100 mG.  On
+    # nodes at the segment ends alone, every instant between them has Ritz
+    # pairs over the 1e-10 E_R cap and takes its exact pairs.
+    if node_counts:
+        monkeypatch.setattr("dwsim.bands.NODE_COUNTS", node_counts)
+    cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, bz_mg=bz_end_mg, n_planewaves=8, n_q=1)
     schedule = preparation_schedule(cfg, PrepareBlock())
-    report = adiabaticity_report(cfg, schedule, wannier_doublet(cfg).epsilon_hz)
+    report = adiabaticity_report(cfg, schedule, wannier_doublet(cfg.replace(bz_mg=0.0)).epsilon_hz)
     w = cfg.species.rad_per_us_per_er()
     eye = np.eye(2 * cfg.n_planewaves + 1)
     for seg, seg_report in zip(schedule, report.segments):

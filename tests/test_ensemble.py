@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dwsim import ConvergenceError, LatticeConfig, NumericalError, cesium_f4, fit_damped_sinusoid, wannier_doublet
-from dwsim import ensemble
+from dwsim import bands, ensemble
 from dwsim.bands import localized_doublet, q0_sectors, solve_q0
 from dwsim.dynamics import _gram_form, _static_evolution, output_times, propagate_static
 from dwsim.ensemble import GAUSS_TRUNCATION, EnsembleSpec, ensemble_magnetization, sample_intensity_factor
@@ -68,6 +68,20 @@ def test_zero_spread_equals_single_run(cfg, tgrid, bz_mg, g_f):
     result = ensemble_magnetization(cfg, spec)
     np.testing.assert_allclose(result.mean_fz, rabi_fz(cfg, tgrid), atol=1e-10)
     assert result.n_skipped == 0
+
+
+@pytest.mark.parametrize("n_samples", [3, 8])
+def test_zero_spread_solves_its_one_u1_once(cfg, monkeypatch, eigensolves, n_samples):
+    # The samples and the base share one U_1, one abscissa of the
+    # continuation: its B_z = 0 doublet is solved once per parity sector, and
+    # each row evolves from those pairs, so the mean is the one-sample mean
+    # summed n times in index order, bit for bit.
+    spec = EnsembleSpec(spread=0.0, n_samples=n_samples, seed=1, **SHORT_GRID)
+    mean_fz = ensemble_magnetization(cfg, spec).mean_fz
+    monkeypatch.undo()
+    assert dict(eigensolves) == {("eigh", (112, 112), "f"): 1, ("eigh", (113, 113), "f"): 1}
+    single = ensemble_magnetization(cfg, dataclasses.replace(spec, n_samples=1)).mean_fz
+    np.testing.assert_array_equal(mean_fz, sum([single] * n_samples) / n_samples)
 
 
 def test_a_draw_without_a_tilted_double_well_still_runs(cfg):
@@ -190,12 +204,12 @@ def test_continuation_matches_per_sample_solves(share, distribution, n_samples, 
     spec = EnsembleSpec(spread=share * largest, n_samples=n_samples, seed=11, distribution=distribution)
     u1s = cfg.u1_er * np.array([sample_intensity_factor(spec, i) for i in range(n_samples)])
     vals, vecs, residuals, n_nodes, _ = ensemble._ritz_doublets(cfg, u1s)
-    assert 1 <= n_nodes <= max(ensemble.NODE_COUNTS)
+    assert 1 <= n_nodes <= max(bands.NODE_COUNTS)
     if u1s.min() == u1s.max():
         assert n_nodes == 1
     fz_diag = np.tile(cfg.spin.m_values, 2 * cfg.n_planewaves + 1)
     for u1_i, residual, pair in zip(u1s, residuals, zip(vals, vecs)):
-        if residual > ensemble.RITZ_RESIDUAL_ER:
+        if residual > bands.RITZ_RESIDUAL_ER:
             continue
         cfg_i = cfg.replace(u1_er=u1_i)
         full = solve_q0(cfg_i, 2)
@@ -219,7 +233,7 @@ def test_failed_residuals_fall_back_to_the_per_sample_solve(cfg, monkeypatch):
     # of its own localized_doublet, to the bound of the aligned states.  Nine
     # samples and the base are more U_1 than the first 9 nodes, so the
     # continuation runs first.
-    monkeypatch.setattr(ensemble, "RITZ_RESIDUAL_ER", 0.0)
+    monkeypatch.setattr(bands, "RITZ_RESIDUAL_ER", 0.0)
     solved, ritz_doublets = [], ensemble._ritz_doublets
     monkeypatch.setattr(ensemble, "_ritz_doublets", lambda *args: solved.append(ritz_doublets(*args)) or solved[-1])
     spec = EnsembleSpec(spread=0.05, n_samples=9, seed=8, **SHORT_GRID)
@@ -355,6 +369,17 @@ def test_a_mean_without_an_oscillation_is_no_fit(cfg):
         with pytest.raises(NumericalError, match="no oscillation in the window: fitted nu = ") as caught:
             fit_damped_sinusoid(result.t_us, result.mean_fz)
     assert not isinstance(caught.value, ConvergenceError)
+
+
+def test_a_flat_mean_is_no_fit(cfg):
+    # The paired deep ensemble above on the default 1500 us grid: its mean F_z
+    # is flat to rounding, where the least-squares optimum is a growing
+    # envelope of amplitude ~3e-42, below its own standard error.  The fit
+    # names the missing oscillation instead of returning that amplitude.
+    deep = cfg.replace(u1_er=300.0, theta_deg=90.0, bx_mg=5.0)
+    result = ensemble_magnetization(deep, EnsembleSpec(spread=0.33, n_samples=64))
+    with pytest.raises(NumericalError, match="no oscillation in the window: amplitude .* within its standard error"):
+        fit_damped_sinusoid(result.t_us, result.mean_fz)
 
 
 def test_ensemble_holds_no_stacked_copies(cfg):

@@ -34,6 +34,14 @@ def test_undamped_rate_indistinguishable_from_zero(grid):
     assert fit.tau_us > 0
 
 
+def test_a_growing_envelope_fits(grid):
+    # only an amplitude within its standard error is refused, not the sign of
+    # the rate: a growing envelope fits, with tau = +inf
+    fit = fit_damped_sinusoid(grid, synthetic(grid, tau_us=-1000.0))
+    assert fit.decay_rate_per_us == pytest.approx(-1e-3, rel=1e-6)
+    assert fit.amplitude == pytest.approx(4.0, rel=1e-6) and fit.tau_us == np.inf
+
+
 def test_scaling_property(grid):
     y = synthetic(grid, offset=0.7) + np.random.default_rng(11).normal(0.0, 0.1, len(grid))
     a = fit_damped_sinusoid(grid, y)

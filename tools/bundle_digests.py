@@ -15,12 +15,14 @@ exactly, with no continuation.  ``fit`` reads the CSV the ``ensemble``
 command wrote.  A second pass runs ``potentials``,
 ``wannier`` and ``rabi`` again with ``fictitious_phase = paper_cos``
 under OUT_DIR/paper_cos and prints its lines prefixed ``paper_cos/``, so
-phase-dependent geometry is covered too.  A third pass runs ``rabi`` and
-``ensemble`` at B_z = 10 mG under OUT_DIR/bz_10 and prints their lines
-prefixed ``bz_10/``: with the default ``quadrature_sin`` phase that field
-takes the q = 0 solves off the m_F parity blocks, which no other command
-but ``prepare`` does, and it makes each ensemble sample, like ``rabi``,
-evolve its B_z = 0 |L> in the lowest pairs of its full q = 0 spectrum.
+phase-dependent geometry is covered too.  A third pass runs ``rabi``,
+``prepare`` and ``ensemble`` at B_z = 10 mG under OUT_DIR/bz_10 and prints
+their lines prefixed ``bz_10/``: with the default ``quadrature_sin`` phase
+that field takes the q = 0 solves off the m_F parity blocks, which no other
+command but ``prepare`` does, and it makes each ensemble sample, like
+``rabi``, evolve its B_z = 0 |L> in the lowest pairs of its full q = 0
+spectrum.  There the second ``prepare`` segment ramps B_z from -100 to
++10 mG, so its adiabaticity report continues one form through B_z = 0.
 With them, a 64-sample ``ensemble`` at a uniform spread of 0.45 runs under
 OUT_DIR/bz_10/uniform_045 and prints its lines prefixed
 ``bz_10/uniform_045/``: some of its draws have no double well of their
@@ -49,7 +51,10 @@ the light B_z = 0 ``ensemble`` of 64 samples at a uniform spread of
 at U_1 = 300 E_R, theta = 90 deg, B_x = 5 mG on that grid, where the
 doublet gap is at rounding level and some samples hold their doublet in
 the other energy order than the base's: paired with the base by overlap,
-none is skipped (0), where pairing by energy order skipped 7 (3).  Exit code 2 is a configuration error and 3 a numerical failure, so
+none is skipped, where pairing by energy order skipped 7, but the mean is
+flat to rounding and the fit's amplitude lies within its standard error,
+so the fit refuses it (3), where it once returned that amplitude (0).
+Exit code 2 is a configuration error and 3 a numerical failure, so
 the listing shows which failures a change moves between the two, or to a
 traceback (1).
 
@@ -79,7 +84,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 COMMANDS = ("potentials", "bands", "wannier", "rabi", "prepare", "sweep", "ensemble", "fit")
 PAPER_COS_COMMANDS = ("potentials", "wannier", "rabi")
-BZ_10_COMMANDS = ("rabi", "ensemble")
+BZ_10_COMMANDS = ("rabi", "prepare", "ensemble")
 DEFAULT_BASIS_COMMANDS = ("bands", "wannier", "sweep")
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -11,7 +11,6 @@ from dwsim.bands import (
     CERTIFY_EXTRA_PLANEWAVES,
     CERTIFY_RTOL,
     GAP_ROUNDING_ER,
-    _band_energies,
     _bloch_matrix,
     _edge_residuals,
     _fix_phase,
@@ -27,6 +26,12 @@ from dwsim.errors import ConvergenceError, NumericalError
 from dwsim.lattice import FICTITIOUS_PHASES
 from reference_hamiltonian import assemble_bloch_hamiltonian, potential_matrix
 from two_level import two_level_model
+
+
+def _levels(cfg, qs, n_bands):
+    """Lowest ``n_bands`` levels of the N basis at each q, by ``eigvalsh`` of ``_bloch_matrix``: the oracle."""
+    blocks = _spin_blocks(cfg)
+    return np.array([np.linalg.eigvalsh(_bloch_matrix(cfg, *blocks, q, cfg.n_planewaves))[:n_bands] for q in qs])
 
 
 def test_theta_zero_block_diagonal():
@@ -101,40 +106,52 @@ def test_theta_zero_degeneracy_and_harmonic_gap():
 
 
 def test_certification_spots_truncation():
-    # an extremely deep lattice overwhelms the minimal basis
-    cfg = LatticeConfig(u1_er=2000.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=8, n_q=1)
-    with pytest.raises(ConvergenceError):
-        solve_bands(cfg, n_bands=6)
+    # An extremely deep lattice overwhelms the minimal basis.  At U_1 = 800 E_R,
+    # theta = 60 deg, B_x = 300 mG the N = 8 ground energy is good to about
+    # 1e-4 relative, but no basis up to N + 8 = 16 plane waves per side brings
+    # its residual under 1e-6 E_R, so it is refused too.
+    for cfg, n_bands in ((LatticeConfig(u1_er=2000.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=8, n_q=1), 6),
+                         (LatticeConfig(u1_er=800.0, theta_deg=60.0, bx_mg=300.0, n_planewaves=8, n_q=1), 1)):
+        with pytest.raises(ConvergenceError, match=r"no basis of up to N \+ 8 = 16 .* under the 1e-06 cap"):
+            solve_bands(cfg, n_bands=n_bands)
 
 
 def test_certification_spots_unconverged_doublet_gap():
-    # At U_1 = 800 E_R, theta = 60 deg, B_x = 300 mG with N = 8 the energies
-    # drift by 1.1e-4 relative, inside the tolerance, while the doublet gap
-    # (2.7 E_R) drifts by 3.7e-3: only the gap check sees the truncation.
-    cfg = LatticeConfig(u1_er=800.0, theta_deg=60.0, bx_mg=300.0, n_planewaves=8, n_q=1)
-    solve_bands(cfg, n_bands=1)
-    with pytest.raises(ConvergenceError, match=r"doublet gap not converged: N=8 gives .* E_R, N=16 gives .* E_R"):
+    # At U_1 = 300 E_R, theta = 80 deg, B_x = 40 mG with N = 8 the N_s = 16
+    # basis leaves residuals of 3.4e-8 E_R, inside the 1e-6 E_R energy cap, on a
+    # doublet gap of 1.1e-6 E_R, which caps them near 1e-10 E_R: only the gap
+    # rule sees the truncation, and no basis up to N + 8 = 16 meets it.
+    cfg = LatticeConfig(u1_er=300.0, theta_deg=80.0, bx_mg=40.0, n_planewaves=8, n_q=1)
+    sol = solve_bands(cfg, n_bands=1)
+    assert sol.n_planewaves_solved == 16 and sol.edge_residual_er <= 1e-7
+    with pytest.raises(ConvergenceError, match=r"no basis of up to N \+ 8 = 16 plane waves per side"):
         solve_bands(cfg, n_bands=2)
 
 
 def test_certification_keeps_its_tolerance_at_the_edge():
-    # For F = 1/2 at U_1 = 400 E_R, theta = 45 deg, B_x = 50 mG with N = 8 the
-    # gap drifts by 3e-5 and the energies by at most 2.4e-4 through band 4,
-    # which the N vs N+8 comparison accepts; band 5 drifts by 1.39e-3, just
-    # over the tolerance, and the comparison reports it.
+    # For F = 1/2 at U_1 = 400 E_R, theta = 45 deg, B_x = 50 mG no basis up to
+    # N + 8 = 16 plane waves per side certifies even the lowest band, whose
+    # energy N = 8 once reported to 1e-4 relative.  From N = 12 the probe runs
+    # on to N_s = 20, where five bands certify within 5.3e-8 E_R, and each lies
+    # that close to a level of a larger basis, N = 28.
     cfg = LatticeConfig(
         u1_er=400.0, theta_deg=45.0, bx_mg=50.0, n_planewaves=8, n_q=1, species=dataclasses.replace(cesium_f4(), f=0.5)
     )
-    solve_bands(cfg, n_bands=4)
-    with pytest.raises(ConvergenceError, match=r"band 5: N=8 gives 286.271933 E_R, N=16 gives 285.875139 E_R"):
-        solve_bands(cfg, n_bands=5)
+    for n_bands in range(1, 6):
+        with pytest.raises(ConvergenceError, match=r"no basis of up to N \+ 8 = 16 plane waves per side"):
+            solve_bands(cfg, n_bands=n_bands)
+    wide = cfg.replace(n_planewaves=12)
+    sol = solve_bands(wide, n_bands=5)
+    assert sol.n_planewaves_solved == 20 and sol.edge_residual_er <= 5.3e-8
+    ref = _levels(wide.replace(n_planewaves=28), q_grid(wide), 5)
+    assert np.all(np.abs(sol.energies - ref) <= sol.edge_residual_er)
 
 
 def test_variational_monotonicity(cfg):
     energies = []
     for n_pw in (10, 14, 18):
         c = cfg.replace(n_planewaves=n_pw, n_q=1)
-        energies.append(_band_energies(c, q_grid(c), 4)[0])
+        energies.append(_levels(c, q_grid(c), 4)[0])
     for smaller, larger in zip(energies[1:], energies[:-1]):
         assert np.all(smaller <= larger + 1e-10)
 
@@ -390,7 +407,7 @@ def test_real_form_energies_equal_complex_solve(q, u1, theta, bx, bz, phase, n_p
     onsite, raising = _spin_blocks(cfg)
     assert onsite.dtype == raising.dtype == np.float64
     dim = (2 * n_pw + 1) * cfg.spin.dim
-    real = _band_energies(cfg, [q], dim)[0]
+    real = _levels(cfg, [q], dim)[0]
     np.testing.assert_allclose(real, np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, q)), rtol=0, atol=1e-9)
 
 
@@ -413,7 +430,7 @@ def test_solve_bands_matches_unpaired_complex_solve(n_q, u1, theta, bx, bz, phas
     complex_path = phase == "quadrature_sin" and bz != 0.0
     assert np.iscomplexobj(_spin_blocks(cfg)[1]) == complex_path
     direct = [np.linalg.eigvalsh(assemble_bloch_hamiltonian(cfg, q))[:6] for q in q_grid(cfg)]
-    np.testing.assert_allclose(_band_energies(cfg, q_grid(cfg), 6), direct, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(_levels(cfg, q_grid(cfg), 6), direct, rtol=0, atol=1e-9)
 
 
 def test_certified_solve_makes_no_enlarged_basis_eigensolve(cfg, monkeypatch, eigensolves):
@@ -460,8 +477,8 @@ def test_default_basis_is_certified_by_a_smaller_basis(u1, caplog):
     # N vs N+8 comparison of the N-basis levels over the grid stays the oracle.
     cfg = LatticeConfig(u1_er=u1, theta_deg=80.0, bx_mg=85.0)
     big_n = cfg.n_planewaves + CERTIFY_EXTRA_PLANEWAVES
-    plain = _band_energies(cfg, q_grid(cfg), 6)
-    ref = _band_energies(cfg.replace(n_planewaves=big_n), q_grid(cfg), 6)
+    plain = _levels(cfg, q_grid(cfg), 6)
+    ref = _levels(cfg.replace(n_planewaves=big_n), q_grid(cfg), 6)
     assert np.all(np.abs(plain - ref) <= CERTIFY_RTOL * np.abs(ref))
     plain_gap, ref_gap = (np.mean(e[:, 1] - e[:, 0]) for e in (plain, ref))
     assert abs(plain_gap - ref_gap) <= CERTIFY_RTOL * abs(ref_gap) + GAP_ROUNDING_ER
@@ -482,9 +499,20 @@ def test_deep_default_basis_point_is_certified_by_its_residual():
     sol = solve_bands(cfg, 2)
     assert sol.n_planewaves_solved <= cfg.n_planewaves
     assert sol.edge_residual_er <= 1e-6
-    plain = _band_energies(cfg, q_grid(cfg), 2)
+    plain = _levels(cfg, q_grid(cfg), 2)
     plain_gap = np.mean(plain[:, 1] - plain[:, 0])
     assert abs(np.mean(sol.energies[:, 1] - sol.energies[:, 0]) - plain_gap) <= 2.0 * sol.edge_residual_er + GAP_ROUNDING_ER
+
+
+def test_light_basis_reports_the_default_basis_bands():
+    # At U_1 = 300 E_R the probe of the light N = 12 runs on past N to N_s = 20,
+    # where the default N = 24 certifies too: the same solve, bit for bit.
+    light = LatticeConfig(u1_er=300.0, theta_deg=80.0, bx_mg=40.0, n_planewaves=12, n_q=9)
+    sol, default = solve_bands(light, 2), solve_bands(light.replace(n_planewaves=24), 2)
+    assert sol.n_planewaves_solved == default.n_planewaves_solved == 20
+    np.testing.assert_array_equal(sol.energies, default.energies)
+    np.testing.assert_array_equal(sol.flatness, default.flatness)
+    assert (sol.epsilon_hz, sol.edge_residual_er) == (default.epsilon_hz, default.edge_residual_er)
 
 
 def test_residual_path_skips_a_basis_smaller_than_n_bands():
@@ -520,7 +548,6 @@ def test_continuation_in_q_matches_the_exact_path(n_bands, u1, theta, bx, bz, ph
     sol, exact = solve_bands(cfg, n_bands=n_bands), _exact_per_q_solve(cfg, n_bands)
     assert sol.n_planewaves_solved == exact.n_planewaves_solved
     np.testing.assert_allclose(sol.energies, exact.energies, rtol=0, atol=1e-10)
-    assert np.isnan(sol.edge_residual_er) == np.isnan(exact.edge_residual_er)
     assert not sol.edge_residual_er < exact.edge_residual_er - 1e-12
 
 

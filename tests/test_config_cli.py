@@ -10,7 +10,7 @@ import pytest
 
 import dwsim
 from dwsim import ConfigError, LatticeConfig, NumericalError, cesium_f4, output, solve_bands, wannier_doublet
-from dwsim.bands import _band_energies, q_grid
+from dwsim.bands import _bloch_matrix, _spin_blocks, q_grid
 from dwsim.cli import main
 from dwsim.config import parse_config
 from dwsim.output import run_command, sweep_frequency
@@ -408,18 +408,20 @@ def test_sweep_flags_unconverged_point_and_continues():
 
 def test_sweep_at_the_default_basis_flags_unconverged_point():
     # U_1 = 84 is certified by the edge residual of a smaller basis, U_1 = 20000
-    # by none, and the N vs N+8 comparison flags it.
+    # by none up to N + 8 = 32: there the doublet is degenerate to rounding and
+    # N_s = 32 leaves 1.3e-2 E_R on each level, 1.3e4 times the 1e-6 E_R energy
+    # cap before any gap rule applies, so truncation, not rounding, flags it.
     cfg = LatticeConfig(u1_er=84.0, theta_deg=80.0, bx_mg=85.0, n_q=1)
     rows = sweep_frequency(cfg, "u1", [84.0, 20000.0], 1.0, 1)
     assert [r[3] for r in rows] == ["ok", "unconverged"]
-    energies = _band_energies(cfg, q_grid(cfg), 2)  # the N-basis levels
+    blocks = _spin_blocks(cfg)  # the N-basis levels
+    energies = np.array([np.linalg.eigvalsh(_bloch_matrix(cfg, *blocks, q, cfg.n_planewaves))[:2] for q in q_grid(cfg)])
     assert rows[0][1] == pytest.approx(cfg.species.er_to_hz(np.mean(energies[:, 1] - energies[:, 0])), rel=1e-9)
 
 
 def test_residual_path_sweep_is_jobs_neutral(tmp_path, capsys):
-    # FAST_LATTICE's N = 10 is too small for the residual of any N_s <= N to
-    # certify; N = 20 certifies at N_s = 12, and its sweep.csv keeps its bytes
-    # across thread counts.
+    # FAST_LATTICE's N = 10 certifies at N_s = 12 > N, N = 20 at N_s = 12 < N,
+    # and its sweep.csv keeps its bytes across thread counts.
     lattice = FAST_LATTICE.replace("n_planewaves = 10", "n_planewaves = 20")
     ini = write(tmp_path, lattice + "[sweep]\nparameter = bx\nstart = 60\nstop = 100\nsteps = 3\n")
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")

@@ -18,7 +18,7 @@ from dwsim import (
     propagate_static,
     wannier_doublet,
 )
-from dwsim.bands import NODE_COUNTS, bloch_to_zgrid, localized_doublet, solve_q0
+from dwsim.bands import NODE_COUNTS, bloch_to_zgrid, localized_doublet, q0_sectors, solve_q0
 from dwsim.config import RabiBlock
 from dwsim.dynamics import ADIABATICITY_POINTS, TimeSeries, _run_steps, _schedule_steps, output_times
 from fourier_oracle import static_observables
@@ -386,9 +386,12 @@ def test_fast_turnoff_leaks_more(strong_cfg):
     assert fast > slow
 
 
-def test_adiabaticity_report_constant_schedule(cfg, doublet):
+def test_adiabaticity_report_constant_schedule(cfg, doublet, eigensolves):
+    # zero rate: one H(0) at every instant, each parity sector solved once, with no nodes
     schedule = (Segment(50.0, cfg.bx_mg, cfg.bx_mg, cfg.bz_mg, cfg.bz_mg),)
+    eigensolves.clear()
     report = adiabaticity_report(cfg, schedule, doublet.epsilon_hz)
+    assert dict(eigensolves) == {("eigh", h.shape, "f"): 1 for h in q0_sectors(cfg).matrices}
     seg = report.segments[0]
     assert seg.fom_internal == 0.0
     assert seg.fom_ground_to_excited == 0.0

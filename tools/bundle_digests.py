@@ -38,7 +38,11 @@ With it, a 2-point ``sweep`` (B_x = 40 and 150 mG, the fewest a ``[sweep]``
 section takes) at U_1 = 300 E_R runs under OUT_DIR/default_basis/u1_300 and
 prints its lines prefixed ``default_basis/u1_300/``: there both points
 certify at N_s = 20, where the 1e-6 E_R doublet gap at 40 mG caps the
-residual near 1e-10 E_R.
+residual near 1e-10 E_R.  The same sweep with the light n_planewaves = 12
+runs under OUT_DIR/light_u1_300 and prints its lines prefixed
+``light_u1_300/``: its probe runs on past N to N_s = 20 as well, so its
+``sweep/sweep.csv`` has the digest of ``default_basis/u1_300/sweep/sweep.csv``
+(its manifest records the other N, so that digest differs).
 A last pass runs six configurations that fail or once failed, each under
 OUT_DIR/exit/<name>, and prints one ``exit/<name> <code>`` line per run:
 ``bands`` at U_1 = 2000 E_R with N = 8 and n_q = 1, whose certification
@@ -196,6 +200,7 @@ def main(argv: list[str]) -> int:
     print(f"# BLAS threads pinned to 1: {' '.join(f'{var}=1' for var in BLAS_THREAD_VARS)}")
     paper_cos = CONFIG.replace("[lattice]\n", "[lattice]\nfictitious_phase = paper_cos\n")
     bz_10 = CONFIG.replace("[lattice]\n", "[lattice]\nbz_mg = 10\n")
+    light_u1_300 = DEEP_DEFAULT_BASIS_CONFIG.replace("[lattice]\n", "[lattice]\nn_planewaves = 12\n")
     wide = bz_10.replace("n_samples = 8\n", "n_samples = 64\nspread = 0.45\ndistribution = uniform\n")
     passes = (
         (out, CONFIG, COMMANDS, ""),
@@ -204,6 +209,7 @@ def main(argv: list[str]) -> int:
         (out / "bz_10" / "uniform_045", wide, ("ensemble",), "bz_10/uniform_045/"),
         (out / "default_basis", DEFAULT_BASIS_CONFIG, DEFAULT_BASIS_COMMANDS, "default_basis/"),
         (out / "default_basis" / "u1_300", DEEP_DEFAULT_BASIS_CONFIG, ("sweep",), "default_basis/u1_300/"),
+        (out / "light_u1_300", light_u1_300, ("sweep",), "light_u1_300/"),
     )
     if not all(run_pass(*spec, env) for spec in passes):
         return 1

@@ -165,7 +165,9 @@ def _spin_blocks(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _drift_tolerance(energies: np.ndarray, mean_gap: float) -> np.ndarray:
     """delta_k, a cap on the residual of energy k: CERTIFY_RTOL |E_k| / 2 and, for the doublet pair, at most
-    (CERTIFY_RTOL |mean gap| + GAP_ROUNDING_ER) / 2, each over 1 + CERTIFY_RTOL."""
+    (CERTIFY_RTOL |mean gap| + GAP_ROUNDING_ER) / 2, each over 1 + CERTIFY_RTOL.  It is tighter than RESIDUAL_ER
+    only for |E_k| < 2e-3 E_R or a mean gap under 1e-7 E_R, and decides no band solve of the tests or the bundle
+    digests (ROADMAP item 6)."""
     rtol = CERTIFY_RTOL
     delta = 0.5 * rtol * np.abs(energies) / (1.0 + rtol)
     if energies.shape[1] >= 2:
@@ -246,11 +248,11 @@ def ritz_continuation(matrices, slopes, x, node_counts, n_vectors: int, n_ritz: 
 
 def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
     """(N_s, energies, largest residual, node count, q solved exactly) at the first N_s = 8, 12, ..., with N, up to
-    and including N + CERTIFY_EXTRA_PLANEWAVES per side whose pairs certify at qs[0], if they certify at every q:
-    each ||r_k|| <= min(1e-6 E_R, delta_k) and, from two bands, ||r_0|| + ||r_1|| <= 1e-6 |mean gap| +
-    GAP_ROUNDING_ER; else ConvergenceError.  The pairs come from ``ritz_continuation`` in q, H(q) - q^2 being affine
-    in q, the probe's pairs as node qs[0]: Ritz pairs, and exact ones on a grid of at most CONTINUATION_NODES[0] q
-    and where those fail.  Ritz values lie at or above the N_s levels (Courant-Fischer), and each lies within its
+    and including N + CERTIFY_EXTRA_PLANEWAVES per side whose pairs certify at every q, the grid being solved only at
+    an N_s whose probe at qs[0] certifies: each ||r_k|| <= min(1e-6 E_R, delta_k) and, from two bands,
+    ||r_0|| + ||r_1|| <= 1e-6 |mean gap| + GAP_ROUNDING_ER; else ConvergenceError.  The pairs come from
+    ``ritz_continuation`` in q, H(q) - q^2 being affine in q, the probe's pairs as node qs[0]: Ritz pairs, and exact
+    ones on a grid of at most CONTINUATION_NODES[0] q and where those fail.  Ritz values lie at or above the N_s levels (Courant-Fischer), and each lies within its
     residual of a level of every larger basis, the zero-padded pair's residual there being ``_edge_residuals``."""
     blocks = _spin_blocks(cfg)
     raising, d = blocks[1], len(blocks[0])
@@ -283,7 +285,6 @@ def _residual_solve(cfg: LatticeConfig, qs, pair: np.ndarray, n_bands: int):
         energies, residuals = ritz_pairs(sectors)
         if passing(energies, residuals, pair).all():
             return n_side, energies, float(residuals.max()), n_nodes, len(exact)
-        break
     raise ConvergenceError(
         f"band energies not certified: no basis of up to N + {CERTIFY_EXTRA_PLANEWAVES} = {big_n} plane waves per "
         f"side brings every residual of n_bands = {n_bands} under the {RESIDUAL_ER:g} cap (E_R per energy, relative "
@@ -454,19 +455,35 @@ def _fix_phase(psi_z: np.ndarray, j_anchor: int) -> complex:
 def wannier_doublet(cfg: LatticeConfig) -> WannierDoublet:
     """``localized_doublet`` of the q=0 ground doublet ``solve_q0(cfg, 2)``, with its
     premise checked: bands that are not flat over q = -1, -1/2, 0, 1/2 raise
-    NumericalError, and a negative ``barrier_margin_er`` logs a warning.
+    NumericalError, and a negative ``barrier_margin_er`` logs a warning.  The
+    certified ``solve_bands`` of that grid may come from a basis N_s > N, which
+    says nothing of the N basis, so the N-basis doublet must match its q = 0
+    energies under the same cap: within RESIDUAL_ER E_R each, and its gap within
+    RESIDUAL_ER of the mean gap plus GAP_ROUNDING_ER.
 
     Raises
     ------
     ConvergenceError
-        If the certified ``solve_bands`` of that 4-point grid fails.
+        If the certified ``solve_bands`` of that 4-point grid fails, or the
+        N-basis doublet misses its q = 0 energies.
     """
     vals, vecs = solve_q0(cfg, 2)
-    flat = solve_bands(cfg.replace(n_q=4), n_bands=2).flatness.max()
+    bands = solve_bands(cfg.replace(n_q=4), n_bands=2)
+    flat = bands.flatness.max()
     if not flat <= FLATNESS_WARN:  # a nan flatness (no gap) raises too
         raise NumericalError(
             f"lowest bands not flat (flatness {flat:.3f} > {FLATNESS_WARN}); "
             "the doublet does not define localized states"
+        )
+    certified = bands.energies[bands.q_over_kl == 0.0][0]
+    drift = float(np.abs(vals - certified).max())
+    gap_drift = abs((vals[1] - vals[0]) - (certified[1] - certified[0]))
+    mean_gap = float(np.mean(bands.energies[:, 1] - bands.energies[:, 0]))
+    if drift > RESIDUAL_ER or gap_drift > RESIDUAL_ER * abs(mean_gap) + GAP_ROUNDING_ER:
+        raise ConvergenceError(
+            f"q=0 doublet not converged at N={cfg.n_planewaves}: its energies lie up to {drift:.2e} E_R and its gap "
+            f"{gap_drift:.2e} E_R from the certified N_s={bands.n_planewaves_solved} ones (cap {RESIDUAL_ER:g}: E_R "
+            "per energy, relative on the mean gap)"
         )
     doublet = localized_doublet(cfg, vals, vecs)
     if doublet.barrier_margin_er < 0.0:

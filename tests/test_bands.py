@@ -147,6 +147,26 @@ def test_certification_keeps_its_tolerance_at_the_edge():
     assert np.all(np.abs(sol.energies - ref) <= sol.edge_residual_er)
 
 
+def test_band_solve_goes_on_past_a_basis_whose_grid_fails(cfg, monkeypatch):
+    # A grid that fails at the first N_s whose probe certifies sends the solve
+    # on to the next N_s, not to ConvergenceError: with the light config's
+    # N_s = 12 grid failed by hand, N_s = 16 certifies the same energies.
+    continuation, failed = bands.ritz_continuation, []
+
+    def failing_once(*args, **kwargs):
+        sectors, n_nodes, exact = continuation(*args, **kwargs)
+        if not failed:
+            failed.append(True)
+            sectors = [(theta, ritz, residual + 1.0) for theta, ritz, residual in sectors]
+        return sectors, n_nodes, exact
+
+    ref = solve_bands(cfg, n_bands=2)
+    monkeypatch.setattr(bands, "ritz_continuation", failing_once)
+    sol = solve_bands(cfg, n_bands=2)
+    assert failed and (ref.n_planewaves_solved, sol.n_planewaves_solved) == (12, 16)
+    np.testing.assert_allclose(sol.energies, ref.energies, rtol=0, atol=ref.edge_residual_er)
+
+
 def test_variational_monotonicity(cfg):
     energies = []
     for n_pw in (10, 14, 18):
@@ -267,6 +287,18 @@ def test_wannier_flatness_guard():
     shallow = LatticeConfig(u1_er=11.0, theta_deg=80.0, bx_mg=10.0, n_planewaves=10)
     with pytest.raises(NumericalError):
         wannier_doublet(shallow)
+
+
+def test_wannier_doublet_refuses_an_unconverged_n_basis_doublet():
+    # At U_1 = 230 E_R, B_x = 85 mG the 4-point band solve of N = 8 certifies
+    # only at N_s = 16, which says nothing of the N = 8 doublet that
+    # wannier_doublet returns: its q = 0 levels lie 3.9e-6 E_R above the
+    # certified ones, over the 1e-6 E_R cap.  N = 12 lies within it.
+    cfg = LatticeConfig(u1_er=230.0, theta_deg=80.0, bx_mg=85.0, n_planewaves=8)
+    assert solve_bands(cfg.replace(n_q=4), 2).n_planewaves_solved == 16
+    with pytest.raises(ConvergenceError, match=r"q=0 doublet not converged at N=8: .* certified N_s=16"):
+        wannier_doublet(cfg)
+    assert wannier_doublet(cfg.replace(n_planewaves=12)).epsilon_hz > 0.0
 
 
 @pytest.mark.parametrize("phase", FICTITIOUS_PHASES)
